@@ -74,8 +74,9 @@ def legendre_deriv(m: int, xi, order: int = 1):
     return out if x.ndim else float(out)
 
 
+@lru_cache(maxsize=None)
 def gauss_rule(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [-1, 1]."""
+    """n-point Gauss-Legendre rule on [-1, 1]; cached, its arrays are read-only."""
     if n < 1:
         raise ValueError("quadrature rule needs at least one node")
     nodes, weights = npleg.leggauss(n)

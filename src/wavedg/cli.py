@@ -509,6 +509,19 @@ def _overrides(args) -> dict:
 
 
 def main(argv=None) -> int:
+    """Console entry point; returns the exit code."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout left early (`wavedg ... | head -1`); the
+        # artifacts are written by then, so the run counts as a success
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(prog="wavedg",
                                      description="wave equation DG experiment runner")
     parser.add_argument("--version", action="version", version=__version__)

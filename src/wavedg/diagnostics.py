@@ -109,7 +109,8 @@ def _l2_sq_2d(v: DGField2D) -> float:
     return float(np.sum(vol * w[None, None, :] * v.coeffs**2))
 
 
-def _source_integral(u, source, quad_points: int | None = None) -> float:
+def source_integral(u, source, quad_points: int | None = None) -> float:
+    """integral(G(u)) by per-cell Gauss quadrature, G the source antiderivative."""
     nq = quad_points if quad_points is not None else u.degree + 3
     if isinstance(u, DGField1D):
         _, vals, rule = _quad_values_1d(u, nq)
@@ -141,7 +142,7 @@ def energy(u, v, source=None) -> float:
         raise TypeError("energy expects DG fields")
     if source is None:
         return quad
-    return 0.5 * quad + _source_integral(u, source)
+    return 0.5 * quad + source_integral(u, source)
 
 
 @dataclass

@@ -265,11 +265,23 @@ class DGField2D:
         write_columns_csv(path, {"x": xs, "y": ys, "u": u.ravel()})
 
 
+#: rows formatted per write by write_columns_csv; bounds the memory it takes
+CSV_CHUNK_ROWS = 4096
+
+
 def write_columns_csv(path: str | os.PathLike, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns in full-precision scientific notation."""
+    """Write named columns in full-precision scientific notation.
+
+    Each value reads as f"{val:.17e}".  Rows are formatted a chunk at a
+    time, one %-operation per row.
+    """
     names = list(columns)
-    data = np.column_stack([np.asarray(columns[k], dtype=float) for k in names])
+    cols = [np.asarray(columns[k], dtype=float) for k in names]
+    if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
+        raise ValueError("columns must be 1-D arrays of one length")
+    row_format = ",".join(["%.17e"] * len(names)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for row in data:
-            fh.write(",".join(f"{val:.17e}" for val in row) + "\n")
+        for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
+            rows = np.column_stack([c[start:start + CSV_CHUNK_ROWS] for c in cols]).tolist()
+            fh.write("".join([row_format % tuple(row) for row in rows]))

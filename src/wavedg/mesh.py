@@ -167,7 +167,7 @@ class Mesh2D:
         d.setflags(write=False)
         return d
 
-    @property
+    @cached_property
     def h(self) -> float:
         return float(self.diagonals.max())
 

@@ -241,8 +241,8 @@ def boundary_closure(traces: Traces, kind: str) -> Traces:
 
 
 @lru_cache(maxsize=None)
-def _tables(p: int, q: int):
-    """Reference matrices shared by all cells for a (p, q) pair."""
+def _tables(p: int, q: int, nq: int):
+    """Reference matrices shared by all cells for a (p, q) pair and nq-point rule."""
     dp = derivative_matrix(p)
     dq = derivative_matrix(q)
     mp = mass_diagonal(p)
@@ -254,7 +254,11 @@ def _tables(p: int, q: int):
     kinv = np.linalg.inv(kp[1:, 1:])
     ep_l, ep_r = endpoint_values(p, 1)
     eq_l, eq_r = endpoint_values(q, 0)
+    rule = gauss_rule(nq)
     return {
+        "rule": rule,
+        "vp_tab": vandermonde(rule.nodes, p),  # P_m at the volume nodes
+        "vq_tab": vandermonde(rule.nodes, q),
         "dp": dp,
         "mp": mp,
         "kp": kp,
@@ -309,7 +313,7 @@ class _Assembly:
         self.mesh = mesh
         self.u = ucoef
         self.v = vcoef
-        self.t = _tables(p, q)
+        self.t = _tables(p, q, config.quad_points)
         self.uf = DGField1D(mesh, p, ucoef)
         self.vf = DGField1D(mesh, q, vcoef)
         self.tr_u = interface_traces(self.uf, p, config.boundary)
@@ -324,11 +328,9 @@ class _Assembly:
         self.rho = None
         self.g_at = None
         if config.source is not None:
-            nq = config.quad_points
-            rule = gauss_rule(nq)
-            self.rule = rule
-            self.vp_tab = vandermonde(rule.nodes, p)
-            self.vq_tab = vandermonde(rule.nodes, q)
+            self.rule = self.t["rule"]
+            self.vp_tab = self.t["vp_tab"]
+            self.vq_tab = self.t["vq_tab"]
             u_at = ucoef @ self.vp_tab.T
             self.g_at = config.source.g(u_at)
             if config.chi == 1:

@@ -14,6 +14,36 @@ trace on every face.
 
 Meshes must be uniform and periodic in both directions; the in-cell source
 quotient treatment (chi = 1) is a 1D-only feature.
+
+Strips.  `rhs_arrays_2d` evaluates the mesh in x-strips of whole rows, at
+most max(1, CELLS_PER_STRIP // ny) rows each, balanced so that their
+heights differ by at most one row.  A mesh that fits in one strip runs as
+one pass.  Otherwise each strip is copied out with one ghost row on each
+side, taken with periodic wrap, the kernel runs on that block as if it
+were periodic, and the strip's own rows are copied to the output.  Every
+term couples a cell only to its edge neighbours: the face traces and
+fluxes, the two-sided penalty and gradient faces, and the vertex jumps
+that drive the damping.  The block's own wrap along x therefore corrupts
+only the ghost rows, which are dropped, and the rows kept see exactly the
+neighbours they have in the mesh.  BLAS computes each row of a product
+independently of the others, so the strips give the whole-mesh numbers
+bit for bit.  That last step needs products of more than a few hundred
+rows: OpenBLAS 0.3.31 rounds some small products differently.  With
+p = 3 and a source, the product over 36 quadrature values per cell gives
+other last bits for 200 rows or fewer than for 250 or more.  Balanced
+strips keep every block at about half of CELLS_PER_STRIP cells or more,
+never a sliver of one row.
+
+Buffers.  The caller owns the output pair `out` and the `StripWorkspace`
+`work`, which holds the ghosted strip copies and the kernel's large
+intermediates, all sized to one strip.  Passing the same workspace on
+every call, as `timeint.integrate` does, allocates them once for a run.
+The damping weights and the source function's own temporaries remain
+ordinary strip-sized arrays.  CELLS_PER_STRIP was set by timing one RHS
+of the ex8 configuration at 320^2 (p = 2, q = 1, source, damping and
+penalty on) on one core of a shared 2-vCPU Xeon, three sweeps: strips of
+2,560, 5,120 and 10,240 cells took 111 to 156 ms, strips of 640 cells 276
+to 291 ms, and one whole-mesh pass 166 to 190 ms.
 """
 from __future__ import annotations
 
@@ -29,6 +59,9 @@ from .mesh import Mesh2D
 from .scheme1d import FluxParams, SolverConfig
 
 _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))  # BL, BR, TL, TR
+
+#: cells per strip of one right-hand side evaluation; see the module docstring
+CELLS_PER_STRIP = 5120
 
 
 def _roll_slices(axis: int, shift: int) -> tuple:
@@ -53,44 +86,56 @@ def _minus_rolled(a, b, shift: int, axis: int, out=None) -> np.ndarray:
     return out
 
 
-def _rolled_minus(b, shift: int, axis: int, a) -> np.ndarray:
-    """np.roll(b, shift, axis) - a without materializing the rolled copy."""
-    out = np.empty(a.shape)
+def _rolled_minus(b, shift: int, axis: int, a, out) -> np.ndarray:
+    """np.roll(b, shift, axis) - a, written to out, without the rolled copy."""
     for dst, src in _roll_slices(axis, shift):
         np.subtract(b[src], a[dst], out=out[dst])
     return out
 
 
-def _weighted_sum(c1: float, x1, c2: float, x2):
+def _rolled(b, shift: int, axis: int, out) -> np.ndarray:
+    """np.roll(b, shift, axis), written to out."""
+    for dst, src in _roll_slices(axis, shift):
+        out[dst] = b[src]
+    return out
+
+
+def _weighted_sum(c1: float, x1, c2: float, x2, out, tmp):
     """c1*x1 + c2*x2, dropping zero-weight terms and unit factors.
 
     A dropped term adds a signed zero, so finite inputs give the same
-    values as the full expression.
+    values as the full expression.  The result is out, or x1 or x2 itself
+    when a unit factor leaves it unchanged; tmp is scratch.
     """
     if c2 == 0.0:
-        return x1 if c1 == 1.0 else c1 * x1
+        return x1 if c1 == 1.0 else np.multiply(c1, x1, out=out)
     if c1 == 0.0:
-        return x2 if c2 == 1.0 else c2 * x2
-    return c1 * x1 + c2 * x2
+        return x2 if c2 == 1.0 else np.multiply(c2, x2, out=out)
+    np.multiply(c1, x1, out=out)
+    return np.add(out, np.multiply(c2, x2, out=tmp), out=out)
 
 
-def _fast_fluxes(v_minus, v_own, dnu_minus, dnu_own, params: FluxParams, axis: int):
-    """fluxes_2d for the positive-axis normal, with fewer temporaries.
+def _fast_fluxes(v_minus, v_own, dnu_minus, dnu_own, params: FluxParams, axis: int, buf):
+    """fluxes_2d for the positive-axis normal, in workspace buffers.
 
     The plus-side traces of face i+1/2 are cell i+1's own lower-side traces
     (v_own, dnu_own rolled by -1 along axis); the roll is only taken where a
     term needs it, since the alternating flux reads one side of each pair.
+    buf(name) gives a scratch array shaped like the traces.
     """
     z = params.zeta
     a_plus, a_minus = 0.5 - z, 0.5 + z
-    v_plus = np.roll(v_own, -1, axis=axis) if a_plus or params.beta else None
-    dnu_plus = np.roll(dnu_own, -1, axis=axis) if a_minus or params.tau else None
-    vhat = _weighted_sum(a_plus, v_plus, a_minus, v_minus)
+    tmp = buf("flux_tmp")
+    v_plus = _rolled(v_own, -1, axis, buf(f"v_plus{axis}")) if a_plus or params.beta else None
+    dnu_plus = _rolled(dnu_own, -1, axis, buf(f"dnu_plus{axis}")) if a_minus or params.tau else None
+    vhat = _weighted_sum(a_plus, v_plus, a_minus, v_minus, buf(f"vhat{axis}"), tmp)
     if params.tau:
-        vhat = vhat + params.tau * (dnu_plus - dnu_minus)
-    gradn = _weighted_sum(a_minus, dnu_plus, a_plus, dnu_minus)
+        jump = np.subtract(dnu_plus, dnu_minus, out=tmp)
+        vhat = np.add(vhat, np.multiply(params.tau, jump, out=tmp), out=buf(f"vhat{axis}"))
+    gradn = _weighted_sum(a_minus, dnu_plus, a_plus, dnu_minus, buf(f"gradn{axis}"), tmp)
     if params.beta:
-        gradn = gradn + params.beta * (v_plus - v_minus)
+        jump = np.subtract(v_plus, v_minus, out=tmp)
+        gradn = np.add(gradn, np.multiply(params.beta, jump, out=tmp), out=buf(f"gradn{axis}"))
     return vhat, gradn
 
 
@@ -161,10 +206,17 @@ def _corner_table(degree: int, r1: int, r2: int) -> np.ndarray:
     return out
 
 
-def _mm(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Contract the trailing axis against a table via BLAS."""
+def _mm(arr: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
+    """Contract the trailing axis against a table via BLAS.
+
+    out, if given, is a C-contiguous array that receives the result.
+    """
     lead = arr.shape[:-1]
-    return (arr.reshape(-1, arr.shape[-1]) @ table).reshape(lead + (table.shape[1],))
+    flat = arr.reshape(-1, arr.shape[-1])
+    if out is None:
+        return (flat @ table).reshape(lead + (table.shape[1],))
+    np.matmul(flat, table, out=out.reshape(-1, table.shape[1]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -275,7 +327,8 @@ def _vertex_jump_acc(coeffs: np.ndarray, degree: int, max_order: int,
     return out
 
 
-def damping_coeffs_2d(u: DGField2D, v: DGField2D, config: SolverConfig):
+def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D,
+                      config: SolverConfig):
     """Damping weights (for_u[i,j,l], l=1..p; for_v[i,j,l], l=0..q).
 
     for_u at order l sums, over the multi-indices of that order, the root of
@@ -283,13 +336,12 @@ def damping_coeffs_2d(u: DGField2D, v: DGField2D, config: SolverConfig):
     2(2l+1)/(2p-1) * h_d^l / l!; for_v uses (2q-1), h_d^(l+1) and (l+1)!.
     """
     p, q = config.p, config.q
-    mesh = u.mesh
     hx, hy = float(mesh.hx[0]), float(mesh.hy[0])
     h_d = mesh.h
-    acc_u = _vertex_jump_acc(u.coeffs, u.degree, p, hx, hy)
-    acc_v = _vertex_jump_acc(v.coeffs, v.degree, q, hx, hy)
-    for_u = np.zeros((mesh.nx, mesh.ny, p + 1))
-    for_v = np.zeros((mesh.nx, mesh.ny, q + 1))
+    acc_u = _vertex_jump_acc(ucoef, p, p, hx, hy)
+    acc_v = _vertex_jump_acc(vcoef, q, q, hx, hy)
+    for_u = np.zeros(ucoef.shape[:2] + (p + 1,))
+    for_v = np.zeros(vcoef.shape[:2] + (q + 1,))
     for l in range(1, p + 1):
         for_u[..., l] = (2.0 * (2 * l + 1) / (2 * p - 1)) * h_d**l / math.factorial(l) * acc_u[..., l]
     for l in range(0, q + 1):
@@ -332,7 +384,6 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
     ht_w, hb_w = (ht * fw_h).T, (hb * fw_h).T
     return {
         "modes": modes,
-        "deg": m1 + m2,
         "nmq": nmq,
         "rule": rule,
         "mass2": mass2,
@@ -369,125 +420,184 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
     }
 
 
-def _two_sided_faces(face_vals, table, axis: int, out) -> np.ndarray:
+def _sum_by_degree(sig, first: int, out) -> np.ndarray:
+    """out[..., a] = sig[..., first] + ... + sig[..., deg(a)], 0 where deg(a) = 0.
+
+    The sums run in np.cumsum's order.  Modes are sorted by total degree,
+    so the modes of degree l are the block n_modes(l-1):n_modes(l).
+    """
+    out[..., 0] = 0.0
+    acc = sig[..., first]
+    for l in range(1, sig.shape[-1]):
+        if l > first:
+            acc = acc + sig[..., l]
+        out[..., n_modes(l - 1):n_modes(l)] = acc[..., None]
+    return out
+
+
+def _two_sided_faces(face_vals, table, axis: int, out, both) -> np.ndarray:
     """Add a face quantity, tested on both sides, into out in place.
 
     Face i+1/2 adds its value tested with cell i's upper-side traces and
     subtracts it tested with cell i+1's lower-side traces; table holds the
-    two test tables side by side.  Matmul rows are independent, so testing
-    before the shift gives the same numbers as shifting first.  The penalty
-    fits this form because cell i+1 sees exactly the negated jump.
+    two test tables side by side, and both receives that product.  Matmul
+    rows are independent, so testing before the shift gives the same
+    numbers as shifting first.  The penalty fits this form because cell
+    i+1 sees exactly the negated jump.
     """
-    both = _mm(face_vals, table)
+    _mm(face_vals, table, both)
     half = table.shape[1] // 2
     out += both[..., :half]
     return _minus_rolled(out, both[..., half:], 1, axis, out=out)
 
 
-def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D,
-                  config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (du, dv) of the 2D modal coefficients."""
+class StripWorkspace:
+    """Scratch arrays of `rhs_arrays_2d`, kept between calls by their owner.
+
+    A named buffer is allocated on first use, or again when a larger strip
+    needs more room; a smaller strip uses its leading part.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def _gather_strip(arr: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Rows start..stop-1 of arr with one periodic ghost row on each side."""
+    out[0] = arr[start - 1]
+    out[1:-1] = arr[start:stop]
+    out[-1] = arr[stop % arr.shape[0]]
+    return out
+
+
+def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: SolverConfig,
+                  out=None, work: StripWorkspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivatives (du, dv) of the 2D modal coefficients.
+
+    out, if given, is a (du, dv) pair to write into, which must not overlap
+    the inputs; otherwise fresh arrays are returned.  work holds the
+    scratch arrays; a caller that evaluates many right-hand sides passes
+    the same workspace each time.
+    """
     if not mesh.is_uniform():
         raise ValueError("the 2D scheme assumes a uniform Cartesian mesh")
     if config.boundary != "periodic":
         raise ValueError("the 2D scheme supports periodic boundaries only")
     if config.source is not None and config.chi == 1:
         raise ValueError("the in-cell source quotient treatment is 1D-only; use chi=0 in 2D")
+    du, dv = out if out is not None else (np.empty(ucoef.shape), np.empty(vcoef.shape))
+    work = work if work is not None else StripWorkspace()
+    nx, ny = ucoef.shape[:2]
+    strips = -(-nx // max(1, CELLS_PER_STRIP // ny))
+    if strips == 1:
+        _strip_rhs(ucoef, vcoef, mesh, config, work, du, dv)
+        return du, dv
+    for k in range(strips):
+        start, stop = k * nx // strips, (k + 1) * nx // strips
+        lead = (stop - start + 2, ny)
+        us = _gather_strip(ucoef, start, stop, work.take("u_in", lead + ucoef.shape[2:]))
+        vs = _gather_strip(vcoef, start, stop, work.take("v_in", lead + vcoef.shape[2:]))
+        dus = work.take("du_out", us.shape)
+        dvs = work.take("dv_out", vs.shape)
+        _strip_rhs(us, vs, mesh, config, work, dus, dvs)
+        du[start:stop] = dus[1:-1]
+        dv[start:stop] = dvs[1:-1]
+    return du, dv
+
+
+def _strip_rhs(ucoef, vcoef, mesh: Mesh2D, config: SolverConfig, work: StripWorkspace,
+               du, dv) -> None:
+    """Write the right-hand side of a block of rows, periodic in both directions, to du, dv."""
     p, q = config.p, config.q
     hx, hy = float(mesh.hx[0]), float(mesh.hy[0])
     t = _tables2d(p, q, hx, hy, config.quad_points)
-    nmq = t["nmq"]
+    nm, nmq = ucoef.shape[-1], t["nmq"]
+    nq_face = len(t["rule"].weights)
     fp = config.flux
-    w = t["rule"].weights
+
+    def buf(name, width=nq_face):
+        return work.take(name, ucoef.shape[:-1] + (width,))
 
     # v's modes are the degree-q prefix of u's, so its tables are row prefixes
-    b = _mm(vcoef, t["g"][:nmq])  # integral of grad v . grad phi_a
+    b = _mm(vcoef, t["g"][:nmq], buf("b", nm))  # integral of grad v . grad phi_a
 
-    nq_face = len(w)
     # a one-sided vhat (alternating flux) is that side's own v trace, so the
     # face correction vhat - v on that side vanishes and is skipped
     takes_minus = fp.zeta == 0.5 and not fp.tau
     takes_plus = fp.zeta == -0.5 and not fp.tau
+    penalty = config.penalty and config.penalty_coefficient > 0.0
+    if penalty:
+        pen = buf("pen", nm)
+        pen.fill(0.0)
+    gradn = []
 
-    # vertical interfaces, indexed by the cell on their left; normal = +x
-    u_tr = _mm(ucoef, t["u_vert"])
-    v_tr = _mm(vcoef, t["v_vert"][:nmq])
-    v_m = v_tr[..., :nq_face]
-    v_own_l = v_tr[..., nq_face:]
-    u_m = u_tr[..., :nq_face]
-    u_own_l = u_tr[..., nq_face:2 * nq_face]
-    ux_m = u_tr[..., 2 * nq_face:3 * nq_face]
-    ux_own_l = u_tr[..., 3 * nq_face:]
-    vhat_x, gradn_x = _fast_fluxes(v_m, v_own_l, ux_m, ux_own_l, fp, axis=0)
+    # axis 0: vertical interfaces, indexed by the cell on their left, normal +x;
+    # axis 1: horizontal interfaces, indexed by the cell below, normal +y
+    for axis, (u_tab, v_tab, hi_w, lo_w, pen_tab) in enumerate((
+            ("u_vert", "v_vert", "vrx_w", "vlx_w", "pen_x"),
+            ("u_horz", "v_horz", "hty_w", "hby_w", "pen_y"))):
+        u_tr = _mm(ucoef, t[u_tab], buf(f"u_tr{axis}", 4 * nq_face))
+        v_tr = _mm(vcoef, t[v_tab][:nmq], buf(f"v_tr{axis}", 2 * nq_face))
+        v_m, v_own = v_tr[..., :nq_face], v_tr[..., nq_face:]
+        u_m, u_own, dnu_m, dnu_own = (u_tr[..., k * nq_face:(k + 1) * nq_face] for k in range(4))
+        vhat, gn = _fast_fluxes(v_m, v_own, dnu_m, dnu_own, fp, axis, buf)
+        gradn.append(gn)
+        if not takes_minus:
+            b += _mm(np.subtract(vhat, v_m, out=buf("face")), t[hi_w], buf("fold", nm))
+        if not takes_plus:
+            b -= _mm(_rolled_minus(vhat, 1, axis, v_own, buf("face")), t[lo_w], buf("fold", nm))
+        if penalty:
+            _two_sided_faces(_rolled_minus(u_own, -1, axis, u_m, buf("face")), t[pen_tab], axis,
+                             pen, buf("both", 2 * nm))
 
-    if not takes_minus:
-        b += _mm(vhat_x - v_m, t["vrx_w"])
-    if not takes_plus:
-        b -= _mm(_rolled_minus(vhat_x, 1, 0, v_own_l), t["vlx_w"])
-
-    if config.penalty and config.penalty_coefficient > 0.0:
-        coef = config.penalty_coefficient / mesh.h**2
-        pen = np.zeros(b.shape)
-        _two_sided_faces(_rolled_minus(u_own_l, -1, 0, u_m), t["pen_x"], 0, out=pen)
-    else:
-        pen = None
-
-    # horizontal interfaces, indexed by the cell below; normal = +y
-    u_tr = _mm(ucoef, t["u_horz"])
-    v_tr = _mm(vcoef, t["v_horz"][:nmq])
-    v_mb = v_tr[..., :nq_face]
-    v_own_b = v_tr[..., nq_face:]
-    u_mb = u_tr[..., :nq_face]
-    u_own_b = u_tr[..., nq_face:2 * nq_face]
-    uy_m = u_tr[..., 2 * nq_face:3 * nq_face]
-    uy_own_b = u_tr[..., 3 * nq_face:]
-    vhat_y, gradn_y = _fast_fluxes(v_mb, v_own_b, uy_m, uy_own_b, fp, axis=1)
-
-    if not takes_minus:
-        b += _mm(vhat_y - v_mb, t["hty_w"])
-    if not takes_plus:
-        b -= _mm(_rolled_minus(vhat_y, 1, 1, v_own_b), t["hby_w"])
-
-    if pen is not None:
-        _two_sided_faces(_rolled_minus(u_own_b, -1, 1, u_mb), t["pen_y"], 1, out=pen)
-        b += coef * pen
+    if penalty:
+        pen *= config.penalty_coefficient / mesh.h**2
+        b += pen
 
     sig_u = sig_v = None
     if config.damping:
-        sig_u, sig_v = damping_coeffs_2d(DGField2D(mesh, p, ucoef), DGField2D(mesh, q, vcoef), config)
+        sig_u, sig_v = damping_coeffs_2d(ucoef, vcoef, mesh, config)
         h_d = mesh.h
-        deg = t["deg"]
-        csum_u = np.cumsum(sig_u[..., 1:], axis=-1)
-        wu = np.zeros(ucoef.shape)
-        nonzero = deg >= 1
-        wu[..., nonzero] = csum_u[..., deg[nonzero] - 1]
-        ux_ref = _mm(ucoef, t["dx2"].T)
-        uy_ref = _mm(ucoef, t["dy2"].T)
-        b -= (hy / hx) / h_d * _mm(wu * ux_ref * t["mass2"], t["dx2"])
-        b -= (hx / hy) / h_d * _mm(wu * uy_ref * t["mass2"], t["dy2"])
+        # a mode of total degree k is damped by every level 1..k
+        wu = _sum_by_degree(sig_u, 1, buf("wu", nm))
+        for d_ref, scale in ((t["dx2"], (hy / hx) / h_d), (t["dy2"], (hx / hy) / h_d)):
+            weighted = _mm(ucoef, d_ref.T, buf("d_ref", nm))
+            weighted *= wu
+            weighted *= t["mass2"]
+            fold = _mm(weighted, d_ref, buf("fold", nm))
+            fold *= scale
+            b -= fold
 
-    du = np.empty_like(b)
     du[..., 0] = vcoef[..., 0]
-    du[..., 1:] = _mm(b[..., 1:], t["ginv"])
+    du[..., 1:] = _mm(b[..., 1:], t["ginv"], buf("fold", nm - 1))
 
     # v equation: mass solve over the degree-q prefix of the mode list
-    rhs = -_mm(ucoef, t["g"][:, :nmq])
-    _two_sided_faces(gradn_x, t["gradn_x"], 0, out=rhs)
-    _two_sided_faces(gradn_y, t["gradn_y"], 1, out=rhs)
+    rhs = _mm(ucoef, t["g"][:, :nmq], buf("rhs_v", nmq))
+    np.negative(rhs, out=rhs)
+    _two_sided_faces(gradn[0], t["gradn_x"], 0, rhs, buf("both", 2 * nmq))
+    _two_sided_faces(gradn[1], t["gradn_y"], 1, rhs, buf("both", 2 * nmq))
 
     if config.source is not None:
-        u_at = _mm(ucoef, t["bv_flat"])
+        u_at = _mm(ucoef, t["bv_flat"], buf("u_at", t["bv_flat"].shape[1]))
         g_at = config.source.g(u_at)
-        rhs += _mm(g_at, t["bvw_q"]) * (0.25 * hx * hy)
+        fold = _mm(g_at, t["bvw_q"], buf("fold", nmq))
+        fold *= 0.25 * hx * hy
+        rhs += fold
 
-    dv = rhs / (0.25 * hx * hy * t["mass2"][:nmq])
+    np.divide(rhs, 0.25 * hx * hy * t["mass2"][:nmq], out=dv)
     if sig_v is not None:
-        csum_v = np.cumsum(sig_v, axis=-1)
-        deg_q = t["deg"][:nmq]
-        wv = csum_v[..., deg_q]
-        wv[..., deg_q == 0] = 0.0
-        dv -= wv * vcoef / mesh.h
-    return du, dv
+        # a mode of v of total degree k >= 1 is damped by every level 0..k
+        wv = _sum_by_degree(sig_v, 0, buf("wv", nmq))
+        wv *= vcoef
+        wv /= mesh.h
+        dv -= wv
 
 
 def semidiscrete_rhs_2d(u: DGField2D, v: DGField2D, config: SolverConfig):

@@ -16,7 +16,7 @@ import numpy as np
 from . import diagnostics
 from .field import DGField1D, DGField2D, write_columns_csv
 from .scheme1d import SolverConfig, rhs_arrays_1d
-from .scheme2d import rhs_arrays_2d
+from .scheme2d import StripWorkspace, rhs_arrays_2d
 
 _DT_EXPONENTS = {2: 1.0, 3: 4.0 / 3.0, 4: 5.0 / 3.0, 5: 2.0, 6: 7.0 / 3.0}
 
@@ -59,27 +59,57 @@ def make_time_plan(t_final: float, dt: float) -> TimePlan:
     return TimePlan(dt=dt, steps=steps, last_dt=last, t_final=t_final)
 
 
-def _axpy(state, deriv, dt):
-    if isinstance(state, tuple):
-        return tuple(s + dt * d for s, d in zip(state, deriv))
-    return state + dt * deriv
-
-
-def _combine(c0, s0, c1, s1):
-    if isinstance(s0, tuple):
-        return tuple(c0 * a + c1 * b for a, b in zip(s0, s1))
-    return c0 * s0 + c1 * s1
-
-
-def ssp_rk3_step(state, rhs, dt):
+def ssp_rk3_step(state, rhs, dt, out=None, work=None):
     """One three-stage strong-stability-preserving third-order step.
 
     state may be a single array or a tuple of arrays; rhs maps a state to
-    its time derivative with the same structure.
+    its time derivative with the same structure.  The Shu-Osher stages
+
+        s1 = x + dt f(x)
+        s2 = 3/4 x + 1/4 (s1 + dt f(s1))
+        x' = 1/3 x + 2/3 (s2 + dt f(s2))
+
+    run in place in two registers shaped like the state: `work`, as made by
+    `rk3_registers`, or fresh ones.  Each stage scales every derivative
+    before it changes a register, so a derivative may alias its stage.  The
+    new state goes to `out`, which may be `state` itself, or to fresh arrays.
     """
-    s1 = _axpy(state, rhs(state), dt)
-    s2 = _combine(0.75, state, 0.25, _axpy(s1, rhs(s1), dt))
-    return _combine(1.0 / 3.0, state, 2.0 / 3.0, _axpy(s2, rhs(s2), dt))
+    if isinstance(state, tuple):
+        return _ssp_rk3(state, rhs, dt, out, work)
+    return _ssp_rk3((state,), lambda s: (rhs(s[0]),), dt,
+                    None if out is None else (out,), work)[0]
+
+
+def _ssp_rk3(x: tuple, rhs, dt, out, work) -> tuple:
+    stage, scaled = work if work is not None else rk3_registers(x)
+    new = out if out is not None else tuple(np.empty(np.shape(a)) for a in x)
+
+    def scale_deriv(s):
+        for k, d in zip(scaled, rhs(s)):
+            np.multiply(dt, d, out=k)
+
+    scale_deriv(x)
+    for a, s, k in zip(x, stage, scaled):
+        np.add(a, k, out=s)
+    scale_deriv(stage)
+    for a, s, k in zip(x, stage, scaled):
+        s += k
+        s *= 0.25
+        np.multiply(0.75, a, out=k)
+        np.add(k, s, out=s)
+    scale_deriv(stage)
+    for a, s, k, o in zip(x, stage, scaled, new):
+        s += k
+        s *= 2.0 / 3.0
+        np.multiply(1.0 / 3.0, a, out=k)
+        np.add(k, s, out=o)
+    return new
+
+
+def rk3_registers(state) -> tuple:
+    """The two stage registers of `ssp_rk3_step` for a state's shapes."""
+    x = state if isinstance(state, tuple) else (state,)
+    return tuple(np.empty(np.shape(a)) for a in x), tuple(np.empty(np.shape(a)) for a in x)
 
 
 @dataclass
@@ -112,10 +142,16 @@ class EnergyTrace:
 
 
 def _check_state(state, step: int) -> None:
+    """Abort on a non-finite entry or one beyond BLOWUP_LIMIT in magnitude.
+
+    max and min carry any NaN, so two reductions replace full-size
+    isfinite and abs temporaries.
+    """
     for arr in state:
-        if not np.all(np.isfinite(arr)):
+        hi, lo = float(arr.max()), float(arr.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise SolverAbort("non-finite state detected", step)
-        if np.max(np.abs(arr)) > BLOWUP_LIMIT:
+        if max(hi, -lo) > BLOWUP_LIMIT:
             raise SolverAbort("state magnitude exceeds blow-up threshold", step)
 
 
@@ -129,19 +165,23 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
     recorded alongside the quadratic one.
     """
     mesh = u.mesh
+    state = (u.coeffs.copy(), v.coeffs.copy())
     if isinstance(u, DGField1D):
-        def rhs(state):
-            return rhs_arrays_1d(state[0], state[1], mesh, config)
+        def rhs(st):
+            return rhs_arrays_1d(st[0], st[1], mesh, config)
         wrap = (lambda c: DGField1D(mesh, config.p, c), lambda c: DGField1D(mesh, config.q, c))
     elif isinstance(u, DGField2D):
-        def rhs(state):
-            return rhs_arrays_2d(state[0], state[1], mesh, config)
+        deriv = (np.empty(state[0].shape), np.empty(state[1].shape))
+        strips = StripWorkspace()
+
+        def rhs(st):
+            return rhs_arrays_2d(st[0], st[1], mesh, config, out=deriv, work=strips)
         wrap = (lambda c: DGField2D(mesh, config.p, c), lambda c: DGField2D(mesh, config.q, c))
     else:
         raise TypeError("integrate expects DGField1D or DGField2D states")
 
     plan = make_time_plan(t_final, dt if dt is not None else dt_rule(config.p, mesh.h))
-    state = (u.coeffs.copy(), v.coeffs.copy())
+    registers = rk3_registers(state)
 
     trace = EnergyTrace(times=[0.0], energies=[], nonlinear=None)
     with_source = config.source is not None
@@ -150,15 +190,17 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
 
     def record(st):
         uf, vf = wrap[0](st[0]), wrap[1](st[1])
-        trace.energies.append(diagnostics.energy(uf, vf))
+        quad = diagnostics.energy(uf, vf)
+        trace.energies.append(quad)
         if with_source:
-            trace.nonlinear.append(diagnostics.energy(uf, vf, source=config.source))
+            # diagnostics.energy's source-augmented form, without recomputing quad
+            trace.nonlinear.append(0.5 * quad + diagnostics.source_integral(uf, config.source))
 
     record(state)
     t = 0.0
     for n in range(plan.steps):
         step_dt = plan.dt if n < plan.steps - 1 else plan.last_dt
-        state = ssp_rk3_step(state, rhs, step_dt)
+        ssp_rk3_step(state, rhs, step_dt, out=state, work=registers)
         t += step_dt
         _check_state(state, n + 1)
         if (n + 1) % sample_every == 0 or n == plan.steps - 1:

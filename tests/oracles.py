@@ -429,3 +429,14 @@ def _project2d_values(poly, modes, level, cell_box, xq, yq, wq, deriv):
     for c, b in zip(coef, basis):
         out = out + c * b(xq, yq)
     return out
+
+
+def ssp_rk3_out_of_place(state, rhs, dt):
+    """SSP-RK3 as each stage's fresh arrays: the Shu-Osher form, term by term.
+
+    state is a tuple of arrays; rhs maps it to a tuple of derivatives.
+    """
+    s1 = tuple(a + dt * d for a, d in zip(state, rhs(state)))
+    s2 = tuple(0.75 * a + 0.25 * (b + dt * d) for a, b, d in zip(state, s1, rhs(s1)))
+    return tuple((1.0 / 3.0) * a + (2.0 / 3.0) * (b + dt * d)
+                 for a, b, d in zip(state, s2, rhs(s2)))

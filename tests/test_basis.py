@@ -37,6 +37,15 @@ def test_gauss_rule_small():
         gauss_rule(0)
 
 
+def test_gauss_rule_is_cached_and_read_only():
+    rule = gauss_rule(5)
+    assert gauss_rule(5) is rule
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_gauss_weights_sum_to_interval_length(n):
     assert gauss_rule(n).weights.sum() == pytest.approx(2.0, abs=1e-13)

@@ -146,6 +146,24 @@ def test_console_entry_point(tmp_path):
     assert "ex6" in proc.stdout
 
 
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # `wavedg energy ... | head -1`: the reader may leave before the last print
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "wavedg.cli", "energy", "--problem", "ex2", "--ns", "160",
+           "--outdir", str(tmp_path)]
+    shell = subprocess.run(["bash", "-c", " ".join(cmd) + ' | head -1; echo "${PIPESTATUS[0]}"'],
+                           capture_output=True, text=True, env=env)
+    first, code = shell.stdout.splitlines()
+    assert first.startswith("energy ") and code == "0" and shell.stderr == ""
+    # a reader that never reads makes every write fail
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
+    assert (tmp_path / "ex2_energy_ofedg_n160.csv").exists()
+
+
 def test_parallel_sweep_matches_sequential(tmp_path):
     base = {"problem": "ex1", "ns": (10, 20), "outdir": str(tmp_path / "a")}
     cfg = parse_config(None, base)

@@ -2,7 +2,14 @@
 import numpy as np
 import pytest
 
-from wavedg.field import DGField1D, DGField2D, interface_traces, project_down
+from wavedg import field as dgfield
+from wavedg.field import (
+    DGField1D,
+    DGField2D,
+    interface_traces,
+    project_down,
+    write_columns_csv,
+)
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 
 
@@ -163,3 +170,18 @@ def test_2d_tensor_trace_consistency():
     x0, y0 = 1.234, 0.777
     exact = x0**3 - 2 * x0**2 * y0 + 0.5 * y0
     assert f.eval(x0, y0) == pytest.approx(exact, abs=1e-12)
+
+
+def test_write_columns_csv_reads_as_per_value_format(tmp_path, monkeypatch):
+    # chunks of 4 rows over 11: two full chunks and a short one
+    monkeypatch.setattr(dgfield, "CSV_CHUNK_ROWS", 4)
+    a = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308,
+                  1.0 / 3.0, 2.2250738585072014e-308, -123456789.125, 1e-300])
+    cols = {"a": a, "b": np.arange(11), "c": a[::-1] * 0.7}
+    path = tmp_path / "cols.csv"
+    write_columns_csv(path, cols)
+    want = "a,b,c\n" + "".join(
+        ",".join(f"{float(cols[k][i]):.17e}" for k in cols) + "\n" for i in range(11))
+    assert path.read_text() == want
+    write_columns_csv(path, {"t": np.array([])})
+    assert path.read_text() == "t\n"

@@ -6,7 +6,9 @@ from oracles import brute_rhs_2d
 from wavedg.field import DGField1D, DGField2D, n_modes, total_degree_modes
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.scheme1d import SOURCES, FluxParams, SolverConfig, numerical_fluxes
+from wavedg import scheme2d
 from wavedg.scheme2d import (
+    StripWorkspace,
     damping_coeffs_2d,
     fluxes_2d,
     rhs_arrays_2d,
@@ -100,7 +102,7 @@ def test_damping_coeffs_2d_formula_spot_check():
     u = DGField2D(m, 2)
     v = DGField2D(m, 1)
     v.coeffs[1, 1, 0] = 1.0
-    sig_u, sig_v = damping_coeffs_2d(u, DGField2D(m, 1, v.coeffs), cfg)
+    sig_u, sig_v = damping_coeffs_2d(u.coeffs, v.coeffs, m, cfg)
     h_d = m.h
     # bumped cell: each corner has both neighbors differing by 1 -> sq = 2
     # quarter-sum over 4 corners = 2 -> sqrt = sqrt(2)
@@ -270,9 +272,8 @@ def test_rotation_symmetry_of_damping():
             out[..., target] += sign * rot
         return out
 
-    su, sv = damping_coeffs_2d(DGField2D(m, 2, u), DGField2D(m, 1, v), cfg)
-    su_r, sv_r = damping_coeffs_2d(DGField2D(m, 2, rotate(u, modes2)),
-                                   DGField2D(m, 1, rotate(v, modes1)), cfg)
+    su, sv = damping_coeffs_2d(u, v, m, cfg)
+    su_r, sv_r = damping_coeffs_2d(rotate(u, modes2), rotate(v, modes1), m, cfg)
     assert np.allclose(np.transpose(su, (1, 0, 2))[::-1], su_r, atol=1e-11)
     assert np.allclose(np.transpose(sv, (1, 0, 2))[::-1], sv_r, atol=1e-11)
 
@@ -285,3 +286,96 @@ def test_semidiscrete_rhs_2d_wrapper():
     du, dv = semidiscrete_rhs_2d(u, v, cfg)
     assert du.coeffs.shape == (3, 3, 6)
     assert dv.coeffs.shape == (3, 3, 3)
+
+
+STRIP_FLUXES = {
+    "central": FluxParams.central(),
+    "alternating0": FluxParams.alternating(0),
+    "alternating1": FluxParams.alternating(1),
+    "sommerfeld": FluxParams.sommerfeld(1.3),
+    "generic": FluxParams(alpha=0.8, tau=0.3, beta=0.7),
+}
+
+
+def _whole_and_strips(monkeypatch, u, v, mesh, cfg, cells_per_strip):
+    """rhs_arrays_2d as one pass over the mesh and in strips of that size."""
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 10**9)
+    whole = rhs_arrays_2d(u, v, mesh, cfg)
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", cells_per_strip)
+    return whole, rhs_arrays_2d(u, v, mesh, cfg)
+
+
+@pytest.mark.parametrize("fluxname", sorted(STRIP_FLUXES))
+@pytest.mark.parametrize("penalty", [False, True])
+@pytest.mark.parametrize("source", [None, "cubic_4"])
+def test_strips_match_whole_mesh_bit_for_bit(monkeypatch, fluxname, penalty, source):
+    # 23 rows in strips of at most 96 // 16 = 6: heights 5, 6, 6, 6
+    rng = np.random.default_rng(41)
+    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.5, 23, 16)
+    cfg = SolverConfig(p=2, q=1, chi=0, flux=STRIP_FLUXES[fluxname], penalty=penalty,
+                       source=SOURCES[source] if source else None)
+    u, v = _random_state_2d(rng, 23, 16, 2, 1, scale=0.5)
+    (du, dv), (du_s, dv_s) = _whole_and_strips(monkeypatch, u, v, mesh, cfg, 96)
+    assert np.array_equal(du, du_s) and np.array_equal(dv, dv_s)
+
+
+@pytest.mark.parametrize("fluxname", ["alternating1", "generic"])
+def test_strips_match_whole_mesh_at_the_built_in_strip_size(monkeypatch, fluxname):
+    # p = 3 with a source contracts 36 quadrature values per cell, a product
+    # that BLAS rounds differently below a few hundred rows.  81 rows of 64
+    # are cut into strips of 40 and 41 rows, not 80 and 1; with the 1-row
+    # strip about half of these states differ in the last bit.
+    rng = np.random.default_rng(43)
+    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, 81, 64)
+    cfg = SolverConfig(p=3, q=1, chi=0, flux=STRIP_FLUXES[fluxname], source=SOURCES["cubic_4"])
+    for _ in range(6):
+        u, v = _random_state_2d(rng, 81, 64, 3, 1, scale=2.0)
+        (du, dv), (du_s, dv_s) = _whole_and_strips(monkeypatch, u, v, mesh, cfg,
+                                                   scheme2d.CELLS_PER_STRIP)
+        assert np.array_equal(du, du_s) and np.array_equal(dv, dv_s)
+
+
+def test_rhs_commutes_with_periodic_shift_along_x(monkeypatch):
+    # strips of 6 rows, shifted by 7: every cell lands in another strip position
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    rng = np.random.default_rng(47)
+    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, 23, 16)
+    for flux in (FluxParams.alternating(0), FluxParams.sommerfeld(1.0)):
+        cfg = SolverConfig(p=2, q=1, chi=0, flux=flux, source=SOURCES["cubic_4"])
+        u, v = _random_state_2d(rng, 23, 16, 2, 1, scale=0.5)
+        du, dv = rhs_arrays_2d(u, v, mesh, cfg)
+        du_r, dv_r = rhs_arrays_2d(np.roll(u, 7, axis=0), np.roll(v, 7, axis=0), mesh, cfg)
+        assert np.array_equal(du_r, np.roll(du, 7, axis=0))
+        assert np.array_equal(dv_r, np.roll(dv, 7, axis=0))
+
+
+@pytest.mark.parametrize("cells_per_strip", [96, 10**9])
+def test_successive_rhs_results_do_not_alias(monkeypatch, cells_per_strip):
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", cells_per_strip)
+    rng = np.random.default_rng(53)
+    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, 23, 16)
+    cfg = SolverConfig(p=2, q=1, chi=0)
+    work = StripWorkspace()
+    u1, v1 = _random_state_2d(rng, 23, 16, 2, 1)
+    u2, v2 = _random_state_2d(rng, 23, 16, 2, 1)
+    for kwargs in ({}, {"work": work}):
+        first = rhs_arrays_2d(u1, v1, mesh, cfg, **kwargs)
+        kept = [a.copy() for a in first]
+        second = rhs_arrays_2d(u2, v2, mesh, cfg, **kwargs)
+        for a in first:
+            for b in (*second, u1, v1, u2, v2):
+                assert not np.shares_memory(a, b)
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+
+def test_rhs_writes_into_supplied_arrays(monkeypatch):
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    rng = np.random.default_rng(59)
+    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, 23, 16)
+    cfg = SolverConfig(p=2, q=1, chi=0)
+    u, v = _random_state_2d(rng, 23, 16, 2, 1)
+    out = (np.full(u.shape, np.nan), np.full(v.shape, np.nan))
+    got = rhs_arrays_2d(u, v, mesh, cfg, out=out)
+    assert got[0] is out[0] and got[1] is out[1]
+    du, dv = rhs_arrays_2d(u, v, mesh, cfg)
+    assert np.array_equal(out[0], du) and np.array_equal(out[1], dv)

@@ -1,17 +1,24 @@
 """Time stepping: dt rule, SSP-RK3 order, integration driver, energy tracing."""
+import math
+
 import numpy as np
 import pytest
 
-from wavedg.field import DGField1D
-from wavedg.mesh import uniform_mesh_1d
+from oracles import ssp_rk3_out_of_place
+from wavedg import diagnostics, scheme2d
+from wavedg.field import DGField1D, DGField2D
+from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
-from wavedg.scheme1d import FluxParams, SolverConfig
+from wavedg.scheme1d import SOURCES, FluxParams, SolverConfig, rhs_arrays_1d
 from wavedg.timeint import (
+    BLOWUP_LIMIT,
     EnergyTrace,
     SolverAbort,
+    _check_state,
     dt_rule,
     integrate,
     make_time_plan,
+    rk3_registers,
     ssp_rk3_step,
 )
 
@@ -169,3 +176,102 @@ def test_timestep_conservation_slope_central_flux():
         drifts.append(abs(energy(u, v) - e0) / e0)
     slope = np.log2(drifts[0] / drifts[1])
     assert 2.5 < slope < 3.5
+
+
+def test_rk3_in_place_matches_out_of_place_bit_for_bit():
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((5, 5))
+
+    def rhs(s):
+        return (np.tanh(s[1] @ mat), -np.sin(s[0]) * s[1])
+
+    state = (rng.standard_normal((7, 5)), rng.standard_normal((7, 5)))
+    want = ssp_rk3_out_of_place(state, rhs, 0.07)
+    keep = tuple(a.copy() for a in state)
+    got = ssp_rk3_step(state, rhs, 0.07)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(np.array_equal(a, b) for a, b in zip(state, keep))
+    # the same step written over the state, with reused registers
+    work = rk3_registers(state)
+    out = ssp_rk3_step(state, rhs, 0.07, out=state, work=work)
+    assert out[0] is state[0] and out[1] is state[1]
+    assert all(np.array_equal(a, b) for a, b in zip(state, want))
+
+
+def test_rk3_derivative_may_alias_its_stage():
+    # rhs hands back its own input array; every stage scales it before use
+    a, b = np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 4)
+    got = ssp_rk3_step((a, b), lambda s: (s[1], -s[0]), 0.05)
+    want = ssp_rk3_out_of_place((a, b), lambda s: (s[1], -s[0]), 0.05)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def _reference_run(u0, v0, config, t_final, dt, rhs):
+    """A loop of the out-of-place SSP-RK3 with the energies integrate records."""
+    plan = make_time_plan(t_final, dt)
+    state = (u0.coeffs.copy(), v0.coeffs.copy())
+    kind = type(u0)
+    energies, nonlinear = [], []
+    for n in range(plan.steps + 1):
+        if n:
+            state = ssp_rk3_out_of_place(state, rhs, plan.dt if n < plan.steps else plan.last_dt)
+        uf, vf = kind(u0.mesh, config.p, state[0]), kind(v0.mesh, config.q, state[1])
+        energies.append(diagnostics.energy(uf, vf))
+        nonlinear.append(diagnostics.energy(uf, vf, source=config.source))
+    return state, energies, nonlinear
+
+
+def _assert_same_run(got, want):
+    (u, v, trace), (state, energies, nonlinear) = got, want
+    assert np.array_equal(u.coeffs, state[0]) and np.array_equal(v.coeffs, state[1])
+    assert trace.energies == energies and trace.nonlinear == nonlinear
+
+
+def test_integrate_matches_out_of_place_rk3_1d():
+    prob = EXAMPLES["ex4"]
+    m = uniform_mesh_1d(0.0, 1.0, 40)
+    cfg = SolverConfig(p=2, q=1, chi=1, source=SOURCES[prob.source_name])
+    u0 = DGField1D.project(prob.u0, m, 2)
+    v0 = DGField1D.project(prob.u1, m, 1)
+    dt = dt_rule(2, m.h)
+    want = _reference_run(u0, v0, cfg, 12.5 * dt, dt,
+                          lambda s: rhs_arrays_1d(s[0], s[1], m, cfg))
+    _assert_same_run(integrate(u0, v0, cfg, 12.5 * dt, dt=dt), want)
+
+
+def test_integrate_matches_out_of_place_rk3_2d(monkeypatch):
+    # 23 x 16 cells in strips of at most 6 rows, damping, penalty and a source
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    prob = EXAMPLES["ex8"]
+    m = cartesian_mesh_2d(*prob.domain, 23, 16)
+    cfg = SolverConfig(p=2, q=1, chi=0, source=SOURCES[prob.source_name])
+    u0 = DGField2D.project(prob.u0, m, 2)
+    v0 = DGField2D.project(prob.u1, m, 1)
+    dt = dt_rule(2, m.h)
+    want = _reference_run(u0, v0, cfg, 6.5 * dt, dt,
+                          lambda s: scheme2d.rhs_arrays_2d(s[0], s[1], m, cfg))
+    _assert_same_run(integrate(u0, v0, cfg, 6.5 * dt, dt=dt), want)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "non-finite state detected"),
+    (math.inf, "non-finite state detected"),
+    (-math.inf, "non-finite state detected"),
+    (2.0 * BLOWUP_LIMIT, "state magnitude exceeds blow-up threshold"),
+    (-2.0 * BLOWUP_LIMIT, "state magnitude exceeds blow-up threshold"),
+])
+def test_check_state_aborts_with_message_and_step(bad, message):
+    fine = np.ones((3, 4))
+    arr = np.zeros((5, 2))
+    arr[3, 1] = bad
+    with pytest.raises(SolverAbort) as info:
+        _check_state((fine, arr), 17)
+    assert str(info.value) == f"{message} (step 17)" and info.value.step == 17
+    # a NaN next to a blow-up still reads as non-finite, as before
+    arr[0, 0] = math.nan
+    with pytest.raises(SolverAbort, match="non-finite"):
+        _check_state((arr, fine), 2)
+
+
+def test_check_state_passes_bounded_states():
+    _check_state((np.full((2, 2), BLOWUP_LIMIT), np.full(3, -BLOWUP_LIMIT)), 1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -132,6 +133,28 @@ def _coerce(key: str, raw: str):
     return raw
 
 
+def _check_json_type(key: str, val) -> None:
+    """A metadata JSON value must have the JSON type its key is written with."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if key == "ns":
+        ok = isinstance(val, list) and all(isinstance(n, int) and not isinstance(n, bool)
+                                           for n in val)
+    elif key == "domain":
+        ok = isinstance(val, list) and all(number(x) for x in val)
+    elif key in _BOOL_KEYS:
+        ok = isinstance(val, bool)
+    elif key in _INT_KEYS:
+        ok = isinstance(val, int) and not isinstance(val, bool)
+    elif key in _FLOAT_KEYS:
+        ok = number(val)
+    else:
+        ok = isinstance(val, str)
+    if not ok:
+        raise ConfigError(f"key {key!r}: unexpected JSON value {val!r}")
+
+
 def emit_config(cfg: ExperimentConfig) -> str:
     lines = []
     for f in dataclasses.fields(cfg):
@@ -157,10 +180,16 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         if text.lstrip().startswith("{"):
-            data = json.loads(text).get("config", {})
+            try:
+                data = json.loads(text).get("config", {})
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"--config {path}: malformed JSON ({exc})") from None
+            if not isinstance(data, dict):
+                raise ConfigError(f"--config {path}: 'config' must be a JSON object")
             for key, val in data.items():
                 if key not in known:
                     raise ConfigError(f"unknown config key {key!r}")
+                _check_json_type(key, val)
                 values[key] = tuple(val) if key in ("ns", "domain") else val
         else:
             for lineno, line in enumerate(text.splitlines(), 1):
@@ -202,8 +231,15 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"key 'boundary': unknown kind {cfg.boundary!r}")
         if cfg.dim == 2 and cfg.boundary == "neumann":
             raise ConfigError("key 'boundary': 2D runs are periodic only")
+    if any(n < 1 for n in cfg.ns):
+        raise ConfigError(f"key 'ns': cell counts must be at least 1, got {list(cfg.ns)}")
     if cfg.p < 2:
         raise ConfigError("key 'p': degree must be at least 2")
+    if cfg.dt <= 0.0:
+        try:
+            dt_rule(cfg.p, 1.0)
+        except ValueError as exc:
+            raise ConfigError(f"key 'p': {exc}") from None
     q = cfg.resolved_q()
     if not max(1, cfg.p - 2) <= q <= cfg.p:
         raise ConfigError(f"key 'q': must lie in [max(1, p-2), p], got {q}")
@@ -211,8 +247,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("key 'mesh_perturb': fraction must lie in [0, 0.5)")
     if cfg.flux.lower() not in ("a", "c", "s", "alternating", "central", "sommerfeld"):
         raise ConfigError(f"key 'flux': unknown flux kind {cfg.flux!r}")
-    if cfg.penalty_coefficient < 0.0:
+    if not cfg.penalty_coefficient >= 0.0:
         raise ConfigError("key 'penalty_coefficient': must be nonnegative")
+    # a negative t_final or dt selects the default; zero and NaN select nothing
+    if cfg.t_final == 0.0 or math.isnan(cfg.t_final):
+        raise ConfigError(f"key 't_final': must be positive, got {cfg.t_final}")
+    if math.isnan(cfg.dt):
+        raise ConfigError("key 'dt': must be a number")
     if cfg.chi not in (-1, 0, 1):
         raise ConfigError("key 'chi': must be 0 or 1")
     prob = cfg.resolved_problem()
@@ -310,6 +351,9 @@ def run_convergence(cfg: ExperimentConfig):
         raise ConfigError(f"problem {prob.key!r} has no closed-form solution; "
                           "use 'shock' or 'compare-ctcs'")
     ns = cfg.resolved_ns(prob)
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError(f"key 'ns': a convergence sweep needs strictly increasing "
+                          f"cell counts, got {list(ns)}")
     levels = [(cfg, n) for n in ns]
     if cfg.parallel and len(ns) > 1:
         with ProcessPoolExecutor(max_workers=min(len(ns), os.cpu_count() or 1)) as pool:

@@ -24,11 +24,20 @@ BLOWUP_LIMIT = 1e12
 
 
 class SolverAbort(RuntimeError):
-    """Raised when the state blows up or turns non-finite mid-run."""
+    """Raised when the state blows up or turns non-finite mid-run.
 
-    def __init__(self, message: str, step: int):
-        super().__init__(f"{message} (step {step})")
+    It records where: the step, the simulated time, the field ("u" or "v")
+    and the index of the first offending cell (the coefficient index
+    without its mode axis: (i,) in 1D, (i, j) in 2D).
+    """
+
+    def __init__(self, message: str, step: int, time: float, field: str, cell: tuple):
+        where = cell[0] if len(cell) == 1 else cell
+        super().__init__(f"{message} in {field} at cell {where}, t = {time:.10g} (step {step})")
         self.step = step
+        self.time = time
+        self.field = field
+        self.cell = cell
 
 
 def dt_rule(p: int, h: float) -> float:
@@ -141,18 +150,26 @@ class EnergyTrace:
         return float(np.max(e[1:] - e[:-1]) / peak)
 
 
-def _check_state(state, step: int) -> None:
+def _check_state(state, step: int, t: float) -> None:
     """Abort on a non-finite entry or one beyond BLOWUP_LIMIT in magnitude.
 
     max and min carry any NaN, so two reductions replace full-size
-    isfinite and abs temporaries.
+    isfinite and abs temporaries; the offending cell is looked up only
+    once the state has failed.
     """
-    for arr in state:
+    for field, arr in zip("uv", state):
         hi, lo = float(arr.max()), float(arr.min())
         if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise SolverAbort("non-finite state detected", step)
+            raise SolverAbort("non-finite state detected", step, t, field,
+                              _first_cell(~np.isfinite(arr)))
         if max(hi, -lo) > BLOWUP_LIMIT:
-            raise SolverAbort("state magnitude exceeds blow-up threshold", step)
+            raise SolverAbort("state magnitude exceeds blow-up threshold", step, t, field,
+                              _first_cell(np.abs(arr) > BLOWUP_LIMIT))
+
+
+def _first_cell(mask: np.ndarray) -> tuple:
+    """Cell index of mask's first true entry in C order, mode axis dropped."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape)[:-1])
 
 
 def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = None,
@@ -202,7 +219,7 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
         step_dt = plan.dt if n < plan.steps - 1 else plan.last_dt
         ssp_rk3_step(state, rhs, step_dt, out=state, work=registers)
         t += step_dt
-        _check_state(state, n + 1)
+        _check_state(state, n + 1, t)
         if (n + 1) % sample_every == 0 or n == plan.steps - 1:
             trace.times.append(t)
             record(state)

@@ -6,6 +6,11 @@ integral is a dense Gauss quadrature, local projections are Gram-matrix
 solves (not coefficient truncation), and each weak-form term is assembled
 per cell with explicit loops.  Only the modal coefficient layout is shared,
 since that is the data format under test.
+
+The module also keeps the time stepping in its plain whole-array form:
+SSP-RK3 with fresh arrays per stage, and the leapfrog comparator over
+np.roll copies.  The in-place and blocked solver code must match them bit
+for bit.
 """
 from __future__ import annotations
 
@@ -440,3 +445,46 @@ def ssp_rk3_out_of_place(state, rhs, dt):
     s2 = tuple(0.75 * a + 0.25 * (b + dt * d) for a, b, d in zip(state, s1, rhs(s1)))
     return tuple((1.0 / 3.0) * a + (2.0 / 3.0) * (b + dt * d)
                  for a, b, d in zip(state, s2, rhs(s2)))
+
+
+def _laplacian_1d(u: np.ndarray, dx: float) -> np.ndarray:
+    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / dx**2
+
+
+def _laplacian_2d(u: np.ndarray, dx: float, dy: float) -> np.ndarray:
+    return ((np.roll(u, -1, 0) - 2.0 * u + np.roll(u, 1, 0)) / dx**2
+            + (np.roll(u, -1, 1) - 2.0 * u + np.roll(u, 1, 1)) / dy**2)
+
+
+def ctcs_roll_reference_1d(u0, u1, g, grid, steps: int):
+    """The leapfrog as whole-array expressions over np.roll copies; (points, values)."""
+    x = grid.points
+    dt, dx = grid.dt, grid.dx
+    source = g if g is not None else (lambda u: 0.0)
+    prev = np.asarray(u0(x), dtype=float)
+    vel = np.asarray(u1(x), dtype=float)
+    if np.ndim(vel) == 0:
+        vel = np.full_like(prev, float(vel))
+    curr = prev + dt * vel + 0.5 * dt**2 * (_laplacian_1d(prev, dx) + source(prev))
+    for _ in range(steps - 1):
+        nxt = 2.0 * curr - prev + dt**2 * (_laplacian_1d(curr, dx) + source(curr))
+        prev, curr = curr, nxt
+    return x, curr
+
+
+def ctcs_roll_reference_2d(u0, u1, g, grid, steps: int):
+    """2D form of ctcs_roll_reference_1d with the five-point Laplacian; (x, y, values)."""
+    x = grid.xpoints
+    y = grid.ypoints
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    dt = grid.dt
+    source = g if g is not None else (lambda u: 0.0)
+    prev = np.asarray(u0(xx, yy), dtype=float)
+    vel = np.asarray(u1(xx, yy), dtype=float)
+    if np.ndim(vel) == 0:
+        vel = np.full_like(prev, float(vel))
+    curr = prev + dt * vel + 0.5 * dt**2 * (_laplacian_2d(prev, grid.dx, grid.dy) + source(prev))
+    for _ in range(steps - 1):
+        nxt = 2.0 * curr - prev + dt**2 * (_laplacian_2d(curr, grid.dx, grid.dy) + source(curr))
+        prev, curr = curr, nxt
+    return x, y, curr

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from wavedg import cli
 from wavedg.cli import (
     ConfigError,
     ExperimentConfig,
@@ -130,12 +131,41 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["converge", "--problem", "ex1", "--ns", "0"], "'ns'"),
+    (["compare-ctcs", "--problem", "ex4", "--ns", "0"], "'ns'"),
+    (["shock", "--problem", "ex1", "--ns", "8", "-p", "7"], "'p'"),
+    (["converge", "--problem", "ex1", "--ns", "20,10"], "'ns'"),
+    (["shock", "--config", "{dir}/broken.json"], "--config"),
+    (["shock", "--config", "{dir}/typed.json"], "'p'"),
+    (["shock", "--problem", "ex1", "--ns", "8", "--t-final", "0"], "'t_final'"),
+    (["shock", "--problem", "ex1", "--ns", "8", "--penalty-coefficient", "nan"],
+     "'penalty_coefficient'"),
+    (["shock", "--problem", "ex1", "--ns", "8", "--dt", "nan"], "'dt'"),
+])
+def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, argv, key):
+    (tmp_path / "broken.json").write_text('{"config": {"p": 3,}}')
+    (tmp_path / "typed.json").write_text('{"config": {"p": "3"}}')
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("integration ran before the input was checked")
+
+    monkeypatch.setattr(cli, "integrate", no_compute)
+    argv = [a.format(dir=tmp_path) for a in argv] + ["--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+
+
 def test_cli_exit_code_solver_abort(tmp_path, capsys):
     # a dt far above the stability limit blows up and aborts
     rc = main(["shock", "--problem", "ex3", "--ns", "40", "--dt", "5.0",
                "--t-final", "50.0", "--outdir", str(tmp_path)])
     assert rc == 3
-    assert "solver abort" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("solver abort:")
+    # where the run failed: field, cell, time and step
+    assert " in u at cell " in err and ", t = " in err and "(step " in err
 
 
 def test_console_entry_point(tmp_path):

@@ -1,7 +1,10 @@
-"""CTCS comparator: CFL guards, trivial invariance, second-order accuracy."""
+"""CTCS comparator: CFL guards, trivial invariance, second-order accuracy,
+and the blocked leapfrog against its whole-array form, bit for bit."""
 import numpy as np
 import pytest
 
+from oracles import ctcs_roll_reference_1d, ctcs_roll_reference_2d
+from wavedg import reference
 from wavedg.reference import (
     FDGrid1D,
     ctcs_solve_1d,
@@ -9,6 +12,7 @@ from wavedg.reference import (
     make_grid_1d,
     make_grid_2d,
 )
+from wavedg.scheme1d import SOURCES
 
 
 def test_cfl_guard():
@@ -68,3 +72,112 @@ def test_nonlinear_source_runs():
         lambda u: 160.0 * np.sin(u),
         grid, steps)
     assert np.all(np.isfinite(u))
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_steps_below_one_are_rejected(steps):
+    grid, _ = make_grid_1d(0.0, 1.0, 50, 0.1)
+    with pytest.raises(ValueError, match="steps"):
+        ctcs_solve_1d(lambda x: np.sin(2 * np.pi * x), lambda x: 0 * x, None, grid, steps)
+    grid2, _ = make_grid_2d(0, 1, 0, 1, 8, 8, 0.1)
+    with pytest.raises(ValueError, match="steps"):
+        ctcs_solve_2d(lambda x, y: x + y, lambda x, y: 0 * x, None, grid2, steps)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SOURCE_CASES = {
+    "none": None,
+    "cubic": SOURCES["cubic_4"].g,
+    "sine": SOURCES["sine_gordon_16"].g,
+}
+
+
+def _u0_1d(x):
+    return np.sin(2 * np.pi * x) + np.where((x > 0.3) & (x < 0.55), 0.7, 0.0)
+
+
+def _u1_1d(x):
+    return 0.4 * np.cos(6 * np.pi * x)
+
+
+@pytest.mark.parametrize("source", SOURCE_CASES)
+@pytest.mark.parametrize("points_per_block", [None, 16, 1])
+def test_leapfrog_1d_matches_roll_form_bit_for_bit(monkeypatch, source, points_per_block):
+    if points_per_block is not None:
+        monkeypatch.setattr(reference, "POINTS_PER_BLOCK", points_per_block)
+    grid, steps = make_grid_1d(0.0, 1.0, 50, 0.3)
+    g = SOURCE_CASES[source]
+    x, u = ctcs_solve_1d(_u0_1d, _u1_1d, g, grid, steps)
+    xo, uo = ctcs_roll_reference_1d(_u0_1d, _u1_1d, g, grid, steps)
+    assert np.array_equal(x, xo) and np.array_equal(u, uo) and _same_bits(u, uo)
+
+
+def _u0_2d(x, y):
+    inside = (x > 0.2) & (x < 0.45) & (y > 0.5) & (y < 1.1)
+    return np.sin(2 * np.pi * x) * np.cos(np.pi * y) + np.where(inside, 0.6, 0.0)
+
+
+def _u1_2d(x, y):
+    return 0.5 * np.cos(2 * np.pi * (x + 2.0 * y))
+
+
+def _signed_zeros(x, y):
+    return -0.0 * x * y
+
+
+# (nx, ny, rows per block): nx below, equal to and not a multiple of the
+# block height, nx = 2 (in one block, and in 1-row blocks whose two ghosts
+# are the same row), and one block at the built-in size
+GRID_CASES = [(3, 5, 4), (4, 5, 4), (11, 5, 4), (2, 3, 4), (2, 3, 1), (9, 14, None)]
+
+
+@pytest.mark.parametrize("source", SOURCE_CASES)
+@pytest.mark.parametrize("nx, ny, rows", GRID_CASES)
+def test_leapfrog_2d_matches_roll_form_bit_for_bit(monkeypatch, nx, ny, rows, source):
+    if rows is not None:
+        monkeypatch.setattr(reference, "POINTS_PER_BLOCK", rows * ny)
+    # nx != ny and dx != dy: a mixed-up axis would show
+    grid, steps = make_grid_2d(0.0, 1.0, 0.0, 1.7, nx, ny, 0.4)
+    g = SOURCE_CASES[source]
+    x, y, u = ctcs_solve_2d(_u0_2d, _u1_2d, g, grid, steps)
+    xo, yo, uo = ctcs_roll_reference_2d(_u0_2d, _u1_2d, g, grid, steps)
+    assert np.array_equal(x, xo) and np.array_equal(y, yo)
+    assert np.array_equal(u, uo) and _same_bits(u, uo)
+
+
+@pytest.mark.parametrize("source", SOURCE_CASES)
+def test_leapfrog_2d_special_data_match_roll_form(monkeypatch, source):
+    # signed zeros, and a scalar initial velocity, in 3-row blocks
+    monkeypatch.setattr(reference, "POINTS_PER_BLOCK", 3 * 6)
+    grid, steps = make_grid_2d(-1.0, 1.0, -1.0, 0.5, 7, 6, 0.3)
+    g = SOURCE_CASES[source]
+    for u0, u1 in ((_signed_zeros, _signed_zeros), (_u0_2d, lambda x, y: 0.25)):
+        _, _, u = ctcs_solve_2d(u0, u1, g, grid, steps)
+        _, _, uo = ctcs_roll_reference_2d(u0, u1, g, grid, steps)
+        assert _same_bits(u, uo)
+
+
+def test_leapfrog_1d_single_step_and_caller_data_kept():
+    grid, _ = make_grid_1d(0.0, 1.0, 20, 0.1)
+    data = _u0_1d(grid.points)
+    kept = data.copy()
+    _, u = ctcs_solve_1d(lambda x: data, _u1_1d, SOURCES["cubic_4"].g, grid, 1)
+    _, uo = ctcs_roll_reference_1d(lambda x: data, _u1_1d, SOURCES["cubic_4"].g, grid, 1)
+    assert _same_bits(u, uo) and _same_bits(data, kept)
+
+
+@pytest.mark.parametrize("rows", [None, 4])
+def test_transposed_data_give_the_transposed_field(monkeypatch, rows):
+    if rows is not None:
+        monkeypatch.setattr(reference, "POINTS_PER_BLOCK", rows * 14)
+    g = SOURCES["cubic_4"].g
+    grid, steps = make_grid_2d(0.0, 1.0, 0.0, 1.7, 9, 14, 0.4)
+    flipped, steps_f = make_grid_2d(0.0, 1.7, 0.0, 1.0, 14, 9, 0.4)
+    assert steps_f == steps and flipped.dt == grid.dt
+    _, _, u = ctcs_solve_2d(_u0_2d, _u1_2d, g, grid, steps)
+    _, _, ut = ctcs_solve_2d(lambda x, y: _u0_2d(y, x), lambda x, y: _u1_2d(y, x),
+                             g, flipped, steps)
+    assert _same_bits(ut, u.T)

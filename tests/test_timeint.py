@@ -264,14 +264,26 @@ def test_check_state_aborts_with_message_and_step(bad, message):
     fine = np.ones((3, 4))
     arr = np.zeros((5, 2))
     arr[3, 1] = bad
+    arr[4, 0] = bad
     with pytest.raises(SolverAbort) as info:
-        _check_state((fine, arr), 17)
-    assert str(info.value) == f"{message} (step 17)" and info.value.step == 17
+        _check_state((fine, arr), 17, 0.375)
+    exc = info.value
+    assert str(exc) == f"{message} in v at cell 3, t = 0.375 (step 17)"
+    assert (exc.step, exc.time, exc.field, exc.cell) == (17, 0.375, "v", (3,))
     # a NaN next to a blow-up still reads as non-finite, as before
     arr[0, 0] = math.nan
-    with pytest.raises(SolverAbort, match="non-finite"):
-        _check_state((arr, fine), 2)
+    with pytest.raises(SolverAbort, match="non-finite") as info:
+        _check_state((arr, fine), 2, 0.0125)
+    assert (info.value.field, info.value.cell, info.value.time) == ("u", (0,), 0.0125)
+    # 2D coefficients (nx, ny, modes): the cell is (i, j)
+    coeffs = np.zeros((4, 3, 6))
+    coeffs[2, 1, 5] = bad
+    coeffs[3, 0, 0] = bad
+    with pytest.raises(SolverAbort) as info:
+        _check_state((coeffs, np.zeros((4, 3, 3))), 5, 1.5)
+    assert str(info.value) == f"{message} in u at cell (2, 1), t = 1.5 (step 5)"
+    assert info.value.cell == (2, 1)
 
 
 def test_check_state_passes_bounded_states():
-    _check_state((np.full((2, 2), BLOWUP_LIMIT), np.full(3, -BLOWUP_LIMIT)), 1)
+    _check_state((np.full((2, 2), BLOWUP_LIMIT), np.full(3, -BLOWUP_LIMIT)), 1, 0.5)

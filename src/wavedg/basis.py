@@ -25,24 +25,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def __len__(self):
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class BasisSpec:
-    """Modal Legendre basis spanning polynomials of degree at most `degree`."""
-
-    degree: int
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("basis degree must be nonnegative")
-
-    @property
-    def mass_diagonal(self) -> np.ndarray:
-        return 2.0 / (2.0 * np.arange(self.degree + 1) + 1.0)
-
 
 def legendre_eval(m: int, xi):
     """Evaluate P_m(xi) via the three-term recurrence; vectorized in xi."""
@@ -94,7 +76,10 @@ def vandermonde(xi, degree: int, order: int = 0) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def mass_diagonal(degree: int) -> np.ndarray:
-    out = BasisSpec(degree).mass_diagonal
+    """Reference mass matrix diagonal: integral of P_m^2 over [-1, 1] = 2/(2m+1)."""
+    if degree < 0:
+        raise ValueError("basis degree must be nonnegative")
+    out = 2.0 / (2.0 * np.arange(degree + 1) + 1.0)
     out.setflags(write=False)
     return out
 

@@ -70,15 +70,18 @@ class ExperimentConfig:
     boundary: str = ""
 
     def resolved_q(self) -> int:
-        return self.p - 1 if self.q < 0 else self.q
+        return self.p - 1 if self.q == -1 else self.q
 
     def resolved_chi(self, dim: int) -> int:
-        if self.chi < 0:
+        if self.chi == -1:
             return 1 if dim == 1 else 0
         return self.chi
 
     def resolved_t(self, prob) -> float:
-        return prob.t_final if self.t_final < 0 else self.t_final
+        return prob.t_final if self.t_final == -1.0 else self.t_final
+
+    def resolved_dt(self, h: float) -> float:
+        return dt_rule(self.p, h) if self.dt == -1.0 else self.dt
 
     def resolved_ns(self, prob) -> tuple:
         return self.ns if self.ns else (prob.default_n,)
@@ -128,6 +131,11 @@ def _coerce(key: str, raw: str):
             return int(raw)
         if key in _FLOAT_KEYS:
             return float(raw)
+        if raw.startswith('"'):
+            val = json.loads(raw)
+            if not isinstance(val, str):
+                raise ValueError
+            return val
     except ValueError:
         raise ConfigError(f"key {key!r}: could not parse {raw!r}") from None
     return raw
@@ -161,6 +169,9 @@ def emit_config(cfg: ExperimentConfig) -> str:
         val = getattr(cfg, f.name)
         if f.name in ("ns", "domain"):
             val = ",".join(str(n) for n in val)
+        elif isinstance(val, str):
+            # a JSON string, with "#" escaped so that no comment can start in it
+            val = json.dumps(val).replace("#", "\\u0023")
         lines.append(f"{f.name} = {val}")
     return "\n".join(lines) + "\n"
 
@@ -217,11 +228,16 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.problem != "custom" and cfg.problem not in EXAMPLES:
         raise ConfigError(f"key 'problem': unknown problem {cfg.problem!r} "
                           f"(choose from {', '.join(EXAMPLES)} or custom)")
+    if cfg.dim not in (1, 2):
+        raise ConfigError("key 'dim': must be 1 or 2")
+    if not all(math.isfinite(x) for x in cfg.domain):
+        raise ConfigError(f"key 'domain': bounds must be finite, got {list(cfg.domain)}")
     if cfg.problem == "custom":
-        if cfg.dim not in (1, 2):
-            raise ConfigError("key 'dim': must be 1 or 2")
         if len(cfg.domain) != 2 * cfg.dim:
             raise ConfigError("key 'domain': expected a,b (1D) or ax,bx,ay,by (2D)")
+        if not all(a < b for a, b in zip(cfg.domain[::2], cfg.domain[1::2])):
+            raise ConfigError(f"key 'domain': each lower bound must lie below its upper "
+                              f"bound, got {list(cfg.domain)}")
         if cfg.initial not in ("sine", "gauss", "box"):
             raise ConfigError(f"key 'initial': unknown initial data {cfg.initial!r}")
         if cfg.source and cfg.source not in SOURCES:
@@ -235,7 +251,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"key 'ns': cell counts must be at least 1, got {list(cfg.ns)}")
     if cfg.p < 2:
         raise ConfigError("key 'p': degree must be at least 2")
-    if cfg.dt <= 0.0:
+    # -1 is the sentinel for the default; any other value must be a step or a time
+    for key in ("t_final", "dt"):
+        val = getattr(cfg, key)
+        if val != -1.0 and not 0.0 < val < math.inf:
+            raise ConfigError(f"key {key!r}: must be positive and finite, or -1 for the "
+                              f"default, got {val}")
+    if cfg.dt == -1.0:
         try:
             dt_rule(cfg.p, 1.0)
         except ValueError as exc:
@@ -247,13 +269,18 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("key 'mesh_perturb': fraction must lie in [0, 0.5)")
     if cfg.flux.lower() not in ("a", "c", "s", "alternating", "central", "sommerfeld"):
         raise ConfigError(f"key 'flux': unknown flux kind {cfg.flux!r}")
-    if not cfg.penalty_coefficient >= 0.0:
-        raise ConfigError("key 'penalty_coefficient': must be nonnegative")
-    # a negative t_final or dt selects the default; zero and NaN select nothing
-    if cfg.t_final == 0.0 or math.isnan(cfg.t_final):
-        raise ConfigError(f"key 't_final': must be positive, got {cfg.t_final}")
-    if math.isnan(cfg.dt):
-        raise ConfigError("key 'dt': must be a number")
+    if not 0.0 < cfg.sommerfeld_speed < math.inf:
+        raise ConfigError(f"key 'sommerfeld_speed': must be positive and finite, "
+                          f"got {cfg.sommerfeld_speed}")
+    if cfg.alternating_side not in (0, 1):
+        raise ConfigError("key 'alternating_side': must be 0 or 1")
+    if not 0.0 <= cfg.penalty_coefficient < math.inf:
+        raise ConfigError("key 'penalty_coefficient': must be nonnegative and finite")
+    if cfg.sample_every < 0:
+        raise ConfigError(f"key 'sample_every': must be positive, or 0 for the default, "
+                          f"got {cfg.sample_every}")
+    if cfg.seed < 0:
+        raise ConfigError(f"key 'seed': must be nonnegative, got {cfg.seed}")
     if cfg.chi not in (-1, 0, 1):
         raise ConfigError("key 'chi': must be 0 or 1")
     prob = cfg.resolved_problem()
@@ -321,26 +348,15 @@ def _write_meta(meta: dict, path: str) -> None:
 
 def _one_level(args):
     cfg, n = args
-    prob = cfg.resolved_problem()
-    mesh, scfg, u0, v0 = _build_state(cfg, prob, n)
-    t_final = cfg.resolved_t(prob)
-    dt = cfg.dt if cfg.dt > 0 else dt_rule(cfg.p, mesh.h)
-    u, v, trace = integrate(u0, v0, scfg, t_final, dt=dt,
-                            sample_every=cfg.resolved_sampling(prob.dim))
-    t = t_final
-    if prob.dim == 1:
-        err = diagnostics.l2_error(u, lambda x: prob.exact(x, t))
-        grad = (diagnostics.gradient_l2_error(u, lambda x: prob.exact_dx(x, t))
-                if prob.exact_dx else float("nan"))
-        verr = (diagnostics.l2_error(v, lambda x: prob.exact_dt(x, t))
-                if prob.exact_dt else float("nan"))
-    else:
-        err = diagnostics.l2_error(u, lambda x, y: prob.exact(x, y, t))
-        grad = (diagnostics.gradient_l2_error(u, lambda x, y: prob.exact_dx(x, y, t),
-                                              lambda x, y: prob.exact_dy(x, y, t))
-                if prob.exact_dx else float("nan"))
-        verr = (diagnostics.l2_error(v, lambda x, y: prob.exact_dt(x, y, t))
-                if prob.exact_dt else float("nan"))
+    prob, mesh, _, u, v, _, _ = _single_run(dataclasses.replace(cfg, ns=(n,)))
+    t = cfg.resolved_t(prob)
+    # the exact solutions take (x, t) in 1D and (x, y, t) in 2D
+    err = diagnostics.l2_error(u, lambda *xy: prob.exact(*xy, t))
+    grad = (diagnostics.gradient_l2_error(u, lambda *xy: prob.exact_dx(*xy, t),
+                                          lambda *xy: prob.exact_dy(*xy, t))
+            if prob.exact_dx else float("nan"))
+    verr = (diagnostics.l2_error(v, lambda *xy: prob.exact_dt(*xy, t))
+            if prob.exact_dt else float("nan"))
     return n, mesh.h, err, grad, verr
 
 
@@ -367,7 +383,7 @@ def run_convergence(cfg: ExperimentConfig):
     stem = os.path.join(cfg.outdir, f"{prob.key}_converge_{cfg.flux.lower()}_p{cfg.p}")
     table.write_csv(stem + ".csv")
     mesh, _, _, _ = _build_state(cfg, prob, ns[0])
-    meta = _metadata(cfg, prob, mesh, cfg.dt if cfg.dt > 0 else dt_rule(cfg.p, mesh.h),
+    meta = _metadata(cfg, prob, mesh, cfg.resolved_dt(mesh.h),
                      {"levels": list(ns),
                       "least_squares_slope": table.least_squares_slope(),
                       "pairwise_slopes": table.pairwise_slopes(),
@@ -380,9 +396,8 @@ def _single_run(cfg: ExperimentConfig):
     prob = cfg.resolved_problem()
     n = cfg.resolved_ns(prob)[0]
     mesh, scfg, u0, v0 = _build_state(cfg, prob, n)
-    t_final = cfg.resolved_t(prob)
-    dt = cfg.dt if cfg.dt > 0 else dt_rule(cfg.p, mesh.h)
-    u, v, trace = integrate(u0, v0, scfg, t_final, dt=dt,
+    dt = cfg.resolved_dt(mesh.h)
+    u, v, trace = integrate(u0, v0, scfg, cfg.resolved_t(prob), dt=dt,
                             sample_every=cfg.resolved_sampling(prob.dim))
     return prob, mesh, u0, u, v, trace, dt
 
@@ -464,7 +479,6 @@ def run_compare(cfg: ExperimentConfig, check: bool = False):
             mesh.centers, ref, mesh.centers, u.midpoint_values(), coarse_h=mesh.h,
             merge_factor=FRONT_MERGE_FACTOR, match_factor=FRONT_MATCH_FACTOR,
             band_fraction=FRONT_BAND_FRACTION)
-        ctcs_dt = grid.dt
     else:
         u.to_center_csv(stem + "_dg.csv")
         grid, steps = make_grid_2d(*prob.domain, prob.comparator_intervals,
@@ -482,10 +496,9 @@ def run_compare(cfg: ExperimentConfig, check: bool = False):
             xs_c, ref, xs_c, prof_dg, coarse_h=coarse_hx,
             merge_factor=FRONT_MERGE_FACTOR, match_factor=FRONT_MATCH_FACTOR,
             band_fraction=FRONT_BAND_FRACTION)
-        ctcs_dt = grid.dt
     meta = _metadata(cfg, prob, mesh, dt, {
         "subcommand": "compare-ctcs",
-        "comparator": {"intervals": prob.comparator_intervals, "dt": ctcs_dt,
+        "comparator": {"intervals": prob.comparator_intervals, "dt": grid.dt,
                        "boundary": "periodic", "scheme": "central time, central space"},
         "front_comparison": dict(res.as_dict(),
                                  band_fraction=FRONT_BAND_FRACTION,

@@ -12,73 +12,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import derivative_matrix, gauss_rule, mass_diagonal, vandermonde
+from .basis import derivative_matrix, mass_diagonal
 from .field import DGField1D, DGField2D, write_columns_csv
 
 
-def _quad_values_1d(fld: DGField1D, nq: int):
-    rule = gauss_rule(nq)
-    v = vandermonde(rule.nodes, fld.degree)
-    x = fld.mesh.centers[:, None] + 0.5 * fld.mesh.widths[:, None] * rule.nodes[None, :]
-    vals = fld.coeffs @ v.T
-    return x, vals, rule
-
-
-def l2_error(fld, exact, quad_points: int | None = None) -> float:
+def l2_error(fld, exact) -> float:
     """L2 norm of (field - exact) by per-cell Gauss quadrature."""
-    nq = quad_points if quad_points is not None else fld.degree + 5
-    if isinstance(fld, DGField1D):
-        x, vals, rule = _quad_values_1d(fld, nq)
-        diff = vals - np.asarray(exact(x), dtype=float)
-        return float(np.sqrt(np.sum(
-            0.5 * fld.mesh.widths[:, None] * rule.weights[None, :] * diff**2)))
-    if isinstance(fld, DGField2D):
-        mesh = fld.mesh
-        rule = gauss_rule(nq)
-        v1 = vandermonde(rule.nodes, fld.degree)
-        modes = fld.modes
-        basis = v1[:, modes[:, 0]][:, None, :] * v1[:, modes[:, 1]][None, :, :]
-        x = mesh.xcenters[:, None] + 0.5 * mesh.hx[:, None] * rule.nodes[None, :]
-        y = mesh.ycenters[:, None] + 0.5 * mesh.hy[:, None] * rule.nodes[None, :]
-        vals = np.einsum("xym,ghm->xygh", fld.coeffs, basis)
-        diff = vals - np.asarray(exact(x[:, None, :, None], y[None, :, None, :]), dtype=float)
-        w2 = rule.weights[:, None] * rule.weights[None, :]
-        vol = 0.25 * mesh.hx[:, None] * mesh.hy[None, :]
-        return float(np.sqrt(np.sum(vol[:, :, None, None] * w2[None, None] * diff**2)))
-    raise TypeError("l2_error expects a DG field")
+    q = fld.gauss_points(fld.degree + 5)
+    diff = q.values(fld.coeffs) - np.asarray(exact(*q.points), dtype=float)
+    return float(np.sqrt(q.integrate(diff**2)))
 
 
-def gradient_l2_error(fld, exact_dx, exact_dy=None, quad_points: int | None = None) -> float:
+def gradient_l2_error(fld, exact_dx, exact_dy=None) -> float:
     """L2 norm of the gradient error (derivative error in 1D)."""
-    nq = quad_points if quad_points is not None else fld.degree + 5
-    if isinstance(fld, DGField1D):
-        rule = gauss_rule(nq)
-        v1 = vandermonde(rule.nodes, fld.degree, 1)
-        x = fld.mesh.centers[:, None] + 0.5 * fld.mesh.widths[:, None] * rule.nodes[None, :]
-        vals = (fld.coeffs @ v1.T) * (2.0 / fld.mesh.widths)[:, None]
-        diff = vals - np.asarray(exact_dx(x), dtype=float)
-        return float(np.sqrt(np.sum(
-            0.5 * fld.mesh.widths[:, None] * rule.weights[None, :] * diff**2)))
-    if isinstance(fld, DGField2D):
-        if exact_dy is None:
-            raise ValueError("2D gradient error needs exact_dy")
-        mesh = fld.mesh
-        rule = gauss_rule(nq)
-        v0 = vandermonde(rule.nodes, fld.degree)
-        v1 = vandermonde(rule.nodes, fld.degree, 1)
-        modes = fld.modes
-        bx = v1[:, modes[:, 0]][:, None, :] * v0[:, modes[:, 1]][None, :, :]
-        by = v0[:, modes[:, 0]][:, None, :] * v1[:, modes[:, 1]][None, :, :]
-        x = mesh.xcenters[:, None] + 0.5 * mesh.hx[:, None] * rule.nodes[None, :]
-        y = mesh.ycenters[:, None] + 0.5 * mesh.hy[:, None] * rule.nodes[None, :]
-        ux = np.einsum("xym,ghm->xygh", fld.coeffs, bx) * (2.0 / mesh.hx)[:, None, None, None]
-        uy = np.einsum("xym,ghm->xygh", fld.coeffs, by) * (2.0 / mesh.hy)[None, :, None, None]
-        dx = ux - np.asarray(exact_dx(x[:, None, :, None], y[None, :, None, :]), dtype=float)
-        dy = uy - np.asarray(exact_dy(x[:, None, :, None], y[None, :, None, :]), dtype=float)
-        w2 = rule.weights[:, None] * rule.weights[None, :]
-        vol = 0.25 * mesh.hx[:, None] * mesh.hy[None, :]
-        return float(np.sqrt(np.sum(vol[:, :, None, None] * w2[None, None] * (dx**2 + dy**2))))
-    raise TypeError("gradient_l2_error expects a DG field")
+    q = fld.gauss_points(fld.degree + 5)
+    grads = q.gradient(fld.coeffs)
+    if len(grads) == 2 and exact_dy is None:
+        raise ValueError("2D gradient error needs exact_dy")
+    sq = sum((g - np.asarray(f(*q.points), dtype=float))**2
+             for g, f in zip(grads, (exact_dx, exact_dy)))
+    return float(np.sqrt(q.integrate(sq)))
 
 
 def _gradient_energy_1d(u: DGField1D) -> float:
@@ -109,22 +62,10 @@ def _l2_sq_2d(v: DGField2D) -> float:
     return float(np.sum(vol * w[None, None, :] * v.coeffs**2))
 
 
-def source_integral(u, source, quad_points: int | None = None) -> float:
+def source_integral(u, source) -> float:
     """integral(G(u)) by per-cell Gauss quadrature, G the source antiderivative."""
-    nq = quad_points if quad_points is not None else u.degree + 3
-    if isinstance(u, DGField1D):
-        _, vals, rule = _quad_values_1d(u, nq)
-        g = source.antiderivative_G(vals)
-        return float(np.sum(0.5 * u.mesh.widths[:, None] * rule.weights[None, :] * g))
-    mesh = u.mesh
-    rule = gauss_rule(nq)
-    v1 = vandermonde(rule.nodes, u.degree)
-    basis = v1[:, u.modes[:, 0]][:, None, :] * v1[:, u.modes[:, 1]][None, :, :]
-    vals = np.einsum("xym,ghm->xygh", u.coeffs, basis)
-    g = source.antiderivative_G(vals)
-    w2 = rule.weights[:, None] * rule.weights[None, :]
-    vol = 0.25 * mesh.hx[:, None] * mesh.hy[None, :]
-    return float(np.sum(vol[:, :, None, None] * w2[None, None] * g))
+    q = u.gauss_points(u.degree + 3)
+    return q.integrate(source.antiderivative_G(q.values(u.coeffs)))
 
 
 def energy(u, v, source=None) -> float:
@@ -217,8 +158,6 @@ class OscillationReport:
 
 def oscillation_metrics(values, lower: float, upper: float) -> OscillationReport:
     """Excess of midpoint samples beyond [lower, upper] and their variation."""
-    if isinstance(values, DGField1D):
-        values = values.midpoint_values()
     vals = np.asarray(values, dtype=float)
     over = max(0.0, float(vals.max()) - upper)
     under = max(0.0, lower - float(vals.min()))

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import endpoint_values, gauss_rule, mass_diagonal, vandermonde
+from .basis import endpoint_values, gauss_rule, vandermonde
 from .mesh import Mesh1D, Mesh2D
 
 
@@ -45,16 +45,16 @@ class DGField1D:
         self.coeffs = coeffs
 
     @classmethod
-    def project(cls, f, mesh: Mesh1D, degree: int, quad_points: int | None = None) -> "DGField1D":
+    def project(cls, f, mesh: Mesh1D, degree: int) -> "DGField1D":
         """Cellwise L2 projection of a scalar function onto degree-k polynomials."""
-        nq = quad_points if quad_points is not None else degree + 3
-        rule = gauss_rule(nq)
-        v = vandermonde(rule.nodes, degree)
-        x = mesh.centers[:, None] + 0.5 * mesh.widths[:, None] * rule.nodes[None, :]
-        fx = _as_callable_values(f, x)
+        q = GaussPoints1D(mesh, degree, degree + 3)
+        fx = _as_callable_values(f, q.x)
         scale = (2.0 * np.arange(degree + 1) + 1.0) / 2.0
-        coeffs = (fx * rule.weights[None, :]) @ v * scale[None, :]
+        coeffs = (fx * q.rule.weights[None, :]) @ q.basis * scale[None, :]
         return cls(mesh, degree, coeffs)
+
+    def gauss_points(self, nq: int) -> "GaussPoints1D":
+        return GaussPoints1D(self.mesh, self.degree, nq)
 
     def copy(self) -> "DGField1D":
         return DGField1D(self.mesh, self.degree, self.coeffs.copy())
@@ -95,20 +95,35 @@ class DGField1D:
         scale = (2.0 / self.mesh.widths)[:, None] ** np.arange(max_order + 1)[None, :]
         return self.coeffs @ el.T * scale, self.coeffs @ er.T * scale
 
-    def l2_norm(self) -> float:
-        m = mass_diagonal(self.degree)
-        return float(np.sqrt(np.sum(0.5 * self.mesh.widths[:, None] * m[None, :] * self.coeffs**2)))
-
     def to_midpoint_csv(self, path: str | os.PathLike) -> None:
         write_columns_csv(path, {"x": self.mesh.centers, "u": self.midpoint_values()})
 
 
-def project_down(field: DGField1D, cell: int, level: int) -> np.ndarray:
-    """Coefficients of the degree-level L2 restriction on one cell."""
-    if level < -1:
-        raise ValueError("projection level must be >= -1")
-    keep = min(max(level, 0), field.degree)
-    return field.coeffs[cell, : keep + 1].copy()
+class GaussPoints1D:
+    """The nq-point Gauss rule on every cell of a 1D mesh, for one degree.
+
+    x[j, g] is node g of cell j and basis[g, m] = P_m at reference node g.
+    """
+
+    def __init__(self, mesh: Mesh1D, degree: int, nq: int):
+        self.mesh = mesh
+        self.degree = degree
+        self.rule = gauss_rule(nq)
+        self.basis = vandermonde(self.rule.nodes, degree)
+        self.x = mesh.centers[:, None] + 0.5 * mesh.widths[:, None] * self.rule.nodes[None, :]
+        self.points = (self.x,)
+
+    def values(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs @ self.basis.T
+
+    def gradient(self, coeffs: np.ndarray) -> list:
+        """[u_x] at the nodes."""
+        v1 = vandermonde(self.rule.nodes, self.degree, 1)
+        return [(coeffs @ v1.T) * (2.0 / self.mesh.widths)[:, None]]
+
+    def integrate(self, vals: np.ndarray) -> float:
+        """Sum of vals against the cell-scaled weights: the integral of what vals samples."""
+        return float(np.sum(0.5 * self.mesh.widths[:, None] * self.rule.weights[None, :] * vals))
 
 
 @dataclass(frozen=True)
@@ -122,10 +137,6 @@ class Traces:
 
     minus: np.ndarray
     plus: np.ndarray
-
-    @property
-    def max_order(self) -> int:
-        return self.minus.shape[1] - 1
 
     def jumps(self) -> np.ndarray:
         """plus - minus at every interface."""
@@ -196,22 +207,20 @@ class DGField2D:
         self.coeffs = coeffs
 
     @classmethod
-    def project(cls, f, mesh: Mesh2D, degree: int, quad_points: int | None = None) -> "DGField2D":
+    def project(cls, f, mesh: Mesh2D, degree: int) -> "DGField2D":
         """Cellwise L2 projection using a tensor Gauss rule per cell."""
-        nq = quad_points if quad_points is not None else degree + 3
-        rule = gauss_rule(nq)
-        modes = total_degree_modes(degree)
-        v1 = vandermonde(rule.nodes, degree)
-        x = mesh.xcenters[:, None] + 0.5 * mesh.hx[:, None] * rule.nodes[None, :]
-        y = mesh.ycenters[:, None] + 0.5 * mesh.hy[:, None] * rule.nodes[None, :]
-        fx = np.asarray(f(x[:, None, :, None], y[None, :, None, :]), dtype=float)
+        nq = degree + 3
+        q = GaussPoints2D(mesh, degree, nq)
+        fx = np.asarray(f(*q.points), dtype=float)
         if fx.shape != (mesh.nx, mesh.ny, nq, nq):
             fx = np.broadcast_to(fx, (mesh.nx, mesh.ny, nq, nq)).copy()
-        w2 = rule.weights[:, None] * rule.weights[None, :]
-        basis = v1[:, modes[:, 0]][:, None, :] * v1[:, modes[:, 1]][None, :, :]
+        modes = q.modes
         scale = (2.0 * modes[:, 0] + 1.0) * (2.0 * modes[:, 1] + 1.0) / 4.0
-        coeffs = np.einsum("xygh,ghm->xym", fx * w2[None, None], basis) * scale
+        coeffs = np.einsum("xygh,ghm->xym", fx * q.w2[None, None], q.basis) * scale
         return cls(mesh, degree, coeffs)
+
+    def gauss_points(self, nq: int) -> "GaussPoints2D":
+        return GaussPoints2D(self.mesh, self.degree, nq)
 
     def copy(self) -> "DGField2D":
         return DGField2D(self.mesh, self.degree, self.coeffs.copy())
@@ -251,18 +260,50 @@ class DGField2D:
         out = out * (2.0 / hx) ** orders[0] * (2.0 / hy) ** orders[1]
         return out if xa.ndim else float(out)
 
-    def l2_norm(self) -> float:
-        m = mass_diagonal(self.degree)
-        w = m[self.modes[:, 0]] * m[self.modes[:, 1]]
-        vol = 0.25 * self.mesh.hx[:, None, None] * self.mesh.hy[None, :, None]
-        return float(np.sqrt(np.sum(vol * w[None, None, :] * self.coeffs**2)))
-
     def to_center_csv(self, path: str | os.PathLike) -> None:
         """Long-format grid of cell-center values, columns x,y,u."""
         u = self.center_values()
         xs = np.repeat(self.mesh.xcenters, self.mesh.ny)
         ys = np.tile(self.mesh.ycenters, self.mesh.nx)
         write_columns_csv(path, {"x": xs, "y": ys, "u": u.ravel()})
+
+
+class GaussPoints2D:
+    """The tensor nq-point Gauss rule on every cell of a Cartesian mesh.
+
+    basis[g, h, a] is mode a at reference node (g, h); points holds the
+    physical nodes x[i, g] and y[j, h] broadcast to (nx, ny, nq, nq), and w2
+    the tensor weight table.
+    """
+
+    def __init__(self, mesh: Mesh2D, degree: int, nq: int):
+        self.mesh = mesh
+        self.degree = degree
+        self.rule = rule = gauss_rule(nq)
+        self.modes = modes = total_degree_modes(degree)
+        self.v0 = v0 = vandermonde(rule.nodes, degree)
+        self.basis = v0[:, modes[:, 0]][:, None, :] * v0[:, modes[:, 1]][None, :, :]
+        x = mesh.xcenters[:, None] + 0.5 * mesh.hx[:, None] * rule.nodes[None, :]
+        y = mesh.ycenters[:, None] + 0.5 * mesh.hy[:, None] * rule.nodes[None, :]
+        self.points = (x[:, None, :, None], y[None, :, None, :])
+        self.w2 = rule.weights[:, None] * rule.weights[None, :]
+
+    def values(self, coeffs: np.ndarray) -> np.ndarray:
+        return np.einsum("xym,ghm->xygh", coeffs, self.basis)
+
+    def gradient(self, coeffs: np.ndarray) -> list:
+        """[u_x, u_y] at the nodes."""
+        v0, v1 = self.v0, vandermonde(self.rule.nodes, self.degree, 1)
+        m1, m2 = self.modes[:, 0], self.modes[:, 1]
+        bx = v1[:, m1][:, None, :] * v0[:, m2][None, :, :]
+        by = v0[:, m1][:, None, :] * v1[:, m2][None, :, :]
+        return [np.einsum("xym,ghm->xygh", coeffs, bx) * (2.0 / self.mesh.hx)[:, None, None, None],
+                np.einsum("xym,ghm->xygh", coeffs, by) * (2.0 / self.mesh.hy)[None, :, None, None]]
+
+    def integrate(self, vals: np.ndarray) -> float:
+        """Sum of vals against the cell-scaled weights: the integral of what vals samples."""
+        vol = 0.25 * self.mesh.hx[:, None] * self.mesh.hy[None, :]  # the cell Jacobian
+        return float(np.sum(vol[:, :, None, None] * self.w2[None, None] * vals))
 
 
 #: rows formatted per write by write_columns_csv; bounds the memory it takes

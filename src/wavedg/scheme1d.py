@@ -15,7 +15,7 @@ interior trace toward the exterior one, which is the dissipative direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -29,7 +29,7 @@ from .basis import (
     stiffness_matrix,
     vandermonde,
 )
-from .field import DGField1D, Traces, interface_traces, mirror_ghost
+from .field import DGField1D, Traces, interface_traces
 from .mesh import Mesh1D
 
 #: below this |u|, g(u)/u is replaced by g'(0) from the source descriptor
@@ -79,17 +79,6 @@ class FluxParams:
     def zeta(self) -> float:
         """Per-direction component of the 2D weighting vector."""
         return self.alpha - 0.5
-
-    @property
-    def kind(self) -> str:
-        if self.tau == 0.0 and self.beta == 0.0:
-            if self.alpha == 0.5:
-                return "central"
-            if self.alpha in (0.0, 1.0):
-                return "alternating"
-        if self.sommerfeld_speed is not None:
-            return "sommerfeld"
-        return "general"
 
 
 def flux_from_name(name: str, speed: float = 1.0, side: int = 0) -> FluxParams:
@@ -177,8 +166,6 @@ class SolverConfig:
     chi: int = 1
     source: SourceTerm | None = None
     boundary: str = "periodic"
-    penalty_uses_local_h: bool = False
-    volume_quadrature: int | None = None
 
     def __post_init__(self):
         if self.p < 2:
@@ -196,18 +183,7 @@ class SolverConfig:
 
     @property
     def quad_points(self) -> int:
-        return self.volume_quadrature if self.volume_quadrature is not None else self.p + 3
-
-    def with_variant(self, damping: bool, penalty: bool) -> "SolverConfig":
-        return replace(self, damping=damping, penalty=penalty)
-
-
-@dataclass(frozen=True)
-class DampingCoeffs:
-    """Jump-driven damping weights: for_u[j, l] (l = 1..p), for_v[j, l] (l = 0..q)."""
-
-    for_u: np.ndarray
-    for_v: np.ndarray
+        return self.p + 3
 
 
 def numerical_fluxes(v_minus, v_plus, ux_minus, ux_plus, params: FluxParams):
@@ -218,26 +194,6 @@ def numerical_fluxes(v_minus, v_plus, ux_minus, ux_plus, params: FluxParams):
     vhat = a * v_plus + (1.0 - a) * v_minus + params.tau * jump_ux
     uxhat = (1.0 - a) * ux_plus + a * ux_minus + params.beta * jump_v
     return vhat, uxhat
-
-
-def boundary_closure(traces: Traces, kind: str) -> Traces:
-    """Fill the exterior (ghost) sides of the two boundary interfaces.
-
-    Periodic wraps the opposite end; Neumann mirrors the interior state with
-    a sign flip on odd derivatives, so the centered normal flux and the
-    value jump vanish at the wall.
-    """
-    minus = traces.minus.copy()
-    plus = traces.plus.copy()
-    if kind == "periodic":
-        minus[0] = minus[-1]
-        plus[-1] = plus[0]
-    elif kind == "neumann":
-        minus[0] = mirror_ghost(plus[0])
-        plus[-1] = mirror_ghost(minus[-1])
-    else:
-        raise ValueError(f"unsupported boundary kind {kind!r}")
-    return Traces(minus=minus, plus=plus)
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +216,6 @@ def _tables(p: int, q: int, nq: int):
         "vp_tab": vandermonde(rule.nodes, p),  # P_m at the volume nodes
         "vq_tab": vandermonde(rule.nodes, q),
         "dp": dp,
-        "mp": mp,
         "kp": kp,
         "kpq": kpq,
         "kqp": kqp,
@@ -277,12 +232,13 @@ def _tables(p: int, q: int, nq: int):
 
 
 def damping_weights(traces_u: Traces, traces_v: Traces, widths: np.ndarray,
-                    config: SolverConfig) -> DampingCoeffs:
-    """Damping coefficients from derivative jumps at the two cell ends.
+                    config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Damping weights (for_u, for_v) from derivative jumps at the two cell ends.
 
     for_u[j, l] = 2(2l+1)/(2p-1) * h_j^l / l! * sqrt(J_l(right)^2 + J_l(left)^2)
-    with J_l the jump of the l-th derivative of u; for_v is the analogue with
-    denominator (2q-1), the power h_j^(l+1), and jumps of v down to order 0.
+    for l = 1..p, with J_l the jump of the l-th derivative of u; for_v[j, l],
+    l = 0..q, is the analogue with denominator (2q-1), the power h_j^(l+1),
+    and jumps of v.
     """
     p, q = config.p, config.q
     ju = traces_u.jumps()
@@ -295,13 +251,7 @@ def damping_weights(traces_u: Traces, traces_v: Traces, widths: np.ndarray,
         for_u[:, l] = (2.0 * (2 * l + 1) / (2 * p - 1)) * widths**l / math.factorial(l) * sq_u[:, l]
     for l in range(0, q + 1):
         for_v[:, l] = (2.0 * (2 * l + 1) / (2 * q - 1)) * widths**(l + 1) / math.factorial(l) * sq_v[:, l]
-    return DampingCoeffs(for_u=for_u, for_v=for_v)
-
-
-def damping_coeffs_1d(u: DGField1D, v: DGField1D, config: SolverConfig) -> DampingCoeffs:
-    tu = interface_traces(u, config.p, config.boundary)
-    tv = interface_traces(v, config.q, config.boundary)
-    return damping_weights(tu, tv, u.mesh.widths, config)
+    return for_u, for_v
 
 
 class _Assembly:
@@ -314,28 +264,22 @@ class _Assembly:
         self.u = ucoef
         self.v = vcoef
         self.t = _tables(p, q, config.quad_points)
-        self.uf = DGField1D(mesh, p, ucoef)
-        self.vf = DGField1D(mesh, q, vcoef)
-        self.tr_u = interface_traces(self.uf, p, config.boundary)
-        self.tr_v = interface_traces(self.vf, q, config.boundary)
+        self.tr_u = interface_traces(DGField1D(mesh, p, ucoef), p, config.boundary)
+        self.tr_v = interface_traces(DGField1D(mesh, q, vcoef), q, config.boundary)
         self.vhat, self.uxhat = numerical_fluxes(
             self.tr_v.minus[:, 0], self.tr_v.plus[:, 0],
             self.tr_u.minus[:, 1], self.tr_u.plus[:, 1], config.flux)
+        self.sigma_u = self.sigma_v = None
         if config.damping:
-            self.sigma = damping_weights(self.tr_u, self.tr_v, mesh.widths, config)
-        else:
-            self.sigma = None
+            self.sigma_u, self.sigma_v = damping_weights(self.tr_u, self.tr_v, mesh.widths, config)
         self.rho = None
         self.g_at = None
         if config.source is not None:
-            self.rule = self.t["rule"]
-            self.vp_tab = self.t["vp_tab"]
-            self.vq_tab = self.t["vq_tab"]
-            u_at = ucoef @ self.vp_tab.T
+            u_at = ucoef @ self.t["vp_tab"].T
             self.g_at = config.source.g(u_at)
             if config.chi == 1:
                 self.rho = config.source.g_over_u(u_at)
-                self.v_at = vcoef @ self.vq_tab.T
+                self.v_at = vcoef @ self.t["vq_tab"].T
 
 
 def _solve_ut(ctx: _Assembly) -> np.ndarray:
@@ -354,26 +298,25 @@ def _solve_ut(ctx: _Assembly) -> np.ndarray:
 
     if cfg.penalty and cfg.penalty_coefficient > 0.0:
         ju = ctx.tr_u.jumps()[:, 0]
-        if cfg.penalty_uses_local_h:
-            coef = cfg.penalty_coefficient / h**2
-        else:
-            coef = np.full_like(h, cfg.penalty_coefficient / mesh.h**2)
         pen = ju[1:, None] * t["p_right"][None, :] - ju[:-1, None] * t["p_left"][None, :]
-        b += coef[:, None] * pen
+        b += (cfg.penalty_coefficient / mesh.h**2) * pen
 
-    if ctx.sigma is not None:
+    if ctx.sigma_u is not None:
         # mode k of u_x is damped by every level l <= k
         wu = np.zeros((mesh.ncells, p + 1))
-        wu[:, 1:] = np.cumsum(ctx.sigma.for_u[:, 1:], axis=1)
+        wu[:, 1:] = np.cumsum(ctx.sigma_u[:, 1:], axis=1)
         du_ref = u @ t["dp"].T
         weighted = wu * du_ref * t["inv2kp1_p"][None, :]
         b -= 4.0 * inv_h[:, None] ** 2 * (weighted @ t["dp"])
 
     if cfg.chi == 1 and cfg.source is not None:
-        w = ctx.rule.weights
-        mg = np.einsum("jg,gm,gn->jmn", ctx.rho * w[None, :], ctx.vp_tab, ctx.vp_tab)
+        # the quotient term couples all modes of u_t, so the local system gains
+        # a mass-type block and is solved densely per cell
+        w = t["rule"].weights
+        vp_tab = t["vp_tab"]
+        mg = np.einsum("jg,gm,gn->jmn", ctx.rho * w[None, :], vp_tab, vp_tab)
         mg *= 0.5 * h[:, None, None]
-        b -= np.einsum("jg,gm->jm", ctx.rho * ctx.v_at * w[None, :], ctx.vp_tab) * (0.5 * h[:, None])
+        b -= np.einsum("jg,gm->jm", ctx.rho * ctx.v_at * w[None, :], vp_tab) * (0.5 * h[:, None])
         a = np.zeros((mesh.ncells, p + 1, p + 1))
         a[:, 1:, :] = 2.0 * inv_h[:, None, None] * t["kp"][None, 1:, :] - mg[:, 1:, :]
         a[:, 0, :] = 0.0
@@ -405,11 +348,11 @@ def _solve_vt(ctx: _Assembly) -> np.ndarray:
     rhs += ctx.uxhat[1:, None] * t["q_right"][None, :]
     rhs -= ctx.uxhat[:-1, None] * t["q_left"][None, :]
     if ctx.g_at is not None:
-        rhs += np.einsum("jg,gm->jm", ctx.g_at * ctx.rule.weights[None, :], ctx.vq_tab) * (0.5 * h[:, None])
+        rhs += np.einsum("jg,gm->jm", ctx.g_at * t["rule"].weights[None, :], t["vq_tab"]) * (0.5 * h[:, None])
     dv = rhs * t["two_m_q"][None, :] * inv_h[:, None]
-    if ctx.sigma is not None:
+    if ctx.sigma_v is not None:
         # mode m >= 1 of v is damped by levels l = 0..m
-        wv = np.cumsum(ctx.sigma.for_v, axis=1)
+        wv = np.cumsum(ctx.sigma_v, axis=1)
         wv[:, 0] = 0.0
         dv -= wv * v * inv_h[:, None]
     return dv
@@ -421,30 +364,3 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
     ctx = _Assembly(ucoef, vcoef, mesh, config)
     return _solve_ut(ctx), _solve_vt(ctx)
 
-
-def semidiscrete_rhs_1d(u: DGField1D, v: DGField1D, config: SolverConfig) -> tuple[DGField1D, DGField1D]:
-    du, dv = rhs_arrays_1d(u.coeffs, v.coeffs, u.mesh, config)
-    return DGField1D(u.mesh, config.p, du), DGField1D(v.mesh, config.q, dv)
-
-
-def solve_ut(u: DGField1D, v: DGField1D, config: SolverConfig) -> np.ndarray:
-    """Per-cell solve for the u time derivative: mean row plus derivative-tested rows."""
-    return _solve_ut(_Assembly(u.coeffs, v.coeffs, u.mesh, config))
-
-
-def solve_vt(u: DGField1D, v: DGField1D, config: SolverConfig) -> np.ndarray:
-    """Diagonal mass solve for the v time derivative."""
-    return _solve_vt(_Assembly(u.coeffs, v.coeffs, u.mesh, config))
-
-
-def chi_source_correction(u: DGField1D, v: DGField1D, candidate_ut: np.ndarray,
-                          config: SolverConfig) -> np.ndarray:
-    """Account for the source quotient term in the u update.
-
-    With chi = 0 (or no source) the candidate passes through unchanged.
-    With chi = 1 the quotient term couples all modes of u_t, so the local
-    system is re-solved with the mass-type augmentation rather than patched.
-    """
-    if config.chi == 0 or config.source is None:
-        return candidate_ut
-    return _solve_ut(_Assembly(u.coeffs, v.coeffs, u.mesh, config))

@@ -48,13 +48,12 @@ to 291 ms, and one whole-mesh pass 166 to 190 ms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import derivative_matrix, gauss_rule, mass_diagonal, stiffness_matrix, vandermonde
-from .field import DGField2D, n_modes, total_degree_modes
+from .field import n_modes, total_degree_modes
 from .mesh import Mesh2D
 from .scheme1d import FluxParams, SolverConfig
 
@@ -116,12 +115,19 @@ def _weighted_sum(c1: float, x1, c2: float, x2, out, tmp):
 
 
 def _fast_fluxes(v_minus, v_own, dnu_minus, dnu_own, params: FluxParams, axis: int, buf):
-    """fluxes_2d for the positive-axis normal, in workspace buffers.
+    """Face fluxes (vhat, grad-u-hat . n) of every face normal to one axis.
 
-    The plus-side traces of face i+1/2 are cell i+1's own lower-side traces
-    (v_own, dnu_own rolled by -1 along axis); the roll is only taken where a
-    term needs it, since the alternating flux reads one side of each pair.
-    buf(name) gives a scratch array shaped like the traces.
+    The energy-based DG flux family (Appelo & Hagstrom, SINUM 53, 2015),
+    for the face i+1/2 with normal n = +e_axis and z = params.zeta:
+
+        vhat   = (1/2 - z) v+ + (1/2 + z) v- + tau [[d_n u]]
+        gradn  = (1/2 + z) d_n u+ + (1/2 - z) d_n u- + beta [[v]]
+
+    with minus the lower cell i, plus the upper cell i+1 and [[.]] = plus -
+    minus.  The plus-side traces of face i+1/2 are cell i+1's own lower-side
+    traces (v_own, dnu_own rolled by -1 along axis); the roll is only taken
+    where a term needs it, since the alternating flux reads one side of each
+    pair.  buf(name) gives a scratch array shaped like the traces.
     """
     z = params.zeta
     a_plus, a_minus = 0.5 - z, 0.5 + z
@@ -137,25 +143,6 @@ def _fast_fluxes(v_minus, v_own, dnu_minus, dnu_own, params: FluxParams, axis: i
         jump = np.subtract(v_plus, v_minus, out=tmp)
         gradn = np.add(gradn, np.multiply(params.beta, jump, out=tmp), out=buf(f"gradn{axis}"))
     return vhat, gradn
-
-
-def fluxes_2d(v_minus, v_plus, dnu_minus, dnu_plus, params: FluxParams,
-              normal_sign: float = 1.0):
-    """Face flux (vhat, grad-u-hat dot n) for an axis-aligned face.
-
-    Inputs are traces of v and of the derivative of u along the outward
-    normal of the minus cell; normal_sign is that normal's sign along its
-    axis (+1 when it points in the positive axis direction).  The pair is
-    single-valued: evaluating from the plus side (swapped traces, negated
-    normal derivatives, normal_sign flipped) reproduces vhat and negates
-    the normal flux component.
-    """
-    z = normal_sign * params.zeta
-    jump_v = np.asarray(v_plus) - np.asarray(v_minus)
-    jump_dnu = np.asarray(dnu_plus) - np.asarray(dnu_minus)
-    vhat = 0.5 * (v_plus + v_minus) - z * jump_v + params.tau * jump_dnu
-    gradn_hat = 0.5 * (dnu_plus + dnu_minus) + z * jump_dnu + params.beta * jump_v
-    return vhat, gradn_hat
 
 
 @lru_cache(maxsize=None)
@@ -193,19 +180,6 @@ def gradient_gram(degree: int, hx: float, hy: float) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=None)
-def _corner_table(degree: int, r1: int, r2: int) -> np.ndarray:
-    """Reference corner derivative values C[a, c] = d^(r1,r2) phi_a at corner c."""
-    modes = total_degree_modes(degree)
-    out = np.zeros((len(modes), 4))
-    for c, (xi, eta) in enumerate(_CORNERS):
-        vx = vandermonde(xi, degree, r1)
-        vy = vandermonde(eta, degree, r2)
-        out[:, c] = vx[modes[:, 0]] * vy[modes[:, 1]]
-    out.setflags(write=False)
-    return out
-
-
 def _mm(arr: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
     """Contract the trailing axis against a table via BLAS.
 
@@ -219,39 +193,24 @@ def _mm(arr: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class VertexJumpSet:
-    """Squared vertex jumps per multi-index of one total order.
-
-    squared[(a1, a2)] has shape (nx, ny, 4) with corners ordered
-    (bottom-left, bottom-right, top-left, top-right); each entry sums the
-    squared differences against the two edge-neighbors meeting that corner.
-    """
-
-    order: int
-    squared: dict
-
-
-def _corner_values(coeffs: np.ndarray, degree: int, r1: int, r2: int,
-                   hx: float, hy: float) -> np.ndarray:
-    table = _corner_table(degree, r1, r2)
-    scale = (2.0 / hx) ** r1 * (2.0 / hy) ** r2
-    return _mm(coeffs, table) * scale
-
-
 @lru_cache(maxsize=None)
 def _corner_major_tables(degree: int, max_order: int, hx: float, hy: float) -> tuple:
     """Per corner: derivative tables for all |alpha| <= max_order, (nm, n_alpha).
 
-    One matmul per corner then yields contiguous per-corner value arrays.
+    Column k of a corner's table holds d^alpha_k phi_a at that corner, in
+    physical scaling.  One matmul per corner then yields contiguous
+    per-corner value arrays.
     """
+    modes = total_degree_modes(degree)
     alphas = _alphas_upto(max_order)
     out = []
-    for c in range(4):
-        cols = np.empty((n_modes(degree), len(alphas)))
+    for xi, eta in _CORNERS:
+        cols = np.empty((len(modes), len(alphas)))
         for k, (r1, r2) in enumerate(alphas):
+            vx = vandermonde(xi, degree, r1)
+            vy = vandermonde(eta, degree, r2)
             scale = (2.0 / hx) ** r1 * (2.0 / hy) ** r2
-            cols[:, k] = _corner_table(degree, r1, r2)[:, c] * scale
+            cols[:, k] = vx[modes[:, 0]] * vy[modes[:, 1]] * scale
         cols.setflags(write=False)
         out.append(cols)
     return tuple(out)
@@ -276,38 +235,16 @@ def _sq_jump_pair(own, nb1, shift1, axis1, nb2, shift2, axis2) -> np.ndarray:
     return first
 
 
-def _corner_jump_squares(vals: np.ndarray) -> np.ndarray:
-    bl, br, tl, tr = (vals[..., c] for c in range(4))
-    out = np.empty_like(vals)
-    out[..., 0] = _sq_jump_pair(bl, br, 1, 0, tl, 1, 1)
-    out[..., 1] = _sq_jump_pair(br, bl, -1, 0, tr, 1, 1)
-    out[..., 2] = _sq_jump_pair(tl, tr, 1, 0, bl, -1, 1)
-    out[..., 3] = _sq_jump_pair(tr, tl, -1, 0, br, -1, 1)
-    return out
-
-
-def vertex_jumps(field: DGField2D, order: int) -> VertexJumpSet:
-    """Squared corner jumps of every derivative of the given total order."""
-    if order > field.degree:
-        raise ValueError("derivative order exceeds polynomial degree")
-    if not field.mesh.is_uniform():
-        raise ValueError("vertex jumps assume a uniform Cartesian mesh")
-    hx, hy = float(field.mesh.hx[0]), float(field.mesh.hy[0])
-    squared = {}
-    for r1 in range(order + 1):
-        r2 = order - r1
-        vals = _corner_values(field.coeffs, field.degree, r1, r2, hx, hy)
-        squared[(r1, r2)] = _corner_jump_squares(vals)
-    return VertexJumpSet(order=order, squared=squared)
-
-
 def _vertex_jump_acc(coeffs: np.ndarray, degree: int, max_order: int,
                      hx: float, hy: float) -> np.ndarray:
     """Per order l: sum over |alpha| = l of sqrt(quarter-sum of corner jumps).
 
-    Returns shape (nx, ny, max_order+1); all multi-index corner values come
-    from one stacked matmul and the four-corner jump algebra runs over every
-    multi-index at once.
+    The corner jump of d^alpha u at one of the four corners (bottom-left,
+    bottom-right, top-left, top-right) sums the squared differences against
+    the two edge-neighbors meeting that corner; the diagonal neighbor is not
+    compared.  Returns shape (nx, ny, max_order+1); all multi-index corner
+    values come from one stacked matmul and the four-corner jump algebra
+    runs over every multi-index at once.
     """
     alphas = _alphas_upto(max_order)
     tabs = _corner_major_tables(degree, max_order, hx, hy)
@@ -383,7 +320,6 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
     vr_w, vl_w = (vr * fw_v).T, (vl * fw_v).T
     ht_w, hb_w = (ht * fw_h).T, (hb * fw_h).T
     return {
-        "modes": modes,
         "nmq": nmq,
         "rule": rule,
         "mass2": mass2,
@@ -391,14 +327,6 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
         "ginv": np.linalg.inv(g[1:, 1:]),
         "dx2": dx2,
         "dy2": dy2,
-        "vr": vr,
-        "vl": vl,
-        "vrx": vrx,
-        "vlx": vlx,
-        "ht": ht,
-        "hb": hb,
-        "hty": hty,
-        "hby": hby,
         # stacked trace tables: one matmul per field and direction
         "u_vert": np.concatenate([vr, vl, vrx, vlx], axis=1),
         "u_horz": np.concatenate([ht, hb, hty, hby], axis=1),
@@ -414,7 +342,6 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
         "pen_y": np.concatenate([ht_w, hb_w], axis=1),
         "gradn_x": np.concatenate([vr_w[:, :nmq], vl_w[:, :nmq]], axis=1),
         "gradn_y": np.concatenate([ht_w[:, :nmq], hb_w[:, :nmq]], axis=1),
-        "basis_vol": basis_vol,
         "bv_flat": bv_flat,
         "bvw_q": bvw_q,
     }
@@ -599,7 +526,3 @@ def _strip_rhs(ucoef, vcoef, mesh: Mesh2D, config: SolverConfig, work: StripWork
         wv /= mesh.h
         dv -= wv
 
-
-def semidiscrete_rhs_2d(u: DGField2D, v: DGField2D, config: SolverConfig):
-    du, dv = rhs_arrays_2d(u.coeffs, v.coeffs, u.mesh, config)
-    return DGField2D(u.mesh, config.p, du), DGField2D(v.mesh, config.q, dv)

@@ -186,16 +186,15 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
     if isinstance(u, DGField1D):
         def rhs(st):
             return rhs_arrays_1d(st[0], st[1], mesh, config)
-        wrap = (lambda c: DGField1D(mesh, config.p, c), lambda c: DGField1D(mesh, config.q, c))
     elif isinstance(u, DGField2D):
         deriv = (np.empty(state[0].shape), np.empty(state[1].shape))
         strips = StripWorkspace()
 
         def rhs(st):
             return rhs_arrays_2d(st[0], st[1], mesh, config, out=deriv, work=strips)
-        wrap = (lambda c: DGField2D(mesh, config.p, c), lambda c: DGField2D(mesh, config.q, c))
     else:
         raise TypeError("integrate expects DGField1D or DGField2D states")
+    kind = type(u)
 
     plan = make_time_plan(t_final, dt if dt is not None else dt_rule(config.p, mesh.h))
     registers = rk3_registers(state)
@@ -206,7 +205,7 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
         trace.nonlinear = []
 
     def record(st):
-        uf, vf = wrap[0](st[0]), wrap[1](st[1])
+        uf, vf = kind(mesh, config.p, st[0]), kind(mesh, config.q, st[1])
         quad = diagnostics.energy(uf, vf)
         trace.energies.append(quad)
         if with_source:
@@ -223,4 +222,4 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
         if (n + 1) % sample_every == 0 or n == plan.steps - 1:
             trace.times.append(t)
             record(state)
-    return wrap[0](state[0]), wrap[1](state[1]), trace
+    return kind(mesh, config.p, state[0]), kind(mesh, config.q, state[1]), trace

@@ -7,6 +7,9 @@ solves (not coefficient truncation), and each weak-form term is assembled
 per cell with explicit loops.  Only the modal coefficient layout is shared,
 since that is the data format under test.
 
+The 2D face flux family is kept here too, as plain expressions
+(`fluxes_2d`); the solver's buffered flux kernel must match it.
+
 The module also keeps the time stepping in its plain whole-array form:
 SSP-RK3 with fresh arrays per stage, and the leapfrog comparator over
 np.roll copies.  The in-place and blocked solver code must match them bit
@@ -181,6 +184,26 @@ def _modes_2d(degree):
     modes = [(m1, m2) for m2 in range(degree + 1) for m1 in range(degree + 1 - m2)]
     modes.sort(key=lambda t: (t[0] + t[1], t[0]))
     return modes
+
+
+def fluxes_2d(v_minus, v_plus, dnu_minus, dnu_plus, params, normal_sign: float = 1.0):
+    """Face flux (vhat, grad-u-hat dot n) for an axis-aligned face.
+
+    Inputs are traces of v and of the derivative of u along the outward
+    normal of the minus cell; normal_sign is that normal's sign along its
+    axis (+1 when it points in the positive axis direction).  params carries
+    the weighting alpha and the dissipation weights tau and beta; the
+    per-direction weighting is zeta = alpha - 1/2.  The pair is
+    single-valued: evaluating from the plus side (swapped traces, negated
+    normal derivatives, normal_sign flipped) reproduces vhat and negates
+    the normal flux component.
+    """
+    z = normal_sign * (params.alpha - 0.5)
+    jump_v = np.asarray(v_plus) - np.asarray(v_minus)
+    jump_dnu = np.asarray(dnu_plus) - np.asarray(dnu_minus)
+    vhat = 0.5 * (v_plus + v_minus) - z * jump_v + params.tau * jump_dnu
+    gradn_hat = 0.5 * (dnu_plus + dnu_minus) + z * jump_dnu + params.beta * jump_v
+    return vhat, gradn_hat
 
 
 class _CellPoly2D:

@@ -79,6 +79,9 @@ def test_rerun_from_metadata_reproduces_csv(tmp_path):
     cfg = parse_config(None, {"problem": "ex1", "ns": (10, 20), "outdir": str(tmp_path)})
     _, stem = run_convergence(cfg)
     first = open(stem + ".csv", "rb").read()
+    # the defaults are written as their sentinels and replay as defaults
+    config = json.loads(open(stem + ".json").read())["config"]
+    assert config["dt"] == -1.0 and config["t_final"] == -1.0 and config["sample_every"] == 0
     cfg2 = parse_config(stem + ".json")
     assert cfg2 == cfg
     _, stem2 = run_convergence(cfg2)
@@ -142,6 +145,15 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     (["shock", "--problem", "ex1", "--ns", "8", "--penalty-coefficient", "nan"],
      "'penalty_coefficient'"),
     (["shock", "--problem", "ex1", "--ns", "8", "--dt", "nan"], "'dt'"),
+    # only the sentinels -1 (and 0 for sample_every) select the default
+    (["shock", "--problem", "ex1", "--ns", "8", "--dt", "-0.5", "--t-final", "0.01"], "'dt'"),
+    (["shock", "--problem", "ex1", "--ns", "8", "--dt", "0"], "'dt'"),
+    (["shock", "--problem", "ex1", "--ns", "8", "--t-final", "-0.5"], "'t_final'"),
+    (["shock", "--problem", "ex1", "--ns", "8", "--t-final", "inf"], "'t_final'"),
+    (["shock", "--problem", "ex1", "--ns", "8", "--sample-every", "-3"], "'sample_every'"),
+    (["shock", "--problem", "ex1", "--ns", "8", "-q", "-2"], "'q'"),
+    (["shock", "--problem", "ex1", "--ns", "8", "--flux", "s", "--sommerfeld-speed", "-1"],
+     "'sommerfeld_speed'"),
 ])
 def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, argv, key):
     (tmp_path / "broken.json").write_text('{"config": {"p": 3,}}')

@@ -7,7 +7,6 @@ from wavedg.field import (
     DGField1D,
     DGField2D,
     interface_traces,
-    project_down,
     write_columns_csv,
 )
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
@@ -44,7 +43,6 @@ def test_project_down_rules():
     assert np.allclose(f.project_down(-1).coeffs, f.project_down(0).coeffs)
     with pytest.raises(ValueError):
         f.project_down(-2)
-    assert project_down(f, 1, 1) == pytest.approx(list(f.coeffs[1, :2]))
 
 
 def test_project_down_idempotent():

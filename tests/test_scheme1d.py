@@ -11,18 +11,20 @@ from wavedg.scheme1d import (
     FluxParams,
     SolverConfig,
     SourceTerm,
-    boundary_closure,
-    chi_source_correction,
-    damping_coeffs_1d,
+    damping_weights,
     numerical_fluxes,
     rhs_arrays_1d,
-    solve_ut,
-    solve_vt,
 )
 
 
 def _random_state(rng, n, p, q, scale=1.0):
     return scale * rng.standard_normal((n, p + 1)), scale * rng.standard_normal((n, q + 1))
+
+
+def _damping(u: DGField1D, v: DGField1D, cfg: SolverConfig):
+    """damping_weights from the fields' interface traces, as the RHS takes them."""
+    return damping_weights(interface_traces(u, cfg.p, cfg.boundary),
+                           interface_traces(v, cfg.q, cfg.boundary), u.mesh.widths, cfg)
 
 
 def test_flux_examples():
@@ -66,17 +68,17 @@ def test_damping_coefficient_values():
     # P_1 slope on cell 0 only: physical slope 2/h * a1
     u.coeffs[0, 1] = 0.05  # u_x = 1 on cell 0, 0 on cell 1
     v = DGField1D(m, 1)
-    coeffs = damping_coeffs_1d(u, v, cfg)
+    for_u, _ = _damping(u, v, cfg)
     # both ends of each cell see |[[u_x]]| = 1
     expected = (6.0 / 3.0) * 0.1 * np.sqrt(2.0)
-    assert coeffs.for_u[0, 1] == pytest.approx(expected, rel=1e-12)
-    assert coeffs.for_u[1, 1] == pytest.approx(expected, rel=1e-12)
+    assert for_u[0, 1] == pytest.approx(expected, rel=1e-12)
+    assert for_u[1, 1] == pytest.approx(expected, rel=1e-12)
 
     # v jump of 2 at a single interface, q=1, l=0, h=0.1
     v2 = DGField1D(m, 1)
     v2.coeffs[0, 0] = 2.0  # jumps of size 2 at both interfaces of the pair
-    c2 = damping_coeffs_1d(u, v2, cfg)
-    assert c2.for_v[0, 0] == pytest.approx(2.0 * 0.1 * np.sqrt(8.0), rel=1e-12)
+    _, for_v = _damping(u, v2, cfg)
+    assert for_v[0, 0] == pytest.approx(2.0 * 0.1 * np.sqrt(8.0), rel=1e-12)
 
 
 def test_single_interface_v_jump_value():
@@ -87,9 +89,9 @@ def test_single_interface_v_jump_value():
     u = DGField1D(m, 2)
     v = DGField1D(m, 1, np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.0]]))
     # jumps: interface 0 (wrap): 0 - 2 = -2; interface 1: +2; interface 2: 0; interface 3 = wrap of 0
-    c = damping_coeffs_1d(u, v, cfg)
+    _, for_v = _damping(u, v, cfg)
     # cell 1 sees jump 2 at its left end only: sigma~ = 2 * 0.1 * 2 = 0.4
-    assert c.for_v[1, 0] == pytest.approx(0.4, rel=1e-12)
+    assert for_v[1, 0] == pytest.approx(0.4, rel=1e-12)
 
 
 def test_smooth_field_damping_vanishes():
@@ -97,10 +99,10 @@ def test_smooth_field_damping_vanishes():
     cfg = SolverConfig(p=3, q=2)
     u = DGField1D.project(lambda x: 0 * x + 1.7, m, 3)
     v = DGField1D.project(lambda x: 0 * x - 0.3, m, 2)
-    c = damping_coeffs_1d(u, v, cfg)
+    for_u, for_v = _damping(u, v, cfg)
     # derivative jumps of projection roundoff carry (2/h)^l amplification
-    assert np.max(np.abs(c.for_u)) < 1e-12
-    assert np.max(np.abs(c.for_v)) < 1e-12
+    assert np.max(np.abs(for_u)) < 1e-12
+    assert np.max(np.abs(for_v)) < 1e-12
 
 
 def test_damping_vanishing_rate_under_refinement():
@@ -111,22 +113,24 @@ def test_damping_vanishing_rate_under_refinement():
         cfg = SolverConfig(p=2, q=1)
         u = DGField1D.project(lambda x: np.sin(np.pi * x), m, 2)
         v = DGField1D.project(lambda x: np.cos(np.pi * x), m, 1)
-        c = damping_coeffs_1d(u, v, cfg)
-        vals.append(np.max(c.for_u[:, 1:]))
+        for_u, _ = _damping(u, v, cfg)
+        vals.append(np.max(for_u[:, 1:]))
     assert vals[0] / vals[1] > 2.0**2
 
 
 def test_boundary_closure_values():
+    # the closure is interface_traces' fill of the two boundary ghost sides
     m = uniform_mesh_1d(0, 1, 3, boundary="neumann")
     f = DGField1D.project(lambda x: 0.7 * x, m, 2)
-    tr = interface_traces(f, 1, boundary="periodic")
-    closed = boundary_closure(tr, "neumann")
+    closed = interface_traces(f, 1, boundary="neumann")
     assert closed.minus[0, 1] == pytest.approx(-0.7, abs=1e-13)
     assert closed.minus[0, 0] == pytest.approx(closed.plus[0, 0], abs=1e-13)
     # value jump at the wall vanishes, so the penalty contribution does too
     assert closed.jumps()[0, 0] == pytest.approx(0.0, abs=1e-13)
+    assert closed.plus[-1, 1] == pytest.approx(-0.7, abs=1e-13)
+    assert closed.jumps()[-1, 0] == pytest.approx(0.0, abs=1e-13)
     with pytest.raises(ValueError):
-        boundary_closure(tr, "dirichlet")
+        interface_traces(f, 1, boundary="dirichlet")
 
 
 def test_zero_state_gives_zero_rhs():
@@ -238,15 +242,18 @@ def test_oracle_equivalence_with_source_quotient():
 
 
 def test_chi_correction_identity_cases():
+    # the source quotient enters the u update only with chi = 1 and a source:
+    # otherwise du is the plain solve, bit for bit
     rng = np.random.default_rng(5)
     m = uniform_mesh_1d(0, 1, 4)
     u, v = _random_state(rng, 4, 2, 1)
-    uf, vf = DGField1D(m, 2, u), DGField1D(m, 1, v)
-    cfg0 = SolverConfig(p=2, q=1, chi=0, source=SOURCES["sine_gordon"])
-    candidate = solve_ut(uf, vf, cfg0)
-    assert chi_source_correction(uf, vf, candidate, cfg0) is candidate
-    cfg_nosrc = SolverConfig(p=2, q=1, chi=1, source=None)
-    assert chi_source_correction(uf, vf, candidate, cfg_nosrc) is candidate
+    plain, _ = rhs_arrays_1d(u, v, m, SolverConfig(p=2, q=1, chi=0, source=None))
+    for cfg in (SolverConfig(p=2, q=1, chi=0, source=SOURCES["sine_gordon"]),
+                SolverConfig(p=2, q=1, chi=1, source=None)):
+        assert np.array_equal(rhs_arrays_1d(u, v, m, cfg)[0], plain)
+    quotient, _ = rhs_arrays_1d(u, v, m, SolverConfig(p=2, q=1, chi=1,
+                                                       source=SOURCES["sine_gordon"]))
+    assert not np.allclose(quotient, plain)
 
 
 def test_chi_regularization_at_zero():
@@ -268,7 +275,7 @@ def test_solve_ut_consistency_refinement():
         cfg = SolverConfig(p=2, q=1, damping=False, penalty=False)
         u = DGField1D.project(lambda x: np.sin(np.pi * x), m, 2)
         v = DGField1D.project(lambda x: -np.pi * np.cos(np.pi * x), m, 1)
-        du = solve_ut(u, v, cfg)
+        du, _ = rhs_arrays_1d(u.coeffs, v.coeffs, m, cfg)
         duf = DGField1D(m, 2, du)
         errs.append(gradient_l2_error(duf, lambda x: np.pi**2 * np.sin(np.pi * x)))
     assert errs[0] / errs[1] > 2.0 ** 1 * 0.8
@@ -282,7 +289,7 @@ def test_solve_vt_weak_laplacian_rate():
         cfg = SolverConfig(p=2, q=1, damping=False, penalty=False, flux=FluxParams.central())
         u = DGField1D.project(lambda x: np.sin(np.pi * x), m, 2)
         v = DGField1D(m, 1)
-        dv = solve_vt(u, v, cfg)
+        _, dv = rhs_arrays_1d(u.coeffs, v.coeffs, m, cfg)
         dvf = DGField1D(m, 1, dv)
         errs.append(l2_error(dvf, lambda x: -np.pi**2 * np.sin(np.pi * x)))
     # the weak second derivative of a projection is consistent at order p-1

@@ -10,7 +10,6 @@ from .diagnostics import (
     bin_average,
     compare_front_positions,
     energy,
-    fit_rates,
     front_positions,
     gradient_l2_error,
     l2_error,
@@ -36,7 +35,7 @@ __all__ = [
     "QuadratureRule", "gauss_rule", "legendre_deriv", "legendre_eval",
     # diagnostics
     "ConvergenceTable", "FrontComparison", "OscillationReport", "bin_average",
-    "compare_front_positions", "energy", "fit_rates", "front_positions",
+    "compare_front_positions", "energy", "front_positions",
     "gradient_l2_error", "l2_error", "level_crossings", "merge_close", "oscillation_metrics",
     # field
     "DGField1D", "DGField2D", "Traces", "interface_traces",

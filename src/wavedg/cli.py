@@ -19,15 +19,13 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, diagnostics
-from .field import DGField1D, DGField2D, write_columns_csv
-from .mesh import cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
+from .discretization import DISCRETIZATIONS
 from .problems import EXAMPLES, make_custom_problem
-from .reference import ctcs_solve_1d, ctcs_solve_2d, make_grid_1d, make_grid_2d
 from .scheme1d import SOURCES, SolverConfig, flux_from_name
 from .timeint import SolverAbort, dt_rule, integrate
 
@@ -114,16 +112,12 @@ def _parse_bool(key, raw):
 
 def _coerce(key: str, raw: str):
     raw = raw.strip()
-    if key == "ns":
+    if key in ("ns", "domain"):
+        kind, what = (int, "integers") if key == "ns" else (float, "floats")
         try:
-            return tuple(int(tok) for tok in raw.replace(",", " ").split()) if raw else ()
+            return tuple(kind(tok) for tok in raw.replace(",", " ").split()) if raw else ()
         except ValueError:
-            raise ConfigError(f"key 'ns': expected integers, got {raw!r}") from None
-    if key == "domain":
-        try:
-            return tuple(float(tok) for tok in raw.replace(",", " ").split()) if raw else ()
-        except ValueError:
-            raise ConfigError(f"key 'domain': expected floats, got {raw!r}") from None
+            raise ConfigError(f"key {key!r}: expected {what}, got {raw!r}") from None
     if key in _BOOL_KEYS:
         return _parse_bool(key, raw)
     try:
@@ -144,7 +138,9 @@ def _coerce(key: str, raw: str):
 def _check_json_type(key: str, val) -> None:
     """A metadata JSON value must have the JSON type its key is written with."""
     def number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
+        # an integer beyond the float range would overflow in float()
+        return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
+                                        and abs(x) <= sys.float_info.max)
 
     if key == "ns":
         ok = isinstance(val, list) and all(isinstance(n, int) and not isinstance(n, bool)
@@ -302,18 +298,16 @@ def solver_config(cfg: ExperimentConfig, prob) -> SolverConfig:
 
 
 def _build_state(cfg: ExperimentConfig, prob, n: int):
-    scfg = solver_config(cfg, prob)
-    if prob.dim == 1:
-        mesh = uniform_mesh_1d(prob.domain[0], prob.domain[1], n, prob.boundary)
-        if cfg.mesh_perturb > 0.0:
-            mesh = perturb_mesh_1d(mesh, cfg.mesh_perturb, cfg.seed)
-        u0 = DGField1D.project(prob.u0, mesh, scfg.p)
-        v0 = DGField1D.project(prob.u1, mesh, scfg.q)
-    else:
-        mesh = cartesian_mesh_2d(*prob.domain, n, n)
-        u0 = DGField2D.project(prob.u0, mesh, scfg.p)
-        v0 = DGField2D.project(prob.u1, mesh, scfg.q)
-    return mesh, scfg, u0, v0
+    """The problem's discretization with n cells per direction; nothing is projected."""
+    return DISCRETIZATIONS[prob.dim].build(prob, n, solver_config(cfg, prob),
+                                           cfg.mesh_perturb, cfg.seed)
+
+
+def _make_outdir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"key 'outdir': cannot make the directory {path!r} ({exc})") from None
 
 
 def _metadata(cfg: ExperimentConfig, prob, mesh, dt: float, extra: dict | None = None) -> dict:
@@ -348,7 +342,7 @@ def _write_meta(meta: dict, path: str) -> None:
 
 def _one_level(args):
     cfg, n = args
-    prob, mesh, _, u, v, _, _ = _single_run(dataclasses.replace(cfg, ns=(n,)))
+    prob, disc, _, u, v, _, _ = _single_run(dataclasses.replace(cfg, ns=(n,)))
     t = cfg.resolved_t(prob)
     # the exact solutions take (x, t) in 1D and (x, y, t) in 2D
     err = diagnostics.l2_error(u, lambda *xy: prob.exact(*xy, t))
@@ -357,7 +351,7 @@ def _one_level(args):
             if prob.exact_dx else float("nan"))
     verr = (diagnostics.l2_error(v, lambda *xy: prob.exact_dt(*xy, t))
             if prob.exact_dt else float("nan"))
-    return n, mesh.h, err, grad, verr
+    return n, disc.mesh.h, err, grad, verr
 
 
 def run_convergence(cfg: ExperimentConfig):
@@ -370,6 +364,7 @@ def run_convergence(cfg: ExperimentConfig):
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError(f"key 'ns': a convergence sweep needs strictly increasing "
                           f"cell counts, got {list(ns)}")
+    _make_outdir(cfg.outdir)
     levels = [(cfg, n) for n in ns]
     if cfg.parallel and len(ns) > 1:
         with ProcessPoolExecutor(max_workers=min(len(ns), os.cpu_count() or 1)) as pool:
@@ -379,10 +374,9 @@ def run_convergence(cfg: ExperimentConfig):
     table = diagnostics.ConvergenceTable(
         ns=[r[0] for r in rows], hs=[r[1] for r in rows], errors=[r[2] for r in rows],
         extras={"grad_error": [r[3] for r in rows], "v_error": [r[4] for r in rows]})
-    os.makedirs(cfg.outdir, exist_ok=True)
     stem = os.path.join(cfg.outdir, f"{prob.key}_converge_{cfg.flux.lower()}_p{cfg.p}")
     table.write_csv(stem + ".csv")
-    mesh, _, _, _ = _build_state(cfg, prob, ns[0])
+    mesh = _build_state(cfg, prob, ns[0]).mesh
     meta = _metadata(cfg, prob, mesh, cfg.resolved_dt(mesh.h),
                      {"levels": list(ns),
                       "least_squares_slope": table.least_squares_slope(),
@@ -394,42 +388,37 @@ def run_convergence(cfg: ExperimentConfig):
 
 def _single_run(cfg: ExperimentConfig):
     prob = cfg.resolved_problem()
-    n = cfg.resolved_ns(prob)[0]
-    mesh, scfg, u0, v0 = _build_state(cfg, prob, n)
+    disc = _build_state(cfg, prob, cfg.resolved_ns(prob)[0])
+    scfg, mesh = disc.config, disc.mesh
+    u0 = disc.field.project(prob.u0, mesh, scfg.p)
+    v0 = disc.field.project(prob.u1, mesh, scfg.q)
     dt = cfg.resolved_dt(mesh.h)
     u, v, trace = integrate(u0, v0, scfg, cfg.resolved_t(prob), dt=dt,
                             sample_every=cfg.resolved_sampling(prob.dim))
-    return prob, mesh, u0, u, v, trace, dt
+    return prob, disc, u0, u, v, trace, dt
 
 
 def run_shock(cfg: ExperimentConfig):
     """Single run emitting snapshots, energy trace and oscillation metrics."""
-    prob, mesh, u0, u, v, trace, dt = _single_run(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
+    _make_outdir(cfg.outdir)
+    prob, disc, u0, u, v, trace, dt = _single_run(cfg)
     variant = _variant_name(cfg)
     stem = os.path.join(cfg.outdir, f"{prob.key}_shock_{variant}_n{cfg.resolved_ns(prob)[0]}")
     t_final = cfg.resolved_t(prob)
-    if prob.dim == 1:
-        cols = {"x": mesh.centers, "u": u.midpoint_values(), "u0": u0.midpoint_values()}
-        if prob.exact is not None:
-            cols["exact"] = prob.exact(mesh.centers, t_final)
-        write_columns_csv(stem + ".csv", cols)
-        samples = u.midpoint_values()
-    else:
-        u.to_center_csv(stem + ".csv")
-        samples = u.center_values().ravel()
+    exact = (lambda *x: prob.exact(*x, t_final)) if prob.exact is not None else None
+    disc.write_snapshot(stem + ".csv", u, u0, exact)
     trace.write_csv(stem + "_energy.csv")
     if prob.exact_bounds is not None:
         lo, hi = prob.exact_bounds
     else:
         # without a closed form, measure against the initial data's range
-        init = u0.midpoint_values() if prob.dim == 1 else u0.center_values().ravel()
+        init = disc.samples(u0)
         lo, hi = float(np.min(init)), float(np.max(init))
-    report = diagnostics.oscillation_metrics(samples, lo, hi)
-    meta = _metadata(cfg, prob, mesh, dt, {
+    report = diagnostics.oscillation_metrics(disc.samples(u), lo, hi)
+    meta = _metadata(cfg, prob, disc.mesh, dt, {
         "subcommand": "shock",
         "variant": variant,
-        "oscillation": dict(report.as_dict(), bounds=[lo, hi],
+        "oscillation": dict(dataclasses.asdict(report), bounds=[lo, hi],
                             bounds_source="exact" if prob.exact_bounds else "initial data"),
     })
     _write_meta(meta, stem + ".json")
@@ -438,12 +427,12 @@ def run_shock(cfg: ExperimentConfig):
 
 def run_energy(cfg: ExperimentConfig):
     """Single run emitting the energy trace and its monotonicity summary."""
-    prob, mesh, u0, u, v, trace, dt = _single_run(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
+    _make_outdir(cfg.outdir)
+    prob, disc, u0, u, v, trace, dt = _single_run(cfg)
     stem = os.path.join(cfg.outdir,
                         f"{prob.key}_energy_{_variant_name(cfg)}_n{cfg.resolved_ns(prob)[0]}")
     trace.write_csv(stem + ".csv")
-    meta = _metadata(cfg, prob, mesh, dt, {
+    meta = _metadata(cfg, prob, disc.mesh, dt, {
         "subcommand": "energy",
         "energy_initial": trace.energies[0],
         "energy_final": trace.energies[-1],
@@ -453,50 +442,22 @@ def run_energy(cfg: ExperimentConfig):
     return trace, stem
 
 
-def _profile_row(mesh2d, values2d, row_coord):
-    iy = int(np.argmin(np.abs(mesh2d.ycenters - row_coord)))
-    return mesh2d.xcenters, values2d[:, iy]
-
-
 def run_compare(cfg: ExperimentConfig, check: bool = False):
     """Paired run: the DG scheme plus the finite difference comparator."""
-    prob, mesh, u0, u, v, trace, dt = _single_run(cfg)
-    if prob.comparator_intervals is None:
-        raise ConfigError(f"problem {prob.key!r} has no comparator resolution configured")
-    os.makedirs(cfg.outdir, exist_ok=True)
-    n = cfg.resolved_ns(prob)[0]
-    stem = os.path.join(cfg.outdir, f"{prob.key}_compare_n{n}")
-    t_final = cfg.resolved_t(prob)
+    if cfg.resolved_problem().comparator_intervals is None:
+        raise ConfigError(f"problem {cfg.problem!r} has no comparator resolution configured")
+    _make_outdir(cfg.outdir)
+    prob, disc, u0, u, v, trace, dt = _single_run(cfg)
+    stem = os.path.join(cfg.outdir, f"{prob.key}_compare_n{cfg.resolved_ns(prob)[0]}")
+    disc.write_snapshot(stem + "_dg.csv", u)
     source = SOURCES[prob.source_name].g if prob.source_name else None
-    if prob.dim == 1:
-        u.to_midpoint_csv(stem + "_dg.csv")
-        grid, steps = make_grid_1d(prob.domain[0], prob.domain[1],
-                                   prob.comparator_intervals, t_final)
-        xr, ur = ctcs_solve_1d(prob.u0, prob.u1, source, grid, steps)
-        write_columns_csv(stem + "_ctcs.csv", {"x": xr, "u": ur})
-        ref = diagnostics.bin_average(xr, ur, mesh.nodes)
-        res = diagnostics.compare_front_positions(
-            mesh.centers, ref, mesh.centers, u.midpoint_values(), coarse_h=mesh.h,
-            merge_factor=FRONT_MERGE_FACTOR, match_factor=FRONT_MATCH_FACTOR,
-            band_fraction=FRONT_BAND_FRACTION)
-    else:
-        u.to_center_csv(stem + "_dg.csv")
-        grid, steps = make_grid_2d(*prob.domain, prob.comparator_intervals,
-                                   prob.comparator_intervals, t_final)
-        xr, yr, ur = ctcs_solve_2d(prob.u0, prob.u1, source, grid, steps)
-        xs = np.repeat(xr, len(yr))
-        ys = np.tile(yr, len(xr))
-        write_columns_csv(stem + "_ctcs.csv", {"x": xs, "y": ys, "u": ur.ravel()})
-        row = prob.notes.get("profile_row", 0.0)
-        xs_c, prof_dg = _profile_row(mesh, u.center_values(), row)
-        jr = int(np.argmin(np.abs(yr - row)))
-        coarse_hx = float(mesh.hx[0])
-        ref = diagnostics.bin_average(xr, ur[:, jr], mesh.xnodes)
-        res = diagnostics.compare_front_positions(
-            xs_c, ref, xs_c, prof_dg, coarse_h=coarse_hx,
-            merge_factor=FRONT_MERGE_FACTOR, match_factor=FRONT_MATCH_FACTOR,
-            band_fraction=FRONT_BAND_FRACTION)
-    meta = _metadata(cfg, prob, mesh, dt, {
+    grid, x, ref, coarse_h = disc.comparator(prob, cfg.resolved_t(prob), source,
+                                             stem + "_ctcs.csv")
+    res = diagnostics.compare_front_positions(
+        x, ref, x, disc.profile(u, prob), coarse_h=coarse_h,
+        merge_factor=FRONT_MERGE_FACTOR, match_factor=FRONT_MATCH_FACTOR,
+        band_fraction=FRONT_BAND_FRACTION)
+    meta = _metadata(cfg, prob, disc.mesh, dt, {
         "subcommand": "compare-ctcs",
         "comparator": {"intervals": prob.comparator_intervals, "dt": grid.dt,
                        "boundary": "periodic", "scheme": "central time, central space"},

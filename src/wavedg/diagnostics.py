@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import derivative_matrix, mass_diagonal
-from .field import DGField1D, DGField2D, write_columns_csv
+from .field import write_columns_csv
 
 
 def l2_error(fld, exact) -> float:
@@ -34,34 +33,6 @@ def gradient_l2_error(fld, exact_dx, exact_dy=None) -> float:
     return float(np.sqrt(q.integrate(sq)))
 
 
-def _gradient_energy_1d(u: DGField1D) -> float:
-    d = derivative_matrix(u.degree)
-    du = u.coeffs @ d.T
-    inv = 1.0 / (2.0 * np.arange(u.degree + 1) + 1.0)
-    return float(np.sum(4.0 / u.mesh.widths[:, None] * du**2 * inv[None, :]))
-
-
-def _l2_sq_1d(v: DGField1D) -> float:
-    m = mass_diagonal(v.degree)
-    return float(np.sum(0.5 * v.mesh.widths[:, None] * m[None, :] * v.coeffs**2))
-
-
-def _gradient_energy_2d(u: DGField2D) -> float:
-    from .scheme2d import gradient_gram
-
-    if not u.mesh.is_uniform():
-        raise ValueError("2D energy assumes a uniform Cartesian mesh")
-    g = gradient_gram(u.degree, float(u.mesh.hx[0]), float(u.mesh.hy[0]))
-    return float(np.einsum("xya,ab,xyb->", u.coeffs, g, u.coeffs))
-
-
-def _l2_sq_2d(v: DGField2D) -> float:
-    m = mass_diagonal(v.degree)
-    w = m[v.modes[:, 0]] * m[v.modes[:, 1]]
-    vol = 0.25 * v.mesh.hx[:, None, None] * v.mesh.hy[None, :, None]
-    return float(np.sum(vol * w[None, None, :] * v.coeffs**2))
-
-
 def source_integral(u, source) -> float:
     """integral(G(u)) by per-cell Gauss quadrature, G the source antiderivative."""
     q = u.gauss_points(u.degree + 3)
@@ -75,12 +46,7 @@ def energy(u, v, source=None) -> float:
     With a source: 0.5 * integral(v^2 + u_x^2) + integral(G(u)), where G is
     the source antiderivative supplied by the source descriptor.
     """
-    if isinstance(u, DGField1D):
-        quad = _gradient_energy_1d(u) + _l2_sq_1d(v)
-    elif isinstance(u, DGField2D):
-        quad = _gradient_energy_2d(u) + _l2_sq_2d(v)
-    else:
-        raise TypeError("energy expects DG fields")
+    quad = u.gradient_energy() + v.l2_squared()
     if source is None:
         return quad
     return 0.5 * quad + source_integral(u, source)
@@ -135,11 +101,6 @@ class ConvergenceTable:
         write_columns_csv(path, cols)
 
 
-def fit_rates(table: ConvergenceTable):
-    """(pairwise slopes, least-squares slope); zero errors report as nan."""
-    return table.pairwise_slopes(), table.least_squares_slope()
-
-
 @dataclass(frozen=True)
 class OscillationReport:
     """Overshoot/undershoot against known solution bounds, plus total variation."""
@@ -147,13 +108,6 @@ class OscillationReport:
     overshoot: float
     undershoot: float
     total_variation: float
-
-    def as_dict(self) -> dict:
-        return {
-            "overshoot": self.overshoot,
-            "undershoot": self.undershoot,
-            "total_variation": self.total_variation,
-        }
 
 
 def oscillation_metrics(values, lower: float, upper: float) -> OscillationReport:

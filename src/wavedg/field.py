@@ -1,4 +1,4 @@
-"""DG coefficient storage, projection, point evaluation and interface traces.
+"""DG coefficient storage, projection, evaluation, energies and interface traces.
 
 A field stores modal Legendre coefficients per cell.  In 1D the layout is
 (ncells, degree+1).  In 2D the basis is the tensor-Legendre set restricted
@@ -17,7 +17,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import endpoint_values, gauss_rule, vandermonde
+from .basis import (
+    derivative_matrix,
+    endpoint_values,
+    gauss_rule,
+    mass_diagonal,
+    stiffness_matrix,
+    vandermonde,
+)
 from .mesh import Mesh1D, Mesh2D
 
 
@@ -56,20 +63,13 @@ class DGField1D:
     def gauss_points(self, nq: int) -> "GaussPoints1D":
         return GaussPoints1D(self.mesh, self.degree, nq)
 
-    def copy(self) -> "DGField1D":
-        return DGField1D(self.mesh, self.degree, self.coeffs.copy())
-
-    def locate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.mesh.a - 1e-14) or np.any(x > self.mesh.b + 1e-14):
-            raise ValueError("evaluation point outside domain")
-        cells = np.searchsorted(self.mesh.nodes, x, side="right") - 1
-        return np.clip(cells, 0, self.mesh.ncells - 1)
-
     def eval(self, x, order: int = 0):
         """Value of the order-th derivative at x, with chain factor (2/h_j)^order."""
         xa = np.asarray(x, dtype=float)
-        cells = self.locate(xa)
+        if np.any(xa < self.mesh.a - 1e-14) or np.any(xa > self.mesh.b + 1e-14):
+            raise ValueError("evaluation point outside domain")
+        cells = np.clip(np.searchsorted(self.mesh.nodes, xa, side="right") - 1,
+                        0, self.mesh.ncells - 1)
         h = self.mesh.widths[cells]
         xi = 2.0 * (xa - self.mesh.centers[cells]) / h
         v = vandermonde(xi, self.degree, order)
@@ -80,23 +80,22 @@ class DGField1D:
         v0 = vandermonde(0.0, self.degree)
         return self.coeffs @ v0
 
-    def project_down(self, level: int) -> "DGField1D":
-        """Local L2 projection onto degree <= level; level = -1 maps to 0."""
-        if level < -1:
-            raise ValueError("projection level must be >= -1")
-        keep = min(max(level, 0), self.degree)
-        coeffs = self.coeffs.copy()
-        coeffs[:, keep + 1:] = 0.0
-        return DGField1D(self.mesh, self.degree, coeffs)
-
     def endpoint_derivatives(self, max_order: int) -> tuple[np.ndarray, np.ndarray]:
         """(left, right)[j, r]: derivative traces at the cell endpoints of cell j."""
         el, er = endpoint_values(self.degree, max_order)
         scale = (2.0 / self.mesh.widths)[:, None] ** np.arange(max_order + 1)[None, :]
         return self.coeffs @ el.T * scale, self.coeffs @ er.T * scale
 
-    def to_midpoint_csv(self, path: str | os.PathLike) -> None:
-        write_columns_csv(path, {"x": self.mesh.centers, "u": self.midpoint_values()})
+    def gradient_energy(self) -> float:
+        """integral(u_x^2) over the mesh."""
+        du = self.coeffs @ derivative_matrix(self.degree).T
+        inv = 1.0 / (2.0 * np.arange(self.degree + 1) + 1.0)
+        return float(np.sum(4.0 / self.mesh.widths[:, None] * du**2 * inv[None, :]))
+
+    def l2_squared(self) -> float:
+        """integral(u^2) over the mesh."""
+        m = mass_diagonal(self.degree)
+        return float(np.sum(0.5 * self.mesh.widths[:, None] * m[None, :] * self.coeffs**2))
 
 
 class GaussPoints1D:
@@ -190,6 +189,20 @@ def n_modes(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
 
+@lru_cache(maxsize=None)
+def gradient_gram(degree: int, hx: float, hy: float) -> np.ndarray:
+    """G[a, b] = integral over one cell of grad(phi_b) . grad(phi_a)."""
+    modes = total_degree_modes(degree)
+    m = mass_diagonal(degree)
+    k = stiffness_matrix(degree)
+    a1, a2 = modes[:, 0], modes[:, 1]
+    gx = k[np.ix_(a1, a1)] * np.where(a2[:, None] == a2[None, :], m[a2][:, None], 0.0)
+    gy = np.where(a1[:, None] == a1[None, :], m[a1][:, None], 0.0) * k[np.ix_(a2, a2)]
+    g = (hy / hx) * gx + (hx / hy) * gy
+    g.setflags(write=False)
+    return g
+
+
 class DGField2D:
     """Piecewise polynomial of total degree k on a Cartesian mesh."""
 
@@ -222,23 +235,10 @@ class DGField2D:
     def gauss_points(self, nq: int) -> "GaussPoints2D":
         return GaussPoints2D(self.mesh, self.degree, nq)
 
-    def copy(self) -> "DGField2D":
-        return DGField2D(self.mesh, self.degree, self.coeffs.copy())
-
     def center_values(self) -> np.ndarray:
         v0 = vandermonde(0.0, self.degree)
         b = v0[self.modes[:, 0]] * v0[self.modes[:, 1]]
         return self.coeffs @ b
-
-    def project_down(self, level: int) -> "DGField2D":
-        """Truncate to total degree <= level; level = -1 maps to 0."""
-        if level < -1:
-            raise ValueError("projection level must be >= -1")
-        keep = min(max(level, 0), self.degree)
-        coeffs = self.coeffs.copy()
-        total = self.modes.sum(axis=1)
-        coeffs[..., total > keep] = 0.0
-        return DGField2D(self.mesh, self.degree, coeffs)
 
     def eval(self, x, y, orders: tuple[int, int] = (0, 0)):
         """Pointwise derivative d^orders field at (x, y) inside the domain."""
@@ -260,12 +260,19 @@ class DGField2D:
         out = out * (2.0 / hx) ** orders[0] * (2.0 / hy) ** orders[1]
         return out if xa.ndim else float(out)
 
-    def to_center_csv(self, path: str | os.PathLike) -> None:
-        """Long-format grid of cell-center values, columns x,y,u."""
-        u = self.center_values()
-        xs = np.repeat(self.mesh.xcenters, self.mesh.ny)
-        ys = np.tile(self.mesh.ycenters, self.mesh.nx)
-        write_columns_csv(path, {"x": xs, "y": ys, "u": u.ravel()})
+    def gradient_energy(self) -> float:
+        """integral(|grad u|^2) over the mesh, which must be uniform."""
+        if not self.mesh.is_uniform():
+            raise ValueError("2D energy assumes a uniform Cartesian mesh")
+        g = gradient_gram(self.degree, float(self.mesh.hx[0]), float(self.mesh.hy[0]))
+        return float(np.einsum("xya,ab,xyb->", self.coeffs, g, self.coeffs))
+
+    def l2_squared(self) -> float:
+        """integral(u^2) over the mesh."""
+        m = mass_diagonal(self.degree)
+        w = m[self.modes[:, 0]] * m[self.modes[:, 1]]
+        vol = 0.25 * self.mesh.hx[:, None, None] * self.mesh.hy[None, :, None]
+        return float(np.sum(vol * w[None, None, :] * self.coeffs**2))
 
 
 class GaussPoints2D:

@@ -7,8 +7,9 @@ counter-based Philox generator so meshes are reproducible from a seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,6 +20,7 @@ BOUNDARY_KINDS = ("periodic", "neumann")
 class Mesh1D:
     """Partition a = x_0 < x_1 < ... < x_N = b with boundary kind."""
 
+    dim: ClassVar[int] = 1
     nodes: np.ndarray
     boundary: str = "periodic"
 
@@ -61,14 +63,9 @@ class Mesh1D:
     def h(self) -> float:
         return float(self.widths.max())
 
-    @property
-    def uniformity_ratio(self) -> float:
-        """min h_j / max h_j; equals 1 for uniform meshes."""
-        return float(self.widths.min() / self.widths.max())
-
     def summary(self) -> dict:
         return {
-            "dim": 1,
+            "dim": self.dim,
             "ncells": self.ncells,
             "domain": [self.a, self.b],
             "h": self.h,
@@ -97,7 +94,7 @@ def perturb_mesh_1d(mesh: Mesh1D, fraction: float, seed: int) -> Mesh1D:
     """
     if not 0.0 <= fraction < 0.5:
         raise ValueError("perturbation fraction must lie in [0, 0.5)")
-    if mesh.uniformity_ratio < 1.0 - 1e-12:
+    if mesh.widths.min() / mesh.widths.max() < 1.0 - 1e-12:
         raise ValueError("perturbation is defined on uniform meshes only")
     nodes = mesh.nodes.copy()
     if mesh.ncells > 1 and fraction > 0.0:
@@ -112,6 +109,7 @@ def perturb_mesh_1d(mesh: Mesh1D, fraction: float, seed: int) -> Mesh1D:
 class Mesh2D:
     """Tensor-product partition of a rectangle; periodic in both directions."""
 
+    dim: ClassVar[int] = 2
     xnodes: np.ndarray
     ynodes: np.ndarray
     boundary: str = "periodic"
@@ -179,7 +177,7 @@ class Mesh2D:
 
     def summary(self) -> dict:
         return {
-            "dim": 2,
+            "dim": self.dim,
             "ncells": [self.nx, self.ny],
             "domain": [
                 [float(self.xnodes[0]), float(self.xnodes[-1])],

@@ -17,6 +17,11 @@ _SQ75 = math.sqrt(0.75)
 _SQ2 = math.sqrt(2.0)
 
 
+# zero initial velocity, 1D
+def zero_u1(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 # ex1: smooth traveling wave on (-1, 1)
 def ex1_exact(x, t):
     return np.sin(np.pi * (x - t))
@@ -62,19 +67,11 @@ def ex2_u0(x):
     return ex2_exact(x, 0.0)
 
 
-def ex2_u1(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 # ex3: piecewise-constant data on (-1, 1); closed form by splitting the
 # step into half-amplitude left/right translates (periodic extension)
 def ex3_u0(x):
     xm = np.mod(np.asarray(x, dtype=float) + 1.0, 2.0) - 1.0
     return np.where(np.abs(xm) < 0.5, 1.0, 0.5)
-
-
-def ex3_u1(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def ex3_exact(x, t):
@@ -96,10 +93,6 @@ def ex4_u0(x):
 
 def ex5_u0(x):
     return _double_box(x, 2.0, 4.0)
-
-
-def zero_u1(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 # ex6: smooth plane wave on the periodic square
@@ -215,12 +208,12 @@ EXAMPLES: dict[str, Problem] = {
     ),
     "ex2": Problem(
         key="ex2", title="standing breather, sine-Gordon", dim=1, domain=(-40.0, 40.0),
-        u0=ex2_u0, u1=ex2_u1, boundary="neumann", source_name="sine_gordon",
+        u0=ex2_u0, u1=zero_u1, boundary="neumann", source_name="sine_gordon",
         exact=ex2_exact, exact_dx=ex2_exact_dx, exact_dt=ex2_exact_dt, default_n=320,
     ),
     "ex3": Problem(
         key="ex3", title="piecewise-constant data, linear", dim=1, domain=(-1.0, 1.0),
-        u0=ex3_u0, u1=ex3_u1, exact=ex3_exact, default_n=160, exact_bounds=(0.5, 1.0),
+        u0=ex3_u0, u1=zero_u1, exact=ex3_exact, default_n=160, exact_bounds=(0.5, 1.0),
     ),
     "ex4": Problem(
         key="ex4", title="double box, strong sine source", dim=1, domain=(0.0, 1.0),

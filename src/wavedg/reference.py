@@ -119,20 +119,17 @@ def _steps_landing_on(t_final: float, dt_target: float) -> tuple[int, float]:
     return n, t_final / n
 
 
-def make_grid_1d(a: float, b: float, intervals: int, t_final: float,
-                 dt: float | None = None) -> tuple[FDGrid1D, int]:
-    dx = (b - a) / intervals
-    target = dt if dt is not None else 0.5 * dx
-    steps, dt_eff = _steps_landing_on(t_final, target)
-    return FDGrid1D(a, b, intervals, dt_eff), steps
+def make_grid_1d(a: float, b: float, intervals: int, t_final: float) -> tuple[FDGrid1D, int]:
+    """The grid and step count landing on t_final with dt at most dx / 2."""
+    steps, dt = _steps_landing_on(t_final, 0.5 * ((b - a) / intervals))
+    return FDGrid1D(a, b, intervals, dt), steps
 
 
-def make_grid_2d(ax, bx, ay, by, nx, ny, t_final, dt: float | None = None) -> tuple[FDGrid2D, int]:
-    dx = (bx - ax) / nx
-    dy = (by - ay) / ny
-    target = dt if dt is not None else 0.5 * min(dx, dy) / math.sqrt(2.0)
-    steps, dt_eff = _steps_landing_on(t_final, target)
-    return FDGrid2D(ax, bx, ay, by, nx, ny, dt_eff), steps
+def make_grid_2d(ax, bx, ay, by, nx, ny, t_final) -> tuple[FDGrid2D, int]:
+    """The grid and step count landing on t_final with dt at most min(dx, dy) / (2 sqrt 2)."""
+    target = 0.5 * min((bx - ax) / nx, (by - ay) / ny) / math.sqrt(2.0)
+    steps, dt = _steps_landing_on(t_final, target)
+    return FDGrid2D(ax, bx, ay, by, nx, ny, dt), steps
 
 
 def ctcs_solve_1d(u0, u1, g, grid: FDGrid1D, steps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,10 @@ class FluxParams:
     alpha = 1/2 with tau = beta = 0 is the central flux; alpha in {0, 1}
     gives the alternating flux; alpha = 1/2, tau = s/2, beta = 1/(2s) is the
     Sommerfeld flux with speed s > 0.
+
+    Sides: `alternating(0)` takes vhat = v- and uxhat = u_x+ in 1D, but v+
+    and d_n u- on a 2D face, where zeta = alpha - 1/2 weighs the sides
+    mirrored (`scheme2d._fast_fluxes`); side 1 swaps both.
     """
 
     alpha: float = 0.5

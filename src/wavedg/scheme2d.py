@@ -52,8 +52,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import derivative_matrix, gauss_rule, mass_diagonal, stiffness_matrix, vandermonde
-from .field import n_modes, total_degree_modes
+from .basis import derivative_matrix, gauss_rule, mass_diagonal, vandermonde
+from .field import gradient_gram, n_modes, total_degree_modes
 from .mesh import Mesh2D
 from .scheme1d import FluxParams, SolverConfig
 
@@ -124,7 +124,9 @@ def _fast_fluxes(v_minus, v_own, dnu_minus, dnu_own, params: FluxParams, axis: i
         gradn  = (1/2 + z) d_n u+ + (1/2 - z) d_n u- + beta [[v]]
 
     with minus the lower cell i, plus the upper cell i+1 and [[.]] = plus -
-    minus.  The plus-side traces of face i+1/2 are cell i+1's own lower-side
+    minus.  Mirrored from the 1D `numerical_fluxes`, the alternating flux of
+    side 0 (z = -1/2) takes vhat = v+ and gradn = d_n u- here, v- and u_x+
+    in 1D.  Face i+1/2's plus-side traces are cell i+1's own lower-side
     traces (v_own, dnu_own rolled by -1 along axis); the roll is only taken
     where a term needs it, since the alternating flux reads one side of each
     pair.  buf(name) gives a scratch array shaped like the traces.
@@ -164,20 +166,6 @@ def _dxy_matrices(degree: int):
     dx.setflags(write=False)
     dy.setflags(write=False)
     return dx, dy
-
-
-@lru_cache(maxsize=None)
-def gradient_gram(degree: int, hx: float, hy: float) -> np.ndarray:
-    """G[a, b] = integral over one cell of grad(phi_b) . grad(phi_a)."""
-    modes = total_degree_modes(degree)
-    m = mass_diagonal(degree)
-    k = stiffness_matrix(degree)
-    a1, a2 = modes[:, 0], modes[:, 1]
-    gx = k[np.ix_(a1, a1)] * np.where(a2[:, None] == a2[None, :], m[a2][:, None], 0.0)
-    gy = np.where(a1[:, None] == a1[None, :], m[a1][:, None], 0.0) * k[np.ix_(a2, a2)]
-    g = (hy / hx) * gx + (hx / hy) * gy
-    g.setflags(write=False)
-    return g
 
 
 def _mm(arr: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:

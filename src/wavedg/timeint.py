@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .field import DGField1D, DGField2D, write_columns_csv
-from .scheme1d import SolverConfig, rhs_arrays_1d
-from .scheme2d import StripWorkspace, rhs_arrays_2d
+from .discretization import DISCRETIZATIONS
+from .field import write_columns_csv
+# rhs_arrays_1d stays importable from here: perfbench/test_perfbench.py reads it
+from .scheme1d import SolverConfig, rhs_arrays_1d  # noqa: F401
 
 _DT_EXPONENTS = {2: 1.0, 3: 4.0 / 3.0, 4: 5.0 / 3.0, 5: 2.0, 6: 7.0 / 3.0}
 
@@ -182,30 +183,16 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
     recorded alongside the quadratic one.
     """
     mesh = u.mesh
+    disc = DISCRETIZATIONS[mesh.dim](mesh, config)
     state = (u.coeffs.copy(), v.coeffs.copy())
-    if isinstance(u, DGField1D):
-        def rhs(st):
-            return rhs_arrays_1d(st[0], st[1], mesh, config)
-    elif isinstance(u, DGField2D):
-        deriv = (np.empty(state[0].shape), np.empty(state[1].shape))
-        strips = StripWorkspace()
-
-        def rhs(st):
-            return rhs_arrays_2d(st[0], st[1], mesh, config, out=deriv, work=strips)
-    else:
-        raise TypeError("integrate expects DGField1D or DGField2D states")
-    kind = type(u)
-
     plan = make_time_plan(t_final, dt if dt is not None else dt_rule(config.p, mesh.h))
     registers = rk3_registers(state)
 
-    trace = EnergyTrace(times=[0.0], energies=[], nonlinear=None)
     with_source = config.source is not None
-    if with_source:
-        trace.nonlinear = []
+    trace = EnergyTrace(times=[0.0], energies=[], nonlinear=[] if with_source else None)
 
     def record(st):
-        uf, vf = kind(mesh, config.p, st[0]), kind(mesh, config.q, st[1])
+        uf, vf = disc.field(mesh, config.p, st[0]), disc.field(mesh, config.q, st[1])
         quad = diagnostics.energy(uf, vf)
         trace.energies.append(quad)
         if with_source:
@@ -216,10 +203,10 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
     t = 0.0
     for n in range(plan.steps):
         step_dt = plan.dt if n < plan.steps - 1 else plan.last_dt
-        ssp_rk3_step(state, rhs, step_dt, out=state, work=registers)
+        ssp_rk3_step(state, disc.rhs, step_dt, out=state, work=registers)
         t += step_dt
         _check_state(state, n + 1, t)
         if (n + 1) % sample_every == 0 or n == plan.steps - 1:
             trace.times.append(t)
             record(state)
-    return kind(mesh, config.p, state[0]), kind(mesh, config.q, state[1]), trace
+    return disc.field(mesh, config.p, state[0]), disc.field(mesh, config.q, state[1]), trace

@@ -154,16 +154,31 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     (["shock", "--problem", "ex1", "--ns", "8", "-q", "-2"], "'q'"),
     (["shock", "--problem", "ex1", "--ns", "8", "--flux", "s", "--sommerfeld-speed", "-1"],
      "'sommerfeld_speed'"),
+    # a float written as an integer beyond the float range
+    (["shock", "--config", "{dir}/huge.json"], "'t_final'"),
+    (["shock", "--config", "{dir}/huge_domain.json"], "'domain'"),
+    # an output directory that cannot be made: the empty path, an existing file
+    (["shock", "--problem", "ex1", "--ns", "8", "--outdir", ""], "'outdir'"),
+    (["energy", "--problem", "ex1", "--ns", "8", "--outdir", "{dir}/typed.json"], "'outdir'"),
+    (["converge", "--problem", "ex1", "--ns", "8", "--outdir", "{dir}/typed.json"], "'outdir'"),
+    (["compare-ctcs", "--problem", "ex1", "--ns", "8"], "'ex1'"),
 ])
 def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, argv, key):
     (tmp_path / "broken.json").write_text('{"config": {"p": 3,}}')
     (tmp_path / "typed.json").write_text('{"config": {"p": "3"}}')
+    huge = "1" + "0" * 400
+    (tmp_path / "huge.json").write_text(
+        '{"config": {"problem": "ex1", "ns": [8], "t_final": %s}}' % huge)
+    (tmp_path / "huge_domain.json").write_text(
+        '{"config": {"problem": "custom", "ns": [8], "domain": [0, %s]}}' % huge)
 
     def no_compute(*args, **kwargs):
         raise AssertionError("integration ran before the input was checked")
 
     monkeypatch.setattr(cli, "integrate", no_compute)
-    argv = [a.format(dir=tmp_path) for a in argv] + ["--outdir", str(tmp_path)]
+    argv = [a.format(dir=tmp_path) for a in argv]
+    if "--outdir" not in argv:
+        argv += ["--outdir", str(tmp_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and key in err

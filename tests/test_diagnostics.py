@@ -6,7 +6,6 @@ from wavedg.diagnostics import (
     ConvergenceTable,
     compare_front_positions,
     energy,
-    fit_rates,
     l2_error,
     level_crossings,
     merge_close,
@@ -84,11 +83,10 @@ def test_energy_refinement_invariance():
 
 def test_fit_rates_examples():
     t = ConvergenceTable(ns=[10, 20], hs=[0.1, 0.05], errors=[1e-2, 1.25e-3])
-    pair, lsq = fit_rates(t)
-    assert pair[0] == pytest.approx(3.0, abs=1e-12)
-    assert lsq == pytest.approx(3.0, abs=1e-12)
+    assert t.pairwise_slopes()[0] == pytest.approx(3.0, abs=1e-12)
+    assert t.least_squares_slope() == pytest.approx(3.0, abs=1e-12)
     flat = ConvergenceTable(ns=[10, 20], hs=[0.1, 0.05], errors=[1e-2, 1e-2])
-    assert fit_rates(flat)[0][0] == pytest.approx(0.0, abs=1e-12)
+    assert flat.pairwise_slopes()[0] == pytest.approx(0.0, abs=1e-12)
     cubic = ConvergenceTable(ns=[10, 20, 40], hs=[0.1, 0.05, 0.025],
                              errors=[1e-3 * (0.1 / h) ** -3 for h in (0.1, 0.05, 0.025)])
     assert cubic.least_squares_slope() == pytest.approx(3.0, abs=1e-10)
@@ -97,8 +95,7 @@ def test_fit_rates_examples():
 def test_fit_rates_saturated():
     t = ConvergenceTable(ns=[10, 20], hs=[0.1, 0.05], errors=[1e-2, 0.0])
     assert t.saturated
-    pair, lsq = fit_rates(t)
-    assert np.isnan(pair[0]) and np.isnan(lsq)
+    assert np.isnan(t.pairwise_slopes()[0]) and np.isnan(t.least_squares_slope())
 
 
 def test_convergence_table_validation():

@@ -1,4 +1,4 @@
-"""Projection, evaluation, truncation projection and trace checks."""
+"""Projection, evaluation, trace and CSV checks."""
 import numpy as np
 import pytest
 
@@ -29,44 +29,6 @@ def test_project_quadratic_onto_constants():
     m = uniform_mesh_1d(-1, 1, 1)
     f = DGField1D.project(lambda x: x**2, m, 0)
     assert f.coeffs[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-14)
-
-
-def test_project_down_rules():
-    m = uniform_mesh_1d(0, 1, 3)
-    f = DGField1D.project(lambda x: np.sin(3 * x), m, 2)
-    same = f.project_down(2)
-    assert np.allclose(same.coeffs, f.coeffs)
-    down = f.project_down(1)
-    assert np.allclose(down.coeffs[:, :2], f.coeffs[:, :2])
-    assert np.allclose(down.coeffs[:, 2], 0.0)
-    # the level -1 convention falls back to the mean
-    assert np.allclose(f.project_down(-1).coeffs, f.project_down(0).coeffs)
-    with pytest.raises(ValueError):
-        f.project_down(-2)
-
-
-def test_project_down_idempotent():
-    m = uniform_mesh_1d(0, 1, 4)
-    f = DGField1D.project(lambda x: np.cos(5 * x), m, 3)
-    once = f.project_down(1)
-    twice = once.project_down(1)
-    assert np.array_equal(once.coeffs, twice.coeffs)
-
-
-def test_project_down_orthogonality():
-    # (w - P^l w) is quadrature-orthogonal to every mode of degree <= l
-    from wavedg.basis import gauss_rule, vandermonde
-
-    m = uniform_mesh_1d(0, 2, 3)
-    f = DGField1D.project(lambda x: np.exp(x), m, 3)
-    level = 1
-    resid = f.coeffs - f.project_down(level).coeffs
-    rule = gauss_rule(6)
-    v = vandermonde(rule.nodes, 3)
-    vals = resid @ v.T
-    for mode in range(level + 1):
-        ip = np.sum(vals * v[:, mode][None, :] * rule.weights[None, :], axis=1)
-        assert np.max(np.abs(ip)) < 1e-12
 
 
 def test_eval_derivatives_and_location():
@@ -149,16 +111,11 @@ def test_2d_projection_and_center_values():
     assert np.allclose(centers, xc + 2 * yc, atol=1e-13)
 
 
-def test_2d_eval_and_project_down():
+def test_2d_eval_and_derivative():
     m = cartesian_mesh_2d(-1, 1, -1, 1, 2, 2)
     f = DGField2D.project(lambda x, y: x**2 * 0 + x * y, m, 2)
     assert f.eval(0.3, -0.4) == pytest.approx(0.3 * -0.4, abs=1e-13)
     assert f.eval(0.3, -0.4, orders=(1, 0)) == pytest.approx(-0.4, abs=1e-12)
-    down = f.project_down(1)
-    # x*y has total degree 2: the degree-1 truncation drops it cellwise
-    total = down.modes.sum(axis=1)
-    assert np.allclose(down.coeffs[..., total > 1], 0.0)
-    assert np.allclose(f.project_down(-1).coeffs, f.project_down(0).coeffs)
 
 
 def test_2d_tensor_trace_consistency():

@@ -7,6 +7,7 @@ from oracles import ctcs_roll_reference_1d, ctcs_roll_reference_2d
 from wavedg import reference
 from wavedg.reference import (
     FDGrid1D,
+    FDGrid2D,
     ctcs_solve_1d,
     ctcs_solve_2d,
     make_grid_1d,
@@ -20,7 +21,8 @@ def test_cfl_guard():
         FDGrid1D(0.0, 1.0, 10, dt=0.2)  # dx = 0.1 < dt
     FDGrid1D(0.0, 1.0, 10, dt=0.05)
     with pytest.raises(ValueError):
-        make_grid_2d(0, 1, 0, 1, 10, 10, 0.25, dt=0.09)
+        FDGrid2D(0, 1, 0, 1, 10, 10, dt=0.09)  # limit 1/sqrt(200) = 0.0707
+    FDGrid2D(0, 1, 0, 1, 10, 10, dt=0.07)
 
 
 def test_constant_state_is_preserved():

@@ -78,6 +78,23 @@ def test_fast_fluxes_match_the_reference_flux(fluxname, axis):
     assert np.allclose(gradn, gradn_ref, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_alternating_side_reads_mirrored_sides_in_1d_and_2d(side):
+    # side 0 takes vhat = v- and uxhat = u_x+ in 1D, but vhat = v+ and
+    # gradn = d_n u- on a 2D face; side 1 swaps both
+    fp = FluxParams.alternating(side)
+    v_minus, v_plus, d_minus, d_plus = 1.0, 2.0, 3.0, 4.0
+    want_1d = (v_minus, d_plus) if side == 0 else (v_plus, d_minus)
+    assert numerical_fluxes(v_minus, v_plus, d_minus, d_plus, fp) == want_1d
+    # two cells along x: face 0's plus side is cell 1's own lower-side trace
+    work = StripWorkspace()
+    vhat, gradn = scheme2d._fast_fluxes(
+        np.full(2, v_minus), np.full(2, v_plus), np.full(2, d_minus), np.full(2, d_plus),
+        fp, 0, lambda name: work.take(name, (2,)))
+    want_2d = (v_plus, d_minus) if side == 0 else (v_minus, d_plus)
+    assert vhat.tolist() == [want_2d[0]] * 2 and gradn.tolist() == [want_2d[1]] * 2
+
+
 def _vertex_jump_acc(f: DGField2D, max_order: int) -> np.ndarray:
     return scheme2d._vertex_jump_acc(f.coeffs, f.degree, max_order,
                                      float(f.mesh.hx[0]), float(f.mesh.hy[0]))

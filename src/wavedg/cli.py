@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import __version__, diagnostics
 from .discretization import DISCRETIZATIONS
+from .mesh import BOUNDARY_KINDS
 from .problems import EXAMPLES, make_custom_problem
 from .scheme1d import SOURCES, SolverConfig, flux_from_name
 from .timeint import SolverAbort, dt_rule, integrate
@@ -40,10 +42,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment settings; round-trips through emit/parse."""
+    """Fully resolved experiment settings; round-trips through emit/parse.
+
+    The annotation of each field is the type of its key in every reader:
+    config-file lines, metadata JSON and command-line flags.
+    """
 
     problem: str = "ex1"
-    ns: tuple = ()
+    ns: tuple[int, ...] = ()
     p: int = 2
     q: int = -1              # -1 means p-1
     flux: str = "a"
@@ -62,7 +68,7 @@ class ExperimentConfig:
     outdir: str = "runs"
     # custom-problem fields (used only when problem = custom)
     dim: int = 1
-    domain: tuple = ()
+    domain: tuple[float, ...] = ()
     initial: str = "sine"
     source: str = ""
     boundary: str = ""
@@ -96,74 +102,61 @@ class ExperimentConfig:
         return 1 if dim == 1 else 10
 
 
-_BOOL_KEYS = {"damping", "penalty", "parallel"}
-_INT_KEYS = {"p", "q", "chi", "seed", "sample_every", "alternating_side", "dim"}
-_FLOAT_KEYS = {"sommerfeld_speed", "penalty_coefficient", "t_final", "dt", "mesh_perturb"}
+#: key -> type, from the annotations above: str, int, float, bool or a tuple of int or float
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
-def _parse_bool(key, raw):
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
+def _item_type(kind):
+    """The element type of a tuple key, or None."""
+    return typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
+
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("ns", "domain"):
-        kind, what = (int, "integers") if key == "ns" else (float, "floats")
-        try:
-            return tuple(kind(tok) for tok in raw.replace(",", " ").split()) if raw else ()
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected {what}, got {raw!r}") from None
-    if key in _BOOL_KEYS:
-        return _parse_bool(key, raw)
+    """The value of a config-file line or a command-line flag, from its text."""
+    kind, raw = _FIELD_TYPES[key], raw.strip()
+    item = _item_type(kind)
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if raw.startswith('"'):
+        if item is not None:
+            return tuple(item(tok) for tok in raw.replace(",", " ").split())
+        if kind is bool:
+            return _BOOL_WORDS[raw.lower()]
+        if kind is str and raw.startswith('"'):
             val = json.loads(raw)
             if not isinstance(val, str):
                 raise ValueError
             return val
-    except ValueError:
+        return kind(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"key {key!r}: could not parse {raw!r}") from None
-    return raw
 
 
-def _check_json_type(key: str, val) -> None:
-    """A metadata JSON value must have the JSON type its key is written with."""
-    def number(x):
+def _json_fits(kind, x) -> bool:
+    if kind is float and isinstance(x, int) and not isinstance(x, bool):
         # an integer beyond the float range would overflow in float()
-        return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
-                                        and abs(x) <= sys.float_info.max)
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, kind) and (kind is bool or not isinstance(x, bool))
 
-    if key == "ns":
-        ok = isinstance(val, list) and all(isinstance(n, int) and not isinstance(n, bool)
-                                           for n in val)
-    elif key == "domain":
-        ok = isinstance(val, list) and all(number(x) for x in val)
-    elif key in _BOOL_KEYS:
-        ok = isinstance(val, bool)
-    elif key in _INT_KEYS:
-        ok = isinstance(val, int) and not isinstance(val, bool)
-    elif key in _FLOAT_KEYS:
-        ok = number(val)
-    else:
-        ok = isinstance(val, str)
-    if not ok:
-        raise ConfigError(f"key {key!r}: unexpected JSON value {val!r}")
+
+def _from_json(key: str, val):
+    """The value of a metadata JSON key, whose JSON type must fit the key's type."""
+    kind = _FIELD_TYPES[key]
+    item = _item_type(kind)
+    if item is not None and isinstance(val, list) and all(_json_fits(item, x) for x in val):
+        return tuple(item(x) for x in val)
+    if item is None and _json_fits(kind, val):
+        return kind(val)
+    raise ConfigError(f"key {key!r}: unexpected JSON value {val!r}")
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
     lines = []
     for f in dataclasses.fields(cfg):
         val = getattr(cfg, f.name)
-        if f.name in ("ns", "domain"):
+        if isinstance(val, tuple):
             val = ",".join(str(n) for n in val)
         elif isinstance(val, str):
             # a JSON string, with "#" escaped so that no comment can start in it
@@ -179,45 +172,41 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
     run (its "config" object is used), so any run can be replayed from its
     own artifact.
     """
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    values: dict = {}
-    if path is not None:
-        try:
-            text = open(path).read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
-        if text.lstrip().startswith("{"):
-            try:
-                data = json.loads(text).get("config", {})
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--config {path}: malformed JSON ({exc})") from None
-            if not isinstance(data, dict):
-                raise ConfigError(f"--config {path}: 'config' must be a JSON object")
-            for key, val in data.items():
-                if key not in known:
-                    raise ConfigError(f"unknown config key {key!r}")
-                _check_json_type(key, val)
-                values[key] = tuple(val) if key in ("ns", "domain") else val
-        else:
-            for lineno, line in enumerate(text.splitlines(), 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"line {lineno}: expected 'key = value'")
-                key, raw = (tok.strip() for tok in line.split("=", 1))
-                if key not in known:
-                    raise ConfigError(f"unknown config key {key!r}")
-                values[key] = _coerce(key, raw)
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key not in known:
+    overrides = overrides or {}
+    entries, convert = _read_config(path) if path is not None else ({}, None)
+    for key in [*entries, *overrides]:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = val
-    cfg = ExperimentConfig(**values)
+    values = {key: convert(key, val) for key, val in entries.items()}
+    cfg = ExperimentConfig(**{**values, **overrides})
     _validate(cfg)
     return cfg
+
+
+def _read_config(path: str):
+    """The file's entries and the converter of their values: JSON values or line text."""
+    try:
+        text = open(path).read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    if text.lstrip().startswith("{"):
+        try:
+            data = json.loads(text).get("config", {})
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--config {path}: malformed JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"--config {path}: 'config' must be a JSON object")
+        return data, _from_json
+    entries = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value'")
+        key, raw = (tok.strip() for tok in line.split("=", 1))
+        entries[key] = raw
+    return entries, _coerce
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -239,7 +228,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         if cfg.source and cfg.source not in SOURCES:
             raise ConfigError(f"key 'source': unknown source {cfg.source!r} "
                               f"(choose from {', '.join(SOURCES)})")
-        if cfg.boundary and cfg.boundary not in ("periodic", "neumann"):
+        if cfg.boundary and cfg.boundary not in BOUNDARY_KINDS:
             raise ConfigError(f"key 'boundary': unknown kind {cfg.boundary!r}")
         if cfg.dim == 2 and cfg.boundary == "neumann":
             raise ConfigError("key 'boundary': 2D runs are periodic only")
@@ -293,7 +282,7 @@ def solver_config(cfg: ExperimentConfig, prob) -> SolverConfig:
         p=cfg.p, q=cfg.resolved_q(), penalty_coefficient=cfg.penalty_coefficient,
         damping=cfg.damping, penalty=cfg.penalty, flux=flux,
         chi=cfg.resolved_chi(prob.dim) if source else 0,
-        source=source, boundary=prob.boundary,
+        source=source,
     )
 
 
@@ -313,9 +302,7 @@ def _make_outdir(path: str) -> None:
 def _metadata(cfg: ExperimentConfig, prob, mesh, dt: float, extra: dict | None = None) -> dict:
     meta = {
         "version": __version__,
-        "config": {f.name: (list(getattr(cfg, f.name)) if f.name in ("ns", "domain")
-                            else getattr(cfg, f.name))
-                   for f in dataclasses.fields(cfg)},
+        "config": dataclasses.asdict(cfg),  # tuples are written as JSON lists
         "problem": {"key": prob.key, "title": prob.title, "dim": prob.dim,
                     "source": prob.source_name, "boundary": prob.boundary,
                     "notes": prob.notes},
@@ -388,10 +375,14 @@ def run_convergence(cfg: ExperimentConfig):
 
 def _single_run(cfg: ExperimentConfig):
     prob = cfg.resolved_problem()
-    disc = _build_state(cfg, prob, cfg.resolved_ns(prob)[0])
-    scfg, mesh = disc.config, disc.mesh
-    u0 = disc.field.project(prob.u0, mesh, scfg.p)
-    v0 = disc.field.project(prob.u1, mesh, scfg.q)
+    n = cfg.resolved_ns(prob)[0]
+    try:
+        disc = _build_state(cfg, prob, n)
+        scfg, mesh = disc.config, disc.mesh
+        u0 = disc.field.project(prob.u0, mesh, scfg.p)
+        v0 = disc.field.project(prob.u1, mesh, scfg.q)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"key 'ns': cannot build {n} cells ({exc})") from None
     dt = cfg.resolved_dt(mesh.h)
     u, v, trace = integrate(u0, v0, scfg, cfg.resolved_t(prob), dt=dt,
                             sample_every=cfg.resolved_sampling(prob.dim))
@@ -493,37 +484,28 @@ def _add_common(sub):
     sub.add_argument("--config", help="config file (key = value) or metadata JSON")
     sub.add_argument("--problem", choices=sorted(EXAMPLES))
     sub.add_argument("--ns", help="cell counts, e.g. 20,40,80")
-    sub.add_argument("-p", type=int, dest="p")
-    sub.add_argument("-q", type=int, dest="q")
+    sub.add_argument("-p")
+    sub.add_argument("-q")
     sub.add_argument("--flux", choices=["a", "c", "s"])
-    sub.add_argument("--sommerfeld-speed", type=float, dest="sommerfeld_speed")
-    sub.add_argument("--alternating-side", type=int, choices=[0, 1], dest="alternating_side")
-    sub.add_argument("--penalty-coefficient", type=float, dest="penalty_coefficient")
-    sub.add_argument("--damping", type=int, choices=[0, 1])
-    sub.add_argument("--penalty", type=int, choices=[0, 1])
-    sub.add_argument("--chi", type=int, choices=[0, 1])
-    sub.add_argument("--t-final", type=float, dest="t_final")
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--mesh-perturb", type=float, dest="mesh_perturb")
-    sub.add_argument("--sample-every", type=int, dest="sample_every")
-    sub.add_argument("--parallel", action="store_const", const=True, default=None)
+    sub.add_argument("--sommerfeld-speed")
+    sub.add_argument("--alternating-side", choices=["0", "1"])
+    sub.add_argument("--penalty-coefficient")
+    sub.add_argument("--damping", choices=["0", "1"])
+    sub.add_argument("--penalty", choices=["0", "1"])
+    sub.add_argument("--chi", choices=["0", "1"])
+    sub.add_argument("--t-final")
+    sub.add_argument("--dt")
+    sub.add_argument("--seed")
+    sub.add_argument("--mesh-perturb")
+    sub.add_argument("--sample-every")
+    sub.add_argument("--parallel", action="store_const", const="true")
     sub.add_argument("--outdir")
 
 
 def _overrides(args) -> dict:
-    keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
-    out = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is None:
-            continue
-        if key == "ns":
-            val = _coerce("ns", val)
-        if key in _BOOL_KEYS and isinstance(val, int):
-            val = bool(val)
-        out[key] = val
-    return out
+    """The flags given, each read by the config-file parser."""
+    return {key: _coerce(key, val) for key, val in vars(args).items()
+            if key in _FIELD_TYPES and val is not None}
 
 
 def main(argv=None) -> int:

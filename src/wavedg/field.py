@@ -28,14 +28,6 @@ from .basis import (
 from .mesh import Mesh1D, Mesh2D
 
 
-def _as_callable_values(f, x):
-    """Evaluate f on array x, tolerating non-vectorized callables."""
-    fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.vectorize(f, otypes=[float])(x)
-    return fx
-
-
 class DGField1D:
     """Piecewise polynomial of degree k on a 1D mesh, modal coefficients."""
 
@@ -55,7 +47,7 @@ class DGField1D:
     def project(cls, f, mesh: Mesh1D, degree: int) -> "DGField1D":
         """Cellwise L2 projection of a scalar function onto degree-k polynomials."""
         q = GaussPoints1D(mesh, degree, degree + 3)
-        fx = _as_callable_values(f, q.x)
+        fx = np.broadcast_to(np.asarray(f(q.x), dtype=float), q.x.shape)
         scale = (2.0 * np.arange(degree + 1) + 1.0) / 2.0
         coeffs = (fx * q.rule.weights[None, :]) @ q.basis * scale[None, :]
         return cls(mesh, degree, coeffs)
@@ -153,25 +145,25 @@ def mirror_ghost(interior: np.ndarray) -> np.ndarray:
     return interior * signs
 
 
-def interface_traces(field: DGField1D, max_order: int, boundary: str | None = None) -> Traces:
-    """Left/right derivative limits at all N+1 interfaces of a 1D field."""
+def interface_traces(field: DGField1D, max_order: int) -> Traces:
+    """Left/right derivative limits at all N+1 interfaces of a 1D field.
+
+    The mesh's boundary kind closes the two ends: wrapped, or mirrored at a wall.
+    """
     if max_order > field.degree:
         raise ValueError("trace order exceeds polynomial degree")
-    kind = boundary if boundary is not None else field.mesh.boundary
     left, right = field.endpoint_derivatives(max_order)
     n = field.mesh.ncells
     minus = np.empty((n + 1, max_order + 1))
     plus = np.empty((n + 1, max_order + 1))
     minus[1:] = right
     plus[:n] = left
-    if kind == "periodic":
+    if field.mesh.boundary == "periodic":
         minus[0] = right[-1]
         plus[n] = left[0]
-    elif kind == "neumann":
+    else:
         minus[0] = mirror_ghost(left[0])
         plus[n] = mirror_ghost(right[-1])
-    else:
-        raise ValueError(f"unsupported boundary kind {kind!r}")
     return Traces(minus=minus, plus=plus)
 
 
@@ -224,9 +216,7 @@ class DGField2D:
         """Cellwise L2 projection using a tensor Gauss rule per cell."""
         nq = degree + 3
         q = GaussPoints2D(mesh, degree, nq)
-        fx = np.asarray(f(*q.points), dtype=float)
-        if fx.shape != (mesh.nx, mesh.ny, nq, nq):
-            fx = np.broadcast_to(fx, (mesh.nx, mesh.ny, nq, nq)).copy()
+        fx = np.broadcast_to(np.asarray(f(*q.points), dtype=float), (mesh.nx, mesh.ny, nq, nq))
         modes = q.modes
         scale = (2.0 * modes[:, 0] + 1.0) * (2.0 * modes[:, 1] + 1.0) / 4.0
         coeffs = np.einsum("xygh,ghm->xym", fx * q.w2[None, None], q.basis) * scale

@@ -55,7 +55,6 @@ class FluxParams:
     alpha: float = 0.5
     tau: float = 0.0
     beta: float = 0.0
-    sommerfeld_speed: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -77,7 +76,7 @@ class FluxParams:
     def sommerfeld(cls, speed: float = 1.0) -> "FluxParams":
         if speed <= 0.0:
             raise ValueError("Sommerfeld speed must be positive")
-        return cls(alpha=0.5, tau=0.5 * speed, beta=0.5 / speed, sommerfeld_speed=speed)
+        return cls(alpha=0.5, tau=0.5 * speed, beta=0.5 / speed)
 
     @property
     def zeta(self) -> float:
@@ -169,7 +168,6 @@ class SolverConfig:
     flux: FluxParams = FluxParams()
     chi: int = 1
     source: SourceTerm | None = None
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if self.p < 2:
@@ -182,8 +180,6 @@ class SolverConfig:
             raise ValueError("penalty coefficient must be nonnegative")
         if self.chi not in (0, 1):
             raise ValueError("chi must be 0 or 1")
-        if self.boundary not in ("periodic", "neumann"):
-            raise ValueError(f"unsupported boundary kind {self.boundary!r}")
 
     @property
     def quad_points(self) -> int:
@@ -268,8 +264,8 @@ class _Assembly:
         self.u = ucoef
         self.v = vcoef
         self.t = _tables(p, q, config.quad_points)
-        self.tr_u = interface_traces(DGField1D(mesh, p, ucoef), p, config.boundary)
-        self.tr_v = interface_traces(DGField1D(mesh, q, vcoef), q, config.boundary)
+        self.tr_u = interface_traces(DGField1D(mesh, p, ucoef), p)
+        self.tr_v = interface_traces(DGField1D(mesh, q, vcoef), q)
         self.vhat, self.uxhat = numerical_fluxes(
             self.tr_v.minus[:, 0], self.tr_v.plus[:, 0],
             self.tr_u.minus[:, 1], self.tr_u.plus[:, 1], config.flux)

@@ -403,8 +403,6 @@ def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: So
     """
     if not mesh.is_uniform():
         raise ValueError("the 2D scheme assumes a uniform Cartesian mesh")
-    if config.boundary != "periodic":
-        raise ValueError("the 2D scheme supports periodic boundaries only")
     if config.source is not None and config.chi == 1:
         raise ValueError("the in-cell source quotient treatment is 1D-only; use chi=0 in 2D")
     du, dv = out if out is not None else (np.empty(ucoef.shape), np.empty(vcoef.shape))

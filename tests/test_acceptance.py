@@ -137,8 +137,7 @@ def test_criterion_03_breather_convergence():
     errs, hs = [], []
     for n in (80, 160, 320):
         mesh = uniform_mesh_1d(-40.0, 40.0, n, boundary="neumann")
-        cfg = SolverConfig(p=2, q=1, flux=FluxParams.alternating(), chi=1,
-                           source=src, boundary="neumann")
+        cfg = SolverConfig(p=2, q=1, flux=FluxParams.alternating(), chi=1, source=src)
         u0 = DGField1D.project(prob.u0, mesh, 2)
         v0 = DGField1D.project(prob.u1, mesh, 1)
         u, _, _ = integrate(u0, v0, cfg, t_final=T_FINAL)

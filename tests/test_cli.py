@@ -162,6 +162,11 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     (["energy", "--problem", "ex1", "--ns", "8", "--outdir", "{dir}/typed.json"], "'outdir'"),
     (["converge", "--problem", "ex1", "--ns", "8", "--outdir", "{dir}/typed.json"], "'outdir'"),
     (["compare-ctcs", "--problem", "ex1", "--ns", "8"], "'ex1'"),
+    # a flag is read by the config-file parser, so its key is named
+    (["shock", "--problem", "ex1", "--ns", "8", "-p", "abc"], "'p'"),
+    # cell counts whose mesh cannot be allocated
+    (["shock", "--problem", "ex1", "--ns", "1000000000000"], "'ns'"),
+    (["shock", "--config", "{dir}/huge_ns.json"], "'ns'"),
 ])
 def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, argv, key):
     (tmp_path / "broken.json").write_text('{"config": {"p": 3,}}')
@@ -171,6 +176,7 @@ def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch,
         '{"config": {"problem": "ex1", "ns": [8], "t_final": %s}}' % huge)
     (tmp_path / "huge_domain.json").write_text(
         '{"config": {"problem": "custom", "ns": [8], "domain": [0, %s]}}' % huge)
+    (tmp_path / "huge_ns.json").write_text('{"config": {"problem": "ex1", "ns": [%s]}}' % huge)
 
     def no_compute(*args, **kwargs):
         raise AssertionError("integration ran before the input was checked")

@@ -1,4 +1,5 @@
-"""Property tests of the CLI configuration: round-trips and exit code 2."""
+"""Property tests of the CLI configuration: round-trips, flags and exit code 2."""
+import argparse
 import json
 import math
 
@@ -129,3 +130,43 @@ def test_quoted_string_values_parse_as_json(tmp_path, value):
     path = tmp_path / "run.cfg"
     path.write_text(f"outdir = {value}  # trailing comment\n")
     assert parse_config(str(path)).outdir == json.loads(value)
+
+
+FLAG_PARSER = argparse.ArgumentParser()
+cli._add_common(FLAG_PARSER)
+FLAGS = {a.dest: a for a in FLAG_PARSER._actions if a.dest in cli._FIELD_TYPES}
+
+# text a config-file line can hold: no comment mark and no line break
+line_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"),
+                                  blacklist_characters="#"))
+flag_texts = st.one_of(line_text, st.integers().map(str), st.floats().map(repr),
+                       st.lists(st.integers(-3, 10**6), max_size=3).map(
+                           lambda ns: ",".join(map(str, ns))),
+                       st.sampled_from(["true", " off ", "YES", '"quoted"', '"a\\u0023b"', "1 2"]))
+
+
+def _outcome(make):
+    """The config make() returns, or the message of the ConfigError it raises."""
+    try:
+        return make()
+    except ConfigError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_a_flag_gives_the_config_of_the_same_config_file_line(tmp_path, data):
+    key = data.draw(st.sampled_from(sorted(FLAGS)))
+    action = FLAGS[key]
+    if action.nargs == 0:
+        text, argv = action.const, [action.option_strings[0]]
+    else:
+        text = data.draw(st.sampled_from(action.choices) if action.choices else flag_texts)
+        # the "=" form passes any text to the flag, a leading "-" included
+        argv = [f"{action.option_strings[0]}={text}"]
+    base = {} if key == "problem" else {"problem": "ex1"}
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in dict(base, **{key: text}).items()))
+    args = FLAG_PARSER.parse_args([f"--{k}={v}" for k, v in base.items()] + argv)
+    from_flag = _outcome(lambda: parse_config(None, cli._overrides(args)))
+    assert from_flag == _outcome(lambda: parse_config(str(path)))

@@ -23,8 +23,8 @@ def _random_state(rng, n, p, q, scale=1.0):
 
 def _damping(u: DGField1D, v: DGField1D, cfg: SolverConfig):
     """damping_weights from the fields' interface traces, as the RHS takes them."""
-    return damping_weights(interface_traces(u, cfg.p, cfg.boundary),
-                           interface_traces(v, cfg.q, cfg.boundary), u.mesh.widths, cfg)
+    return damping_weights(interface_traces(u, cfg.p), interface_traces(v, cfg.q),
+                           u.mesh.widths, cfg)
 
 
 def test_flux_examples():
@@ -119,10 +119,11 @@ def test_damping_vanishing_rate_under_refinement():
 
 
 def test_boundary_closure_values():
-    # the closure is interface_traces' fill of the two boundary ghost sides
+    # the closure is interface_traces' fill of the two boundary ghost sides,
+    # chosen by the mesh's boundary kind
     m = uniform_mesh_1d(0, 1, 3, boundary="neumann")
     f = DGField1D.project(lambda x: 0.7 * x, m, 2)
-    closed = interface_traces(f, 1, boundary="neumann")
+    closed = interface_traces(f, 1)
     assert closed.minus[0, 1] == pytest.approx(-0.7, abs=1e-13)
     assert closed.minus[0, 0] == pytest.approx(closed.plus[0, 0], abs=1e-13)
     # value jump at the wall vanishes, so the penalty contribution does too
@@ -130,7 +131,7 @@ def test_boundary_closure_values():
     assert closed.plus[-1, 1] == pytest.approx(-0.7, abs=1e-13)
     assert closed.jumps()[-1, 0] == pytest.approx(0.0, abs=1e-13)
     with pytest.raises(ValueError):
-        interface_traces(f, 1, boundary="dirichlet")
+        uniform_mesh_1d(0, 1, 3, boundary="dirichlet")
 
 
 def test_zero_state_gives_zero_rhs():
@@ -214,7 +215,7 @@ def test_oracle_equivalence_variants():
 def test_oracle_equivalence_neumann():
     rng = np.random.default_rng(8)
     m = uniform_mesh_1d(-1.0, 1.0, 5, boundary="neumann")
-    cfg = SolverConfig(p=2, q=1, flux=FluxParams.central(), boundary="neumann")
+    cfg = SolverConfig(p=2, q=1, flux=FluxParams.central())
     u, v = _random_state(rng, 5, 2, 1)
     du, dv = rhs_arrays_1d(u, v, m, cfg)
     du_o, dv_o = brute_rhs_1d(u, v, m.nodes, 2, 1, 0.5, 0.0, 0.0, 1.0, True, True,

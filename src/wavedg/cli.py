@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__, diagnostics
 from .discretization import DISCRETIZATIONS
-from .mesh import BOUNDARY_KINDS
 from .problems import EXAMPLES, make_custom_problem
 from .scheme1d import SOURCES, SolverConfig, flux_from_name
 from .timeint import SolverAbort, dt_rule, integrate
@@ -77,9 +76,7 @@ class ExperimentConfig:
         return self.p - 1 if self.q == -1 else self.q
 
     def resolved_chi(self, dim: int) -> int:
-        if self.chi == -1:
-            return 1 if dim == 1 else 0
-        return self.chi
+        return DISCRETIZATIONS[dim].default_chi if self.chi == -1 else self.chi
 
     def resolved_t(self, prob) -> float:
         return prob.t_final if self.t_final == -1.0 else self.t_final
@@ -97,9 +94,7 @@ class ExperimentConfig:
                                    self.source or None, self.boundary or "periodic")
 
     def resolved_sampling(self, dim: int) -> int:
-        if self.sample_every > 0:
-            return self.sample_every
-        return 1 if dim == 1 else 10
+        return self.sample_every or DISCRETIZATIONS[dim].default_sample_every
 
 
 #: key -> type, from the annotations above: str, int, float, bool or a tuple of int or float
@@ -210,6 +205,7 @@ def _read_config(path: str):
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    """The CLI's own rules; the solver's types and `make_custom_problem` check the rest."""
     if cfg.problem != "custom" and cfg.problem not in EXAMPLES:
         raise ConfigError(f"key 'problem': unknown problem {cfg.problem!r} "
                           f"(choose from {', '.join(EXAMPLES)} or custom)")
@@ -217,58 +213,29 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("key 'dim': must be 1 or 2")
     if not all(math.isfinite(x) for x in cfg.domain):
         raise ConfigError(f"key 'domain': bounds must be finite, got {list(cfg.domain)}")
-    if cfg.problem == "custom":
-        if len(cfg.domain) != 2 * cfg.dim:
-            raise ConfigError("key 'domain': expected a,b (1D) or ax,bx,ay,by (2D)")
-        if not all(a < b for a, b in zip(cfg.domain[::2], cfg.domain[1::2])):
-            raise ConfigError(f"key 'domain': each lower bound must lie below its upper "
-                              f"bound, got {list(cfg.domain)}")
-        if cfg.initial not in ("sine", "gauss", "box"):
-            raise ConfigError(f"key 'initial': unknown initial data {cfg.initial!r}")
-        if cfg.source and cfg.source not in SOURCES:
-            raise ConfigError(f"key 'source': unknown source {cfg.source!r} "
-                              f"(choose from {', '.join(SOURCES)})")
-        if cfg.boundary and cfg.boundary not in BOUNDARY_KINDS:
-            raise ConfigError(f"key 'boundary': unknown kind {cfg.boundary!r}")
-        if cfg.dim == 2 and cfg.boundary == "neumann":
-            raise ConfigError("key 'boundary': 2D runs are periodic only")
+    try:
+        prob = cfg.resolved_problem()
+        solver_config(cfg, prob)
+        if cfg.dt == -1.0:
+            dt_rule(cfg.p, 1.0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if any(n < 1 for n in cfg.ns):
         raise ConfigError(f"key 'ns': cell counts must be at least 1, got {list(cfg.ns)}")
-    if cfg.p < 2:
-        raise ConfigError("key 'p': degree must be at least 2")
     # -1 is the sentinel for the default; any other value must be a step or a time
     for key in ("t_final", "dt"):
         val = getattr(cfg, key)
         if val != -1.0 and not 0.0 < val < math.inf:
             raise ConfigError(f"key {key!r}: must be positive and finite, or -1 for the "
                               f"default, got {val}")
-    if cfg.dt == -1.0:
-        try:
-            dt_rule(cfg.p, 1.0)
-        except ValueError as exc:
-            raise ConfigError(f"key 'p': {exc}") from None
-    q = cfg.resolved_q()
-    if not max(1, cfg.p - 2) <= q <= cfg.p:
-        raise ConfigError(f"key 'q': must lie in [max(1, p-2), p], got {q}")
     if not 0.0 <= cfg.mesh_perturb < 0.5:
         raise ConfigError("key 'mesh_perturb': fraction must lie in [0, 0.5)")
-    if cfg.flux.lower() not in ("a", "c", "s", "alternating", "central", "sommerfeld"):
-        raise ConfigError(f"key 'flux': unknown flux kind {cfg.flux!r}")
-    if not 0.0 < cfg.sommerfeld_speed < math.inf:
-        raise ConfigError(f"key 'sommerfeld_speed': must be positive and finite, "
-                          f"got {cfg.sommerfeld_speed}")
-    if cfg.alternating_side not in (0, 1):
-        raise ConfigError("key 'alternating_side': must be 0 or 1")
-    if not 0.0 <= cfg.penalty_coefficient < math.inf:
-        raise ConfigError("key 'penalty_coefficient': must be nonnegative and finite")
     if cfg.sample_every < 0:
         raise ConfigError(f"key 'sample_every': must be positive, or 0 for the default, "
                           f"got {cfg.sample_every}")
     if cfg.seed < 0:
         raise ConfigError(f"key 'seed': must be nonnegative, got {cfg.seed}")
-    if cfg.chi not in (-1, 0, 1):
-        raise ConfigError("key 'chi': must be 0 or 1")
-    prob = cfg.resolved_problem()
+    # settings of the 1D scheme only, checked before any mesh is built
     if prob.dim == 2 and cfg.resolved_chi(2) == 1 and prob.source_name is not None:
         raise ConfigError("key 'chi': the source quotient treatment is 1D-only")
     if cfg.mesh_perturb > 0.0 and prob.dim == 2:
@@ -281,15 +248,8 @@ def solver_config(cfg: ExperimentConfig, prob) -> SolverConfig:
     return SolverConfig(
         p=cfg.p, q=cfg.resolved_q(), penalty_coefficient=cfg.penalty_coefficient,
         damping=cfg.damping, penalty=cfg.penalty, flux=flux,
-        chi=cfg.resolved_chi(prob.dim) if source else 0,
-        source=source,
+        chi=cfg.resolved_chi(prob.dim), source=source,
     )
-
-
-def _build_state(cfg: ExperimentConfig, prob, n: int):
-    """The problem's discretization with n cells per direction; nothing is projected."""
-    return DISCRETIZATIONS[prob.dim].build(prob, n, solver_config(cfg, prob),
-                                           cfg.mesh_perturb, cfg.seed)
 
 
 def _make_outdir(path: str) -> None:
@@ -328,8 +288,9 @@ def _write_meta(meta: dict, path: str) -> None:
 
 
 def _one_level(args):
-    cfg, n = args
-    prob, disc, _, u, v, _, _ = _single_run(dataclasses.replace(cfg, ns=(n,)))
+    cfg, n, u0, v0 = args
+    prob = cfg.resolved_problem()
+    u, v, _, _ = _integrate(cfg, prob, u0, v0)
     t = cfg.resolved_t(prob)
     # the exact solutions take (x, t) in 1D and (x, y, t) in 2D
     err = diagnostics.l2_error(u, lambda *xy: prob.exact(*xy, t))
@@ -338,7 +299,7 @@ def _one_level(args):
             if prob.exact_dx else float("nan"))
     verr = (diagnostics.l2_error(v, lambda *xy: prob.exact_dt(*xy, t))
             if prob.exact_dt else float("nan"))
-    return n, disc.mesh.h, err, grad, verr
+    return n, u.mesh.h, err, grad, verr
 
 
 def run_convergence(cfg: ExperimentConfig):
@@ -352,7 +313,8 @@ def run_convergence(cfg: ExperimentConfig):
         raise ConfigError(f"key 'ns': a convergence sweep needs strictly increasing "
                           f"cell counts, got {list(ns)}")
     _make_outdir(cfg.outdir)
-    levels = [(cfg, n) for n in ns]
+    # every level is built before the first one runs, so a bad cell count stops the sweep early
+    levels = [(cfg, n, *_initial_state(cfg, prob, n)[1:]) for n in ns]
     if cfg.parallel and len(ns) > 1:
         with ProcessPoolExecutor(max_workers=min(len(ns), os.cpu_count() or 1)) as pool:
             rows = list(pool.map(_one_level, levels))
@@ -363,7 +325,7 @@ def run_convergence(cfg: ExperimentConfig):
         extras={"grad_error": [r[3] for r in rows], "v_error": [r[4] for r in rows]})
     stem = os.path.join(cfg.outdir, f"{prob.key}_converge_{cfg.flux.lower()}_p{cfg.p}")
     table.write_csv(stem + ".csv")
-    mesh = _build_state(cfg, prob, ns[0]).mesh
+    mesh = levels[0][2].mesh
     meta = _metadata(cfg, prob, mesh, cfg.resolved_dt(mesh.h),
                      {"levels": list(ns),
                       "least_squares_slope": table.least_squares_slope(),
@@ -373,20 +335,31 @@ def run_convergence(cfg: ExperimentConfig):
     return table, stem
 
 
-def _single_run(cfg: ExperimentConfig):
-    prob = cfg.resolved_problem()
-    n = cfg.resolved_ns(prob)[0]
+def _initial_state(cfg: ExperimentConfig, prob, n: int):
+    """The problem's discretization with n cells per direction and the projected
+    pair (u0, v0); a cell count that cannot be built is a ConfigError."""
     try:
-        disc = _build_state(cfg, prob, n)
-        scfg, mesh = disc.config, disc.mesh
-        u0 = disc.field.project(prob.u0, mesh, scfg.p)
-        v0 = disc.field.project(prob.u1, mesh, scfg.q)
+        disc = DISCRETIZATIONS[prob.dim].build(prob, n, solver_config(cfg, prob),
+                                               cfg.mesh_perturb, cfg.seed)
+        u0 = disc.field.project(prob.u0, disc.mesh, disc.config.p)
+        v0 = disc.field.project(prob.u1, disc.mesh, disc.config.q)
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"key 'ns': cannot build {n} cells ({exc})") from None
-    dt = cfg.resolved_dt(mesh.h)
-    u, v, trace = integrate(u0, v0, scfg, cfg.resolved_t(prob), dt=dt,
+    return disc, u0, v0
+
+
+def _integrate(cfg: ExperimentConfig, prob, u0, v0):
+    """(u, v, energy trace, dt) at the final time, from the projected pair."""
+    dt = cfg.resolved_dt(u0.mesh.h)
+    u, v, trace = integrate(u0, v0, solver_config(cfg, prob), cfg.resolved_t(prob), dt=dt,
                             sample_every=cfg.resolved_sampling(prob.dim))
-    return prob, disc, u0, u, v, trace, dt
+    return u, v, trace, dt
+
+
+def _single_run(cfg: ExperimentConfig):
+    prob = cfg.resolved_problem()
+    disc, u0, v0 = _initial_state(cfg, prob, cfg.resolved_ns(prob)[0])
+    return (prob, disc, u0, *_integrate(cfg, prob, u0, v0))
 
 
 def run_shock(cfg: ExperimentConfig):

@@ -1,9 +1,10 @@
 """One object per dimension for what differs between 1D and 2D runs.
 
 A discretization holds the mesh, the `SolverConfig` and the scratch its
-right-hand side reuses.  It gives the field class, the right-hand side,
-sampled values (cell midpoints in 1D, centres in 2D), the snapshot CSV,
-and the leapfrog comparator with the DG profile matched against it.
+right-hand side reuses.  It gives the field class, the defaults of chi and
+of the energy sampling interval, the right-hand side, sampled values (cell
+midpoints in 1D, centres in 2D), the snapshot CSV, and the leapfrog
+comparator with the DG profile matched against it.
 `DISCRETIZATIONS` maps a mesh's `dim` to its class.  The scheme,
 comparator and CSV functions are looked up in this module's globals at
 call time, so a wrapper set on the module sees every call.
@@ -24,6 +25,8 @@ class Discretization1D:
     """Intervals, either boundary kind; fields are sampled at the cell midpoints."""
 
     field = DGField1D
+    default_chi = 1            # the source quotient treatment is 1D-only
+    default_sample_every = 1
 
     def __init__(self, mesh, config):
         self.mesh = mesh
@@ -69,6 +72,8 @@ class Discretization2D:
     """Uniform periodic rectangles; profiles follow the problem's row of cells."""
 
     field = DGField2D
+    default_chi = 0
+    default_sample_every = 10
 
     def __init__(self, mesh, config):
         self.mesh = mesh

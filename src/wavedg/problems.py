@@ -13,6 +13,9 @@ from typing import Callable
 
 import numpy as np
 
+from .mesh import BOUNDARY_KINDS
+from .scheme1d import SOURCES
+
 _SQ75 = math.sqrt(0.75)
 _SQ2 = math.sqrt(2.0)
 
@@ -140,7 +143,26 @@ def zero_u1_2d(x, y):
 def make_custom_problem(dim: int, domain: tuple, initial: str, source: str | None,
                         boundary: str) -> "Problem":
     """Ad-hoc problem: registry initial data, zero initial velocity, no
-    closed form (so it works with the shock/energy/compare runners only)."""
+    closed form (so it works with the shock/energy/compare runners only).
+
+    Every argument is checked here; a `ValueError` names its config key.
+    """
+    if dim not in (1, 2):
+        raise ValueError(f"'dim' must be 1 or 2, got {dim}")
+    if len(domain) != 2 * dim:
+        raise ValueError(f"'domain' must be a,b (1D) or ax,bx,ay,by (2D), got {list(domain)}")
+    if not all(math.isfinite(a) and math.isfinite(b) and a < b
+               for a, b in zip(domain[::2], domain[1::2])):
+        raise ValueError(f"'domain' bounds must be finite, each lower bound below its upper "
+                         f"bound, got {list(domain)}")
+    if initial not in ("sine", "gauss", "box"):
+        raise ValueError(f"'initial': unknown initial data {initial!r} "
+                         "(choose from sine, gauss, box)")
+    if source is not None and source not in SOURCES:
+        raise ValueError(f"'source': unknown source {source!r} (choose from {', '.join(SOURCES)})")
+    if boundary not in BOUNDARY_KINDS or (dim == 2 and boundary != "periodic"):
+        raise ValueError(f"'boundary' {boundary!r} is not supported in {dim}D "
+                         f"(1D: {' or '.join(BOUNDARY_KINDS)}; 2D: periodic)")
     if dim == 1:
         a, b = domain
         mid = 0.5 * (a + b)
@@ -152,9 +174,7 @@ def make_custom_problem(dim: int, domain: tuple, initial: str, source: str | Non
                 return np.sin(2.0 * np.pi * (x - a) / width)
             if initial == "gauss":
                 return np.exp(-(((x - mid) / (0.1 * width)) ** 2))
-            if initial == "box":
-                return np.where(np.abs(x - mid) < 0.25 * width, 1.0, 0.0)
-            raise ValueError(f"unknown initial data kind {initial!r}")
+            return np.where(np.abs(x - mid) < 0.25 * width, 1.0, 0.0)
 
         return Problem(key="custom", title=f"custom 1D ({initial})", dim=1,
                        domain=(a, b), u0=u0, u1=zero_u1, boundary=boundary,
@@ -169,14 +189,12 @@ def make_custom_problem(dim: int, domain: tuple, initial: str, source: str | Non
             return np.sin(2.0 * np.pi * (x - ax) / wx) * np.sin(2.0 * np.pi * (y - ay) / wy)
         if initial == "gauss":
             return np.exp(-(((x - mx) / (0.1 * wx)) ** 2) - ((y - my) / (0.1 * wy)) ** 2)
-        if initial == "box":
-            inside = (np.abs(x - mx) < 0.25 * wx) & (np.abs(y - my) < 0.25 * wy)
-            return np.where(inside, 1.0, 0.0)
-        raise ValueError(f"unknown initial data kind {initial!r}")
+        inside = (np.abs(x - mx) < 0.25 * wx) & (np.abs(y - my) < 0.25 * wy)
+        return np.where(inside, 1.0, 0.0)
 
     return Problem(key="custom", title=f"custom 2D ({initial})", dim=2,
                    domain=(ax, bx, ay, by), u0=u0_2d, u1=zero_u1_2d,
-                   boundary="periodic", source_name=source, default_n=64)
+                   boundary=boundary, source_name=source, default_n=64)
 
 
 @dataclass(frozen=True)

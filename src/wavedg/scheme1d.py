@@ -58,9 +58,10 @@ class FluxParams:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("flux weighting alpha must lie in [0, 1]")
-        if self.tau < 0.0 or self.beta < 0.0:
-            raise ValueError("flux dissipation weights must be nonnegative")
+            raise ValueError(f"flux weighting 'alpha' must lie in [0, 1], got {self.alpha}")
+        if not (0.0 <= self.tau < math.inf and 0.0 <= self.beta < math.inf):
+            raise ValueError(f"flux dissipation weights 'tau' and 'beta' must be nonnegative "
+                             f"and finite, got {self.tau} and {self.beta}")
 
     @classmethod
     def central(cls) -> "FluxParams":
@@ -69,13 +70,14 @@ class FluxParams:
     @classmethod
     def alternating(cls, side: int = 0) -> "FluxParams":
         if side not in (0, 1):
-            raise ValueError("alternating flux takes side 0 or 1")
+            raise ValueError(f"'alternating_side' must be 0 or 1, got {side}")
         return cls(alpha=float(side))
 
     @classmethod
     def sommerfeld(cls, speed: float = 1.0) -> "FluxParams":
-        if speed <= 0.0:
-            raise ValueError("Sommerfeld speed must be positive")
+        if not (0.0 < speed < math.inf and 0.5 / speed < math.inf):
+            raise ValueError(f"'sommerfeld_speed' must be positive, with s and 1/(2s) finite, "
+                             f"got {speed}")
         return cls(alpha=0.5, tau=0.5 * speed, beta=0.5 / speed)
 
     @property
@@ -85,14 +87,14 @@ class FluxParams:
 
 
 def flux_from_name(name: str, speed: float = 1.0, side: int = 0) -> FluxParams:
+    """The flux named a, c or s (or in full); speed and side are checked for every name."""
     key = name.strip().lower()
-    if key in ("a", "alternating"):
-        return FluxParams.alternating(side)
-    if key in ("c", "central"):
-        return FluxParams.central()
-    if key in ("s", "sommerfeld"):
-        return FluxParams.sommerfeld(speed)
-    raise ValueError(f"unknown flux kind {name!r}")
+    full = {"a": "alternating", "c": "central", "s": "sommerfeld"}.get(key, key)
+    if full not in ("alternating", "central", "sommerfeld"):
+        raise ValueError(f"'flux': unknown flux kind {name!r} (choose from a, c, s)")
+    made = {"sommerfeld": FluxParams.sommerfeld(speed),
+            "alternating": FluxParams.alternating(side), "central": FluxParams.central()}
+    return made[full]
 
 
 @dataclass(frozen=True)
@@ -171,15 +173,14 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.p < 2:
-            raise ValueError("degree p must be at least 2")
-        if self.q < 1:
-            raise ValueError("degree q must be at least 1")
+            raise ValueError(f"degree 'p' must be at least 2, got {self.p}")
         if not max(1, self.p - 2) <= self.q <= self.p:
-            raise ValueError("q must lie in [max(1, p-2), p]")
-        if self.penalty_coefficient < 0.0:
-            raise ValueError("penalty coefficient must be nonnegative")
+            raise ValueError(f"degree 'q' must lie in [max(1, p-2), p], got {self.q}")
+        if not 0.0 <= self.penalty_coefficient < math.inf:
+            raise ValueError(f"'penalty_coefficient' must be nonnegative and finite, "
+                             f"got {self.penalty_coefficient}")
         if self.chi not in (0, 1):
-            raise ValueError("chi must be 0 or 1")
+            raise ValueError(f"'chi' must be 0 or 1, got {self.chi}")
 
     @property
     def quad_points(self) -> int:

@@ -46,8 +46,8 @@ def dt_rule(p: int, h: float) -> float:
     try:
         e = _DT_EXPONENTS[p]
     except KeyError:
-        raise ValueError(
-            f"no built-in time step rule for degree {p}; supply dt explicitly") from None
+        raise ValueError(f"degree 'p' = {p} has no built-in time step rule (degrees 2 to 6); "
+                         "supply 'dt' explicitly") from None
     return h**e / 20.0
 
 
@@ -62,8 +62,9 @@ class TimePlan:
 
 
 def make_time_plan(t_final: float, dt: float) -> TimePlan:
-    if t_final <= 0.0 or dt <= 0.0:
-        raise ValueError("final time and dt must be positive")
+    if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf):
+        raise ValueError(f"final time and dt must be positive and finite, "
+                         f"got t_final = {t_final}, dt = {dt}")
     steps = max(1, math.ceil(t_final / dt - 1e-12))
     last = t_final - (steps - 1) * dt
     return TimePlan(dt=dt, steps=steps, last_dt=last, t_final=t_final)

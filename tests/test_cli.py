@@ -167,6 +167,9 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     # cell counts whose mesh cannot be allocated
     (["shock", "--problem", "ex1", "--ns", "1000000000000"], "'ns'"),
     (["shock", "--config", "{dir}/huge_ns.json"], "'ns'"),
+    # every level of a sweep is built before the first one runs
+    (["converge", "--problem", "ex1", "--ns", "10,1000000000000"], "'ns'"),
+    (["converge", "--problem", "ex1", "--ns", "10,1000000000000", "--parallel"], "'ns'"),
 ])
 def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, argv, key):
     (tmp_path / "broken.json").write_text('{"config": {"p": 3,}}')

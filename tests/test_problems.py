@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from wavedg.problems import EXAMPLES
+from wavedg.problems import EXAMPLES, make_custom_problem
 from wavedg.scheme1d import SOURCES
 
 
@@ -113,3 +113,17 @@ def test_ex3_front_positions_after_quarter_period():
     outer = np.sort(level_crossings(mesh.centers, mids, 0.625))
     assert np.allclose(inner, [-0.25, 0.25], atol=3 * mesh.h)
     assert np.allclose(outer, [-0.75, 0.75], atol=3 * mesh.h)
+
+
+@pytest.mark.parametrize("args, key", [
+    ((1, (0.0, 1.0), "bogus", None, "periodic"), "'initial'"),
+    ((3, (0.0, 1.0, 0.0, 1.0), "sine", None, "periodic"), "'dim'"),
+    ((1, (1.0, 0.0), "sine", None, "periodic"), "'domain'"),
+    ((2, (0.0, 1.0, 0.0, 1.0), "sine", "bogus", "periodic"), "'source'"),
+    ((1, (0.0, 1.0), "sine", None, "dirichlet"), "'boundary'"),
+    ((2, (0.0, 1.0, 0.0, 1.0), "sine", None, "neumann"), "'boundary'"),
+])
+def test_custom_problem_rejects_bad_arguments_when_made(args, key):
+    with pytest.raises(ValueError, match=key):
+        make_custom_problem(*args)
+

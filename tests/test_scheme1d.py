@@ -1,4 +1,6 @@
 """1D semi-discrete assembly: fluxes, damping, penalty, oracle equivalence."""
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from wavedg.scheme1d import (
     SolverConfig,
     SourceTerm,
     damping_weights,
+    flux_from_name,
     numerical_fluxes,
     rhs_arrays_1d,
 )
@@ -45,6 +48,17 @@ def test_flux_parameter_validation():
         FluxParams(tau=-1.0)
     with pytest.raises(ValueError):
         FluxParams.sommerfeld(0.0)
+    # NaN and the infinities are rejected at construction, naming the key
+    with pytest.raises(ValueError, match="'tau'"):
+        FluxParams(tau=math.nan)
+    for speed in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="'sommerfeld_speed'"):
+            FluxParams.sommerfeld(speed)
+    # speed and side are checked whichever flux is named
+    with pytest.raises(ValueError, match="'sommerfeld_speed'"):
+        flux_from_name("a", -1.0, 0)
+    with pytest.raises(ValueError, match="'alternating_side'"):
+        flux_from_name("s", 1.0, 7)
 
 
 def test_config_validation():
@@ -56,6 +70,9 @@ def test_config_validation():
         SolverConfig(p=2, q=3)  # q > p
     with pytest.raises(ValueError):
         SolverConfig(p=5, q=2)  # q < p - 2
+    for coef in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="'penalty_coefficient'"):
+            SolverConfig(p=2, q=1, penalty_coefficient=coef)
     SolverConfig(p=2, q=2)
     SolverConfig(p=4, q=2)
 

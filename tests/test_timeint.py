@@ -40,6 +40,10 @@ def test_time_plan_lands_on_final_time():
     assert 0.0 < plan.last_dt <= plan.dt + 1e-15
     exact = make_time_plan(1.0, 0.25)
     assert exact.steps == 4 and exact.last_dt == pytest.approx(0.25)
+    for t_final, dt in ((math.inf, 0.1), (1.0, math.nan), (math.nan, 0.1), (1.0, math.inf),
+                        (0.0, 0.1)):
+        with pytest.raises(ValueError, match="final time and dt must be positive and finite"):
+            make_time_plan(t_final, dt)
 
 
 def test_rk3_identity_for_zero_rhs():

@@ -11,11 +11,17 @@ next to this script).  To compare two trees, run this script once per tree
 and `diff` the two outputs; they match when every artifact is
 byte-identical.
 
-The matrix covers converge on ex1 and ex6; shock on ex1 (perturbed mesh),
-ex3, ex7 and ex8; energy on ex2, ex3 and ex4; compare-ctcs on ex4, ex5 and
-ex7 (its leapfrog comparator is the 1000^2 grid).  It takes about 15 s on
-one core.  Set OPENBLAS_NUM_THREADS=1 on both sides, since the bits of
-small matrix products may depend on the BLAS thread count.
+The matrix covers converge on ex1 (also with alternating side 1) and ex6
+(also with the Sommerfeld flux); shock on ex1 (perturbed mesh), ex3 (also
+with the central flux undamped, and without the penalty), ex7 and ex8;
+energy on ex2 (also with the Sommerfeld flux at speed 2), ex3 and ex4;
+compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the 1000^2
+grid); and two custom problems, from config files written to
+OUTDIR/configs: a Neumann box with the cubic source in 1D (shock) and a
+Gaussian on a 1-by-2 rectangle in 2D (energy); only the runs' own
+directories are hashed.  It takes about 15 s on one core.  Set
+OPENBLAS_NUM_THREADS=1 on both sides, since the bits of small matrix
+products may depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -44,6 +50,23 @@ RUNS = {
     "compare-ex4": ["compare-ctcs", "--problem", "ex4", "--ns", "40"],
     "compare-ex5": ["compare-ctcs", "--problem", "ex5", "--ns", "40"],
     "compare-ex7": ["compare-ctcs", "--problem", "ex7", "--ns", "40"],
+    "shock-ex3-central-undamped": ["shock", "--problem", "ex3", "--ns", "40", "--flux", "c",
+                                   "--damping", "0"],
+    "shock-ex3-no-penalty": ["shock", "--problem", "ex3", "--ns", "40", "--penalty", "0"],
+    "converge-ex1-side1": ["converge", "--problem", "ex1", "--ns", "10,20",
+                           "--alternating-side", "1"],
+    "converge-ex6-s": ["converge", "--problem", "ex6", "--ns", "8,16", "--flux", "s"],
+    "energy-ex2-s": ["energy", "--problem", "ex2", "--ns", "40", "--flux", "s",
+                     "--sommerfeld-speed", "2"],
+    "shock-custom-1d": ["shock", "--config", "{configs}/custom-1d.cfg"],
+    "energy-custom-2d": ["energy", "--config", "{configs}/custom-2d.cfg"],
+}
+
+#: config files written under OUTDIR/configs for the custom-problem runs
+CONFIGS = {
+    "custom-1d.cfg": "problem = custom\ndim = 1\ndomain = 0,1\ninitial = box\n"
+                     "source = cubic_4\nboundary = neumann\nns = 40\n",
+    "custom-2d.cfg": "problem = custom\ndim = 2\ndomain = 0,1,0,2\ninitial = gauss\nns = 12\n",
 }
 
 
@@ -67,18 +90,25 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     from wavedg import cli
 
+    configs = os.path.join(args.outdir, "configs")
+    os.makedirs(configs, exist_ok=True)
+    for fname, text in CONFIGS.items():
+        with open(os.path.join(configs, fname), "w") as fh:
+            fh.write(text)
     failed = 0
     for name, run in RUNS.items():
         rundir = os.path.join(args.outdir, name)
+        argv = [a.format(configs=configs) for a in run]
         with contextlib.redirect_stdout(sys.stderr):  # stdout is for the digests
-            code = cli.main(run + ["--outdir", rundir])
+            code = cli.main(argv + ["--outdir", rundir])
         if code != 0:
             print(f"{name}: exit {code}", file=sys.stderr)
             failed += 1
-    for root, _, files in sorted(os.walk(args.outdir)):
-        for fname in sorted(files):
-            path = os.path.join(root, fname)
-            print(f"{digest(path)}  {os.path.relpath(path, args.outdir)}")
+    for name in sorted(RUNS):
+        for root, _, files in sorted(os.walk(os.path.join(args.outdir, name))):
+            for fname in sorted(files):
+                path = os.path.join(root, fname)
+                print(f"{digest(path)}  {os.path.relpath(path, args.outdir)}")
     return 1 if failed else 0
 
 

@@ -25,14 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, diagnostics
+from .diagnostics import FRONT_BAND_FRACTION, FRONT_MATCH_FACTOR, FRONT_MERGE_FACTOR
 from .discretization import DISCRETIZATIONS
 from .problems import EXAMPLES, make_custom_problem
 from .scheme1d import SOURCES, SolverConfig, flux_from_name
 from .timeint import SolverAbort, dt_rule, integrate
-
-FRONT_BAND_FRACTION = 0.15
-FRONT_MERGE_FACTOR = 1.5
-FRONT_MATCH_FACTOR = 2.0
 
 
 class ConfigError(ValueError):
@@ -408,8 +405,13 @@ def run_energy(cfg: ExperimentConfig):
 
 def run_compare(cfg: ExperimentConfig, check: bool = False):
     """Paired run: the DG scheme plus the finite difference comparator."""
-    if cfg.resolved_problem().comparator_intervals is None:
+    prob = cfg.resolved_problem()
+    if prob.comparator_intervals is None:
         raise ConfigError(f"problem {cfg.problem!r} has no comparator resolution configured")
+    if cfg.resolved_ns(prob)[0] > prob.comparator_intervals:
+        # a DG cell holding no comparator point would average to 0 in the reference profile
+        raise ConfigError(f"'ns' must not exceed the comparator's {prob.comparator_intervals} "
+                          f"intervals, got {cfg.resolved_ns(prob)[0]}")
     _make_outdir(cfg.outdir)
     prob, disc, u0, u, v, trace, dt = _single_run(cfg)
     stem = os.path.join(cfg.outdir, f"{prob.key}_compare_n{cfg.resolved_ns(prob)[0]}")
@@ -417,10 +419,7 @@ def run_compare(cfg: ExperimentConfig, check: bool = False):
     source = SOURCES[prob.source_name].g if prob.source_name else None
     grid, x, ref, coarse_h = disc.comparator(prob, cfg.resolved_t(prob), source,
                                              stem + "_ctcs.csv")
-    res = diagnostics.compare_front_positions(
-        x, ref, x, disc.profile(u, prob), coarse_h=coarse_h,
-        merge_factor=FRONT_MERGE_FACTOR, match_factor=FRONT_MATCH_FACTOR,
-        band_fraction=FRONT_BAND_FRACTION)
+    res = diagnostics.compare_front_positions(x, ref, x, disc.profile(u, prob), coarse_h=coarse_h)
     meta = _metadata(cfg, prob, disc.mesh, dt, {
         "subcommand": "compare-ctcs",
         "comparator": {"intervals": prob.comparator_intervals, "dt": grid.dt,
@@ -433,9 +432,10 @@ def run_compare(cfg: ExperimentConfig, check: bool = False):
     })
     _write_meta(meta, stem + ".json")
     if check and not res.matches:
-        raise CompareCheckFailure(
-            f"front comparison failed: reference {list(res.reference_fronts)} vs "
-            f"test {list(res.test_fronts)} (max offset {res.max_offset:.4g})")
+        ref_at, test_at = (", ".join(f"{x:.4g}" for x in fr)
+                           for fr in (res.reference_fronts, res.test_fronts))
+        raise CompareCheckFailure(f"front comparison failed: reference [{ref_at}] vs test "
+                                  f"[{test_at}] (max offset {res.max_offset:.4g})")
     return res, stem
 
 

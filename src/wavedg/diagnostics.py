@@ -224,6 +224,12 @@ def merge_close(positions, tol: float) -> np.ndarray:
 # half-width, in coarse cells, of the neighbourhood of a front's steep part
 # whose lowest and highest values set the front's half height
 FRONT_WINDOW_CELLS = 6.0
+# the hysteresis band, as a fraction of the reference's range
+FRONT_BAND_FRACTION = 0.15
+# fronts closer than this many coarse cells collapse to one
+FRONT_MERGE_FACTOR = 1.5
+# paired fronts agree within this many coarse cells
+FRONT_MATCH_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -245,13 +251,13 @@ class FrontComparison:
 
 
 def compare_front_positions(x_ref, u_ref, x_test, u_test, coarse_h: float,
-                            level: float | None = None, merge_factor: float = 1.5,
-                            match_factor: float = 2.0,
-                            band_fraction: float = 0.15) -> FrontComparison:
+                            merge_factor: float = FRONT_MERGE_FACTOR,
+                            match_factor: float = FRONT_MATCH_FACTOR,
+                            band_fraction: float = FRONT_BAND_FRACTION) -> FrontComparison:
     """Match the half-height positions of the fronts of two profiles.
 
-    Fronts are detected in both profiles as swings through one level, which
-    defaults to the mid-range of the reference, with a hysteresis band of
+    Fronts are detected in both profiles as swings through one level, the
+    mid-range of the reference, with a hysteresis band of
     band_fraction times the reference's range, so comparator ringing on a
     plateau near the level is not read as extra fronts.  Each front is then
     read at its own half height around its steep part (`front_positions`,
@@ -260,8 +266,7 @@ def compare_front_positions(x_ref, u_ref, x_test, u_test, coarse_h: float,
     counts match and every paired offset stays within match_factor * coarse_h.
     """
     u_ref = np.asarray(u_ref, dtype=float)
-    if level is None:
-        level = 0.5 * (float(u_ref.max()) + float(u_ref.min()))
+    level = 0.5 * (float(u_ref.max()) + float(u_ref.min()))
     band = band_fraction * (float(u_ref.max()) - float(u_ref.min()))
     halfwidth = FRONT_WINDOW_CELLS * coarse_h
     fr = merge_close(front_positions(x_ref, u_ref, level, band, halfwidth),

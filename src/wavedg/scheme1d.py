@@ -255,113 +255,83 @@ def damping_weights(traces_u: Traces, traces_v: Traces, widths: np.ndarray,
     return for_u, for_v
 
 
-class _Assembly:
-    """Shared per-call context: traces, fluxes, damping, quadrature data."""
+def _solve_with_quotient(b, vcoef, u_at, h, inv_h, t, source: SourceTerm) -> np.ndarray:
+    """du of the chi = 1 scheme from the u-equation rows b, which it overwrites.
 
-    def __init__(self, ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D, config: SolverConfig):
-        p, q = config.p, config.q
-        self.config = config
-        self.mesh = mesh
-        self.u = ucoef
-        self.v = vcoef
-        self.t = _tables(p, q, config.quad_points)
-        self.tr_u = interface_traces(DGField1D(mesh, p, ucoef), p)
-        self.tr_v = interface_traces(DGField1D(mesh, q, vcoef), q)
-        self.vhat, self.uxhat = numerical_fluxes(
-            self.tr_v.minus[:, 0], self.tr_v.plus[:, 0],
-            self.tr_u.minus[:, 1], self.tr_u.plus[:, 1], config.flux)
-        self.sigma_u = self.sigma_v = None
-        if config.damping:
-            self.sigma_u, self.sigma_v = damping_weights(self.tr_u, self.tr_v, mesh.widths, config)
-        self.rho = None
-        self.g_at = None
-        if config.source is not None:
-            u_at = ucoef @ self.t["vp_tab"].T
-            self.g_at = config.source.g(u_at)
-            if config.chi == 1:
-                self.rho = config.source.g_over_u(u_at)
-                self.v_at = vcoef @ self.t["vq_tab"].T
-
-
-def _solve_ut(ctx: _Assembly) -> np.ndarray:
-    cfg, t = ctx.config, ctx.t
-    mesh, u, v = ctx.mesh, ctx.u, ctx.v
-    p = cfg.p
-    h = mesh.widths
-    inv_h = 1.0 / h
-
-    b = 2.0 * inv_h[:, None] * (v @ t["kpq"].T)
-
-    flux_right = (ctx.vhat - ctx.tr_v.minus[:, 0])[1:]   # at the right end of each cell
-    flux_left = (ctx.vhat - ctx.tr_v.plus[:, 0])[:-1]    # at the left end
-    b += flux_right[:, None] * (2.0 * inv_h)[:, None] * t["dp_right"][None, :]
-    b -= flux_left[:, None] * (2.0 * inv_h)[:, None] * t["dp_left"][None, :]
-
-    if cfg.penalty and cfg.penalty_coefficient > 0.0:
-        ju = ctx.tr_u.jumps()[:, 0]
-        pen = ju[1:, None] * t["p_right"][None, :] - ju[:-1, None] * t["p_left"][None, :]
-        b += (cfg.penalty_coefficient / mesh.h**2) * pen
-
-    if ctx.sigma_u is not None:
-        # mode k of u_x is damped by every level l <= k
-        wu = np.zeros((mesh.ncells, p + 1))
-        wu[:, 1:] = np.cumsum(ctx.sigma_u[:, 1:], axis=1)
-        du_ref = u @ t["dp"].T
-        weighted = wu * du_ref * t["inv2kp1_p"][None, :]
-        b -= 4.0 * inv_h[:, None] ** 2 * (weighted @ t["dp"])
-
-    if cfg.chi == 1 and cfg.source is not None:
-        # the quotient term couples all modes of u_t, so the local system gains
-        # a mass-type block and is solved densely per cell
-        w = t["rule"].weights
-        vp_tab = t["vp_tab"]
-        mg = np.einsum("jg,gm,gn->jmn", ctx.rho * w[None, :], vp_tab, vp_tab)
-        mg *= 0.5 * h[:, None, None]
-        b -= np.einsum("jg,gm->jm", ctx.rho * ctx.v_at * w[None, :], vp_tab) * (0.5 * h[:, None])
-        a = np.zeros((mesh.ncells, p + 1, p + 1))
-        a[:, 1:, :] = 2.0 * inv_h[:, None, None] * t["kp"][None, 1:, :] - mg[:, 1:, :]
-        a[:, 0, :] = 0.0
-        a[:, 0, 0] = 1.0
-        rhs = b.copy()
-        rhs[:, 0] = v[:, 0]
-        try:
-            return np.linalg.solve(a, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for j in range(mesh.ncells):
-                if abs(np.linalg.det(a[j])) < 1e-300:
-                    raise np.linalg.LinAlgError(
-                        f"singular local system in cell {j} (source-augmented solve)")
-            raise
-
-    du = np.empty_like(b)
-    du[:, 0] = v[:, 0]
-    du[:, 1:] = 0.5 * h[:, None] * (b[:, 1:] @ t["kinv"])
-    return du
-
-
-def _solve_vt(ctx: _Assembly) -> np.ndarray:
-    cfg, t = ctx.config, ctx.t
-    mesh, u, v = ctx.mesh, ctx.u, ctx.v
-    h = mesh.widths
-    inv_h = 1.0 / h
-
-    rhs = -2.0 * inv_h[:, None] * (u @ t["kqp"].T)
-    rhs += ctx.uxhat[1:, None] * t["q_right"][None, :]
-    rhs -= ctx.uxhat[:-1, None] * t["q_left"][None, :]
-    if ctx.g_at is not None:
-        rhs += np.einsum("jg,gm->jm", ctx.g_at * t["rule"].weights[None, :], t["vq_tab"]) * (0.5 * h[:, None])
-    dv = rhs * t["two_m_q"][None, :] * inv_h[:, None]
-    if ctx.sigma_v is not None:
-        # mode m >= 1 of v is damped by levels l = 0..m
-        wv = np.cumsum(ctx.sigma_v, axis=1)
-        wv[:, 0] = 0.0
-        dv -= wv * v * inv_h[:, None]
-    return dv
+    The quotient g(u)/u couples all modes of u_t, so each cell's local system
+    gains a mass-type block and is solved densely.
+    """
+    rho = source.g_over_u(u_at)
+    v_at = vcoef @ t["vq_tab"].T
+    w = t["rule"].weights
+    vp_tab = t["vp_tab"]
+    mg = np.einsum("jg,gm,gn->jmn", rho * w[None, :], vp_tab, vp_tab)
+    mg *= 0.5 * h[:, None, None]
+    b -= np.einsum("jg,gm->jm", rho * v_at * w[None, :], vp_tab) * (0.5 * h[:, None])
+    a = np.zeros(mg.shape)
+    a[:, 1:, :] = 2.0 * inv_h[:, None, None] * t["kp"][None, 1:, :] - mg[:, 1:, :]
+    a[:, 0, 0] = 1.0
+    b[:, 0] = vcoef[:, 0]
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        for j in range(len(a)):
+            if abs(np.linalg.det(a[j])) < 1e-300:
+                raise np.linalg.LinAlgError(
+                    f"singular local system in cell {j} (source-augmented solve)")
+        raise
 
 
 def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
                   config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (du, dv) of the modal coefficients."""
-    ctx = _Assembly(ucoef, vcoef, mesh, config)
-    return _solve_ut(ctx), _solve_vt(ctx)
+    p, q = config.p, config.q
+    t = _tables(p, q, config.quad_points)
+    h = mesh.widths
+    inv_h = 1.0 / h
+    tr_u = interface_traces(DGField1D(mesh, p, ucoef), p)
+    tr_v = interface_traces(DGField1D(mesh, q, vcoef), q)
+    vhat, uxhat = numerical_fluxes(tr_v.minus[:, 0], tr_v.plus[:, 0],
+                                   tr_u.minus[:, 1], tr_u.plus[:, 1], config.flux)
+    if config.damping:
+        sigma_u, sigma_v = damping_weights(tr_u, tr_v, h, config)
+    if config.source is not None:
+        u_at = ucoef @ t["vp_tab"].T
 
+    # u equation: tested against the derivatives of the degree-p modes
+    b = 2.0 * inv_h[:, None] * (vcoef @ t["kpq"].T)
+    flux_right = (vhat - tr_v.minus[:, 0])[1:]   # at the right end of each cell
+    flux_left = (vhat - tr_v.plus[:, 0])[:-1]    # at the left end
+    b += flux_right[:, None] * (2.0 * inv_h)[:, None] * t["dp_right"][None, :]
+    b -= flux_left[:, None] * (2.0 * inv_h)[:, None] * t["dp_left"][None, :]
+    if config.penalty and config.penalty_coefficient > 0.0:
+        ju = tr_u.jumps()[:, 0]
+        pen = ju[1:, None] * t["p_right"][None, :] - ju[:-1, None] * t["p_left"][None, :]
+        b += (config.penalty_coefficient / mesh.h**2) * pen
+    if config.damping:
+        # mode k of u_x is damped by every level l <= k
+        wu = np.zeros((mesh.ncells, p + 1))
+        wu[:, 1:] = np.cumsum(sigma_u[:, 1:], axis=1)
+        weighted = wu * (ucoef @ t["dp"].T) * t["inv2kp1_p"][None, :]
+        b -= 4.0 * inv_h[:, None] ** 2 * (weighted @ t["dp"])
+    if config.chi == 1 and config.source is not None:
+        du = _solve_with_quotient(b, vcoef, u_at, h, inv_h, t, config.source)
+    else:
+        du = np.empty_like(b)
+        du[:, 0] = vcoef[:, 0]
+        du[:, 1:] = 0.5 * h[:, None] * (b[:, 1:] @ t["kinv"])
+
+    # v equation: mass solve on the degree-q modes
+    rhs = -2.0 * inv_h[:, None] * (ucoef @ t["kqp"].T)
+    rhs += uxhat[1:, None] * t["q_right"][None, :]
+    rhs -= uxhat[:-1, None] * t["q_left"][None, :]
+    if config.source is not None:
+        g_w = config.source.g(u_at) * t["rule"].weights[None, :]
+        rhs += np.einsum("jg,gm->jm", g_w, t["vq_tab"]) * (0.5 * h[:, None])
+    dv = rhs * t["two_m_q"][None, :] * inv_h[:, None]
+    if config.damping:
+        # mode m >= 1 of v is damped by levels l = 0..m
+        wv = np.cumsum(sigma_v, axis=1)
+        wv[:, 0] = 0.0
+        dv -= wv * vcoef * inv_h[:, None]
+    return du, dv

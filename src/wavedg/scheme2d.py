@@ -276,62 +276,54 @@ def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D,
 
 @lru_cache(maxsize=None)
 def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
-    """Face/volume trace tables, shape (nmodes, nquad), for one cell geometry."""
+    """Face/volume trace tables, shape (nmodes, nquad), for one cell geometry.
+
+    "faces" holds one entry per axis, for the faces normal to it (axis 0:
+    x, vertical faces; axis 1: y, horizontal faces).  Each face table is the
+    normal factor of a mode at the cell's upper (+1) or lower (-1) side
+    times its tangential factor at the face's quadrature nodes.
+    """
     modes = total_degree_modes(p)
     nmq = n_modes(q)
     rule = gauss_rule(nq)
     v0 = vandermonde(rule.nodes, p)
-    one_r = vandermonde(1.0, p)
-    one_l = vandermonde(-1.0, p)
-    d_r = vandermonde(1.0, p, 1)
-    d_l = vandermonde(-1.0, p, 1)
+    ends = (vandermonde(1.0, p), vandermonde(-1.0, p),
+            vandermonde(1.0, p, 1), vandermonde(-1.0, p, 1))
     m1, m2 = modes[:, 0], modes[:, 1]
-    tang_x = v0[:, m1].T  # tangential factor along horizontal faces
-    tang_y = v0[:, m2].T
-    dx2, dy2 = _dxy_matrices(p)
     g = gradient_gram(p, hx, hy)
     mass2 = mass_diagonal(p)[m1] * mass_diagonal(p)[m2]
     basis_vol = v0[:, m1][:, None, :] * v0[:, m2][None, :, :]  # (g, h, nm)
     w2 = rule.weights[:, None] * rule.weights[None, :]
-    bv_flat = basis_vol.reshape(nq * nq, -1).T  # (nm, ngh)
-    bvw_q = (basis_vol * w2[:, :, None]).reshape(nq * nq, -1)[:, :nmq]  # (ngh, nmq)
-    vr = one_r[m1][:, None] * tang_y
-    vl = one_l[m1][:, None] * tang_y
-    vrx = d_r[m1][:, None] * tang_y * (2.0 / hx)
-    vlx = d_l[m1][:, None] * tang_y * (2.0 / hx)
-    ht = tang_x * one_r[m2][:, None]
-    hb = tang_x * one_l[m2][:, None]
-    hty = tang_x * d_r[m2][:, None] * (2.0 / hy)
-    hby = tang_x * d_l[m2][:, None] * (2.0 / hy)
-    fw_v = rule.weights * (0.5 * hy)
-    fw_h = rule.weights * (0.5 * hx)
-    vr_w, vl_w = (vr * fw_v).T, (vl * fw_v).T
-    ht_w, hb_w = (ht * fw_h).T, (hb * fw_h).T
+    faces = []
+    for normal, tangent, h_n, h_t, d_ref in zip((m1, m2), (m2, m1), (hx, hy), (hy, hx),
+                                                 _dxy_matrices(p)):
+        tang = v0[:, tangent].T
+        hi, lo = (end[normal][:, None] * tang for end in ends[:2])
+        d_hi, d_lo = (end[normal][:, None] * tang * (2.0 / h_n) for end in ends[2:])
+        fw = rule.weights * (0.5 * h_t)
+        pen_hi, pen_lo = (hi * fw).T, (lo * fw).T
+        faces.append({
+            # stacked trace tables: one matmul per field and axis
+            "u": np.concatenate([hi, lo, d_hi, d_lo], axis=1),
+            "v": np.concatenate([hi, lo], axis=1)[:nmq],
+            # assembly tables with face weights folded in, (nq, nm)
+            "hi_w": (d_hi * fw).T.copy(),
+            "lo_w": (d_lo * fw).T.copy(),
+            # both sides of a face from one matmul: [minus cell | plus cell]
+            "pen": np.concatenate([pen_hi, pen_lo], axis=1),
+            "gradn": np.concatenate([pen_hi[:, :nmq], pen_lo[:, :nmq]], axis=1),
+            "d_ref": d_ref,
+            "aspect": h_t / h_n,
+        })
     return {
         "nmq": nmq,
         "rule": rule,
         "mass2": mass2,
         "g": g,
         "ginv": np.linalg.inv(g[1:, 1:]),
-        "dx2": dx2,
-        "dy2": dy2,
-        # stacked trace tables: one matmul per field and direction
-        "u_vert": np.concatenate([vr, vl, vrx, vlx], axis=1),
-        "u_horz": np.concatenate([ht, hb, hty, hby], axis=1),
-        "v_vert": np.concatenate([vr, vl], axis=1),
-        "v_horz": np.concatenate([ht, hb], axis=1),
-        # assembly tables with face weights folded in, (nq, nm)
-        "vrx_w": (vrx * fw_v).T.copy(),
-        "vlx_w": (vlx * fw_v).T.copy(),
-        "hty_w": (hty * fw_h).T.copy(),
-        "hby_w": (hby * fw_h).T.copy(),
-        # both sides of a face from one matmul: [minus cell | plus cell]
-        "pen_x": np.concatenate([vr_w, vl_w], axis=1),
-        "pen_y": np.concatenate([ht_w, hb_w], axis=1),
-        "gradn_x": np.concatenate([vr_w[:, :nmq], vl_w[:, :nmq]], axis=1),
-        "gradn_y": np.concatenate([ht_w[:, :nmq], hb_w[:, :nmq]], axis=1),
-        "bv_flat": bv_flat,
-        "bvw_q": bvw_q,
+        "faces": faces,
+        "bv_flat": basis_vol.reshape(nq * nq, -1).T,  # (nm, ngh)
+        "bvw_q": (basis_vol * w2[:, :, None]).reshape(nq * nq, -1)[:, :nmq],  # (ngh, nmq)
     }
 
 
@@ -453,21 +445,19 @@ def _strip_rhs(ucoef, vcoef, mesh: Mesh2D, config: SolverConfig, work: StripWork
 
     # axis 0: vertical interfaces, indexed by the cell on their left, normal +x;
     # axis 1: horizontal interfaces, indexed by the cell below, normal +y
-    for axis, (u_tab, v_tab, hi_w, lo_w, pen_tab) in enumerate((
-            ("u_vert", "v_vert", "vrx_w", "vlx_w", "pen_x"),
-            ("u_horz", "v_horz", "hty_w", "hby_w", "pen_y"))):
-        u_tr = _mm(ucoef, t[u_tab], buf(f"u_tr{axis}", 4 * nq_face))
-        v_tr = _mm(vcoef, t[v_tab][:nmq], buf(f"v_tr{axis}", 2 * nq_face))
+    for axis, f in enumerate(t["faces"]):
+        u_tr = _mm(ucoef, f["u"], buf(f"u_tr{axis}", 4 * nq_face))
+        v_tr = _mm(vcoef, f["v"], buf(f"v_tr{axis}", 2 * nq_face))
         v_m, v_own = v_tr[..., :nq_face], v_tr[..., nq_face:]
         u_m, u_own, dnu_m, dnu_own = (u_tr[..., k * nq_face:(k + 1) * nq_face] for k in range(4))
         vhat, gn = _fast_fluxes(v_m, v_own, dnu_m, dnu_own, fp, axis, buf)
         gradn.append(gn)
         if not takes_minus:
-            b += _mm(np.subtract(vhat, v_m, out=buf("face")), t[hi_w], buf("fold", nm))
+            b += _mm(np.subtract(vhat, v_m, out=buf("face")), f["hi_w"], buf("fold", nm))
         if not takes_plus:
-            b -= _mm(_rolled_minus(vhat, 1, axis, v_own, buf("face")), t[lo_w], buf("fold", nm))
+            b -= _mm(_rolled_minus(vhat, 1, axis, v_own, buf("face")), f["lo_w"], buf("fold", nm))
         if penalty:
-            _two_sided_faces(_rolled_minus(u_own, -1, axis, u_m, buf("face")), t[pen_tab], axis,
+            _two_sided_faces(_rolled_minus(u_own, -1, axis, u_m, buf("face")), f["pen"], axis,
                              pen, buf("both", 2 * nm))
 
     if penalty:
@@ -480,12 +470,12 @@ def _strip_rhs(ucoef, vcoef, mesh: Mesh2D, config: SolverConfig, work: StripWork
         h_d = mesh.h
         # a mode of total degree k is damped by every level 1..k
         wu = _sum_by_degree(sig_u, 1, buf("wu", nm))
-        for d_ref, scale in ((t["dx2"], (hy / hx) / h_d), (t["dy2"], (hx / hy) / h_d)):
-            weighted = _mm(ucoef, d_ref.T, buf("d_ref", nm))
+        for f in t["faces"]:
+            weighted = _mm(ucoef, f["d_ref"].T, buf("d_ref", nm))
             weighted *= wu
             weighted *= t["mass2"]
-            fold = _mm(weighted, d_ref, buf("fold", nm))
-            fold *= scale
+            fold = _mm(weighted, f["d_ref"], buf("fold", nm))
+            fold *= f["aspect"] / h_d
             b -= fold
 
     du[..., 0] = vcoef[..., 0]
@@ -494,8 +484,8 @@ def _strip_rhs(ucoef, vcoef, mesh: Mesh2D, config: SolverConfig, work: StripWork
     # v equation: mass solve over the degree-q prefix of the mode list
     rhs = _mm(ucoef, t["g"][:, :nmq], buf("rhs_v", nmq))
     np.negative(rhs, out=rhs)
-    _two_sided_faces(gradn[0], t["gradn_x"], 0, rhs, buf("both", 2 * nmq))
-    _two_sided_faces(gradn[1], t["gradn_y"], 1, rhs, buf("both", 2 * nmq))
+    for axis, (f, gn) in enumerate(zip(t["faces"], gradn)):
+        _two_sided_faces(gn, f["gradn"], axis, rhs, buf("both", 2 * nmq))
 
     if config.source is not None:
         u_at = _mm(ucoef, t["bv_flat"], buf("u_at", t["bv_flat"].shape[1]))

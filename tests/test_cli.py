@@ -170,6 +170,9 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     # every level of a sweep is built before the first one runs
     (["converge", "--problem", "ex1", "--ns", "10,1000000000000"], "'ns'"),
     (["converge", "--problem", "ex1", "--ns", "10,1000000000000", "--parallel"], "'ns'"),
+    # more DG cells than comparator intervals would leave a cell without a comparator point
+    (["compare-ctcs", "--problem", "ex5", "--ns", "1001"], "'ns'"),
+    (["compare-ctcs", "--problem", "ex7", "--ns", "1001"], "'ns'"),
 ])
 def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, argv, key):
     (tmp_path / "broken.json").write_text('{"config": {"p": 3,}}')
@@ -265,3 +268,13 @@ def test_cli_compare_ctcs_check_ex5(tmp_path, capsys):
     assert "fronts agree: reference 4, test 4" in out
     meta = json.loads(open(os.path.join(tmp_path, "ex5_compare_n320.json")).read())
     assert meta["front_comparison"]["matches"]
+
+
+def test_cli_compare_ctcs_check_failure_exits_4(tmp_path, capsys):
+    # at 40 cells the DG profile resolves 2 of the comparator's 4 ex5 fronts
+    rc = main(["compare-ctcs", "--problem", "ex5", "--ns", "40", "--check",
+               "--outdir", str(tmp_path)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:")
+    assert "np.float64" not in err

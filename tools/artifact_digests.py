@@ -13,13 +13,14 @@ byte-identical.
 
 The matrix covers converge on ex1 (also with alternating side 1) and ex6
 (also with the Sommerfeld flux); shock on ex1 (perturbed mesh), ex3 (also
-with the central flux undamped, and without the penalty), ex7 and ex8;
-energy on ex2 (also with the Sommerfeld flux at speed 2), ex3 and ex4;
-compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the 1000^2
-grid); and two custom problems, from config files written to
+with the central flux undamped, and without the penalty), ex7 and ex8
+(also at 80^2, the one 2D run that the kernel evaluates in two ghosted
+strips); energy on ex2 (also with the Sommerfeld flux at speed 2), ex3
+and ex4; compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the
+1000^2 grid); and two custom problems, from config files written to
 OUTDIR/configs: a Neumann box with the cubic source in 1D (shock) and a
 Gaussian on a 1-by-2 rectangle in 2D (energy); only the runs' own
-directories are hashed.  It takes about 15 s on one core.  Set
+directories are hashed.  It takes about 20 s on one core.  Set
 OPENBLAS_NUM_THREADS=1 on both sides, since the bits of small matrix
 products may depend on the BLAS thread count.
 """
@@ -44,6 +45,7 @@ RUNS = {
     "shock-ex3": ["shock", "--problem", "ex3", "--ns", "40"],
     "shock-ex7": ["shock", "--problem", "ex7", "--ns", "20"],
     "shock-ex8": ["shock", "--problem", "ex8", "--ns", "40"],
+    "shock-ex8-strips": ["shock", "--problem", "ex8", "--ns", "80"],
     "energy-ex2": ["energy", "--problem", "ex2", "--ns", "40", "--chi", "0"],
     "energy-ex3": ["energy", "--problem", "ex3", "--ns", "40"],
     "energy-ex4": ["energy", "--problem", "ex4", "--ns", "40"],

@@ -17,7 +17,7 @@ from .diagnostics import (
     merge_close,
     oscillation_metrics,
 )
-from .field import DGField1D, DGField2D, Traces, interface_traces
+from .field import DGField1D, DGField2D
 from .mesh import Mesh1D, Mesh2D, cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
 from .scheme1d import (
     SOURCES,
@@ -38,7 +38,7 @@ __all__ = [
     "compare_front_positions", "energy", "front_positions",
     "gradient_l2_error", "l2_error", "level_crossings", "merge_close", "oscillation_metrics",
     # field
-    "DGField1D", "DGField2D", "Traces", "interface_traces",
+    "DGField1D", "DGField2D",
     # mesh
     "Mesh1D", "Mesh2D", "cartesian_mesh_2d", "perturb_mesh_1d", "uniform_mesh_1d",
     # scheme1d

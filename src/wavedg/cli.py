@@ -178,13 +178,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
 def _read_config(path: str):
     """The file's entries and the converter of their values: JSON values or line text."""
     try:
-        text = open(path).read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"--config {path}: cannot read the file ({exc})") from None
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text).get("config", {})
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"--config {path}: malformed JSON ({exc})") from None
         if not isinstance(data, dict):
             raise ConfigError(f"--config {path}: 'config' must be a JSON object")
@@ -332,16 +333,19 @@ def run_convergence(cfg: ExperimentConfig):
     return table, stem
 
 
-def _initial_state(cfg: ExperimentConfig, prob, n: int):
-    """The problem's discretization with n cells per direction and the projected
-    pair (u0, v0); a cell count that cannot be built is a ConfigError."""
+def _initial_state(cfg: ExperimentConfig, prob, n: int, comparator: bool = False):
+    """The discretization with n cells per direction and the projected (u0, v0); a cell count
+    that cannot be built, or that leaves a cell without a comparator point, is a ConfigError."""
     try:
         disc = DISCRETIZATIONS[prob.dim].build(prob, n, solver_config(cfg, prob),
                                                cfg.mesh_perturb, cfg.seed)
+        if comparator and len(empty := diagnostics.empty_bins(
+                *disc.comparator_grid(prob, cfg.resolved_t(prob))[2:])):
+            raise ValueError(f"{len(empty)} cells hold no comparator point, first cell {empty[0]}")
         u0 = disc.field.project(prob.u0, disc.mesh, disc.config.p)
         v0 = disc.field.project(prob.u1, disc.mesh, disc.config.q)
     except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"key 'ns': cannot build {n} cells ({exc})") from None
+        raise ConfigError(f"key 'ns': cannot use {n} cells ({exc})") from None
     return disc, u0, v0
 
 
@@ -353,9 +357,9 @@ def _integrate(cfg: ExperimentConfig, prob, u0, v0):
     return u, v, trace, dt
 
 
-def _single_run(cfg: ExperimentConfig):
+def _single_run(cfg: ExperimentConfig, comparator: bool = False):
     prob = cfg.resolved_problem()
-    disc, u0, v0 = _initial_state(cfg, prob, cfg.resolved_ns(prob)[0])
+    disc, u0, v0 = _initial_state(cfg, prob, cfg.resolved_ns(prob)[0], comparator)
     return (prob, disc, u0, *_integrate(cfg, prob, u0, v0))
 
 
@@ -408,12 +412,8 @@ def run_compare(cfg: ExperimentConfig, check: bool = False):
     prob = cfg.resolved_problem()
     if prob.comparator_intervals is None:
         raise ConfigError(f"problem {cfg.problem!r} has no comparator resolution configured")
-    if cfg.resolved_ns(prob)[0] > prob.comparator_intervals:
-        # a DG cell holding no comparator point would average to 0 in the reference profile
-        raise ConfigError(f"'ns' must not exceed the comparator's {prob.comparator_intervals} "
-                          f"intervals, got {cfg.resolved_ns(prob)[0]}")
     _make_outdir(cfg.outdir)
-    prob, disc, u0, u, v, trace, dt = _single_run(cfg)
+    prob, disc, u0, u, v, trace, dt = _single_run(cfg, comparator=True)
     stem = os.path.join(cfg.outdir, f"{prob.key}_compare_n{cfg.resolved_ns(prob)[0]}")
     disc.write_snapshot(stem + "_dg.csv", u)
     source = SOURCES[prob.source_name].g if prob.source_name else None
@@ -454,25 +454,11 @@ def _variant_name(cfg: ExperimentConfig) -> str:
 
 
 def _add_common(sub):
+    """--config, and a flag per config key, `--key-name` or `-p`; a bare bool flag reads true."""
     sub.add_argument("--config", help="config file (key = value) or metadata JSON")
-    sub.add_argument("--problem", choices=sorted(EXAMPLES))
-    sub.add_argument("--ns", help="cell counts, e.g. 20,40,80")
-    sub.add_argument("-p")
-    sub.add_argument("-q")
-    sub.add_argument("--flux", choices=["a", "c", "s"])
-    sub.add_argument("--sommerfeld-speed")
-    sub.add_argument("--alternating-side", choices=["0", "1"])
-    sub.add_argument("--penalty-coefficient")
-    sub.add_argument("--damping", choices=["0", "1"])
-    sub.add_argument("--penalty", choices=["0", "1"])
-    sub.add_argument("--chi", choices=["0", "1"])
-    sub.add_argument("--t-final")
-    sub.add_argument("--dt")
-    sub.add_argument("--seed")
-    sub.add_argument("--mesh-perturb")
-    sub.add_argument("--sample-every")
-    sub.add_argument("--parallel", action="store_const", const="true")
-    sub.add_argument("--outdir")
+    for key, kind in _FIELD_TYPES.items():
+        bare = {"nargs": "?", "const": "true"} if kind is bool else {}
+        sub.add_argument(f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-"), **bare)
 
 
 def _overrides(args) -> dict:

@@ -189,18 +189,27 @@ def front_positions(x, u, level: float, band: float, halfwidth: float) -> np.nda
     return np.asarray(out)
 
 
+def _binned(x_fine, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's cell (an inner edge counts to its right) and the points per cell."""
+    idx = np.clip(np.searchsorted(edges, x_fine, side="right") - 1, 0, len(edges) - 2)
+    return idx, np.bincount(idx, minlength=len(edges) - 1)
+
+
+def empty_bins(x_fine, edges) -> np.ndarray:
+    """Indices of the cells bounded by `edges` that hold none of the points x_fine."""
+    return np.flatnonzero(_binned(x_fine, edges)[1] == 0)
+
+
 def bin_average(x_fine, u_fine, edges) -> np.ndarray:
     """Average a fine profile over the cells bounded by `edges`.
 
     Collapses a finer comparator grid onto the coarse cell layout so both
-    profiles are compared at the same resolution.
+    profiles are compared at the same resolution; an empty cell is a ValueError.
     """
-    x_fine = np.asarray(x_fine, dtype=float)
-    edges = np.asarray(edges, dtype=float)
-    idx = np.clip(np.searchsorted(edges, x_fine, side="right") - 1, 0, len(edges) - 2)
-    sums = np.bincount(idx, weights=np.asarray(u_fine, dtype=float), minlength=len(edges) - 1)
-    cnts = np.bincount(idx, minlength=len(edges) - 1)
-    return sums / np.maximum(cnts, 1)
+    if len(empty := empty_bins(x_fine, edges)):
+        raise ValueError(f"{len(empty)} cells hold no point, first cell {empty[0]}")
+    idx, cnts = _binned(x_fine, edges)
+    return np.bincount(idx, weights=np.asarray(u_fine, dtype=float), minlength=len(cnts)) / cnts
 
 
 def merge_close(positions, tol: float) -> np.ndarray:

@@ -55,14 +55,19 @@ class Discretization1D:
             cols["exact"] = exact(self.mesh.centers)
         write_columns_csv(path, cols)
 
+    def comparator_grid(self, prob, t_final):
+        """The leapfrog grid, its steps to t_final, its points and the cell edges that bin them."""
+        grid, steps = make_grid_1d(prob.domain[0], prob.domain[1],
+                                   prob.comparator_intervals, t_final)
+        return grid, steps, grid.points, self.mesh.nodes
+
     def comparator(self, prob, t_final, g, path):
         """Leapfrog to t_final, written to path; returns the grid, the profile's
         x, the leapfrog averaged over each cell, and the h of the front match."""
-        grid, steps = make_grid_1d(prob.domain[0], prob.domain[1],
-                                   prob.comparator_intervals, t_final)
+        grid, steps, _, edges = self.comparator_grid(prob, t_final)
         x, u = ctcs_solve_1d(prob.u0, prob.u1, g, grid, steps)
         write_columns_csv(path, {"x": x, "u": u})
-        return grid, self.mesh.centers, diagnostics.bin_average(x, u, self.mesh.nodes), self.mesh.h
+        return grid, self.mesh.centers, diagnostics.bin_average(x, u, edges), self.mesh.h
 
     def profile(self, u, prob):
         return u.midpoint_values()
@@ -99,13 +104,17 @@ class Discretization2D:
         """Columns x,y,u at the centres, x-major; u0 and exact are not written."""
         _write_grid(path, self.mesh.xcenters, self.mesh.ycenters, u.center_values())
 
-    def comparator(self, prob, t_final, g, path):
-        """As in 1D; x,y,u go to path and the profile is the problem's row."""
+    def comparator_grid(self, prob, t_final):
         n = prob.comparator_intervals
         grid, steps = make_grid_2d(*prob.domain, n, n, t_final)
+        return grid, steps, grid.xpoints, self.mesh.xnodes
+
+    def comparator(self, prob, t_final, g, path):
+        """As in 1D; x,y,u go to path and the profile is the problem's row."""
+        grid, steps, _, edges = self.comparator_grid(prob, t_final)
         x, y, u = ctcs_solve_2d(prob.u0, prob.u1, g, grid, steps)
         _write_grid(path, x, y, u)
-        ref = diagnostics.bin_average(x, u[:, _nearest(y, prob)], self.mesh.xnodes)
+        ref = diagnostics.bin_average(x, u[:, _nearest(y, prob)], edges)
         return grid, self.mesh.xcenters, ref, float(self.mesh.hx[0])
 
     def profile(self, u, prob):

@@ -1,4 +1,4 @@
-"""DG coefficient storage, projection, evaluation, energies and interface traces.
+"""DG coefficient storage, projection, evaluation and energies.
 
 A field stores modal Legendre coefficients per cell.  In 1D the layout is
 (ncells, degree+1).  In 2D the basis is the tensor-Legendre set restricted
@@ -12,14 +12,12 @@ degree is coefficient truncation, and projections are exact and cheap.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import (
     derivative_matrix,
-    endpoint_values,
     gauss_rule,
     mass_diagonal,
     stiffness_matrix,
@@ -72,12 +70,6 @@ class DGField1D:
         v0 = vandermonde(0.0, self.degree)
         return self.coeffs @ v0
 
-    def endpoint_derivatives(self, max_order: int) -> tuple[np.ndarray, np.ndarray]:
-        """(left, right)[j, r]: derivative traces at the cell endpoints of cell j."""
-        el, er = endpoint_values(self.degree, max_order)
-        scale = (2.0 / self.mesh.widths)[:, None] ** np.arange(max_order + 1)[None, :]
-        return self.coeffs @ el.T * scale, self.coeffs @ er.T * scale
-
     def gradient_energy(self) -> float:
         """integral(u_x^2) over the mesh."""
         du = self.coeffs @ derivative_matrix(self.degree).T
@@ -115,56 +107,6 @@ class GaussPoints1D:
     def integrate(self, vals: np.ndarray) -> float:
         """Sum of vals against the cell-scaled weights: the integral of what vals samples."""
         return float(np.sum(0.5 * self.mesh.widths[:, None] * self.rule.weights[None, :] * vals))
-
-
-@dataclass(frozen=True)
-class Traces:
-    """Two-sided derivative traces at every interface, wrap/ghost included.
-
-    minus[g, r] and plus[g, r] hold the order-r derivative limits from the
-    left and right of interface g = 0..N (positions x_{1/2} .. x_{N+1/2}).
-    For periodic meshes the two boundary interfaces carry identical states.
-    """
-
-    minus: np.ndarray
-    plus: np.ndarray
-
-    def jumps(self) -> np.ndarray:
-        """plus - minus at every interface."""
-        return self.plus - self.minus
-
-
-def mirror_ghost(interior: np.ndarray) -> np.ndarray:
-    """Even-reflection ghost: order-r derivative picks up a (-1)^r sign.
-
-    This realizes a homogeneous Neumann wall: the ghost matches the value
-    and flips odd derivatives, so the centered normal-derivative flux and
-    the interface jump of the value both vanish.
-    """
-    signs = (-1.0) ** np.arange(interior.shape[-1])
-    return interior * signs
-
-
-def interface_traces(field: DGField1D, max_order: int) -> Traces:
-    """Left/right derivative limits at all N+1 interfaces of a 1D field.
-
-    The mesh's boundary kind closes the two ends: wrapped, or mirrored at a wall.
-    """
-    if max_order > field.degree:
-        raise ValueError("trace order exceeds polynomial degree")
-    left, right = field.endpoint_derivatives(max_order)
-    n = field.mesh.ncells
-    minus = np.empty((n + 1, max_order + 1))
-    plus = np.empty((n + 1, max_order + 1))
-    minus[1:] = right
-    plus[:n] = left
-    if field.mesh.boundary == "periodic":
-        minus[0] = right[-1]
-        plus[n] = left[0]
-    else:
-        minus[0] = mirror_ghost(left[0])
-        plus[n] = mirror_ghost(right[-1])
-    return Traces(minus=minus, plus=plus)
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,8 @@
 
 Each entry fixes domain, initial data, boundary kind, source term and the
 comparison data (closed-form solution where one exists, otherwise a finite
-difference comparator resolution).  All callables are module-level so
-configurations stay picklable for the parallel sweep mode.
+difference comparator resolution).  The parallel sweep pickles no
+problem callable: each level re-resolves its problem from the config.
 """
 from __future__ import annotations
 

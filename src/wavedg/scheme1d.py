@@ -29,7 +29,6 @@ from .basis import (
     stiffness_matrix,
     vandermonde,
 )
-from .field import DGField1D, Traces, interface_traces
 from .mesh import Mesh1D
 
 #: below this |u|, g(u)/u is replaced by g'(0) from the source descriptor
@@ -232,7 +231,7 @@ def _tables(p: int, q: int, nq: int):
     }
 
 
-def damping_weights(traces_u: Traces, traces_v: Traces, widths: np.ndarray,
+def damping_weights(ju: np.ndarray, jv: np.ndarray, widths: np.ndarray,
                     config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Damping weights (for_u, for_v) from derivative jumps at the two cell ends.
 
@@ -242,8 +241,6 @@ def damping_weights(traces_u: Traces, traces_v: Traces, widths: np.ndarray,
     and jumps of v.
     """
     p, q = config.p, config.q
-    ju = traces_u.jumps()
-    jv = traces_v.jumps()
     sq_u = np.sqrt(ju[:-1] ** 2 + ju[1:] ** 2)  # (N, p+1), per-cell ends
     sq_v = np.sqrt(jv[:-1] ** 2 + jv[1:] ** 2)
     for_u = np.zeros_like(sq_u)
@@ -253,6 +250,19 @@ def damping_weights(traces_u: Traces, traces_v: Traces, widths: np.ndarray,
     for l in range(0, q + 1):
         for_v[:, l] = (2.0 * (2 * l + 1) / (2 * q - 1)) * widths**(l + 1) / math.factorial(l) * sq_v[:, l]
     return for_u, for_v
+
+
+def _traces(coeffs: np.ndarray, mesh: Mesh1D, ends) -> tuple[np.ndarray, np.ndarray]:
+    """(minus, plus)[g, r]: order-r derivative limits from the left and right of
+    interface g = 0..N, from the endpoint tables (left, right)[r, m].  The ends
+    are wrapped when periodic; a Neumann wall mirrors them with sign (-1)^r."""
+    orders = np.arange(len(ends[0]))
+    scale = (2.0 / mesh.widths)[:, None] ** orders[None, :]
+    left, right = (coeffs @ e.T * scale for e in ends)
+    if mesh.boundary == "periodic":
+        return np.concatenate([right[-1:], right]), np.concatenate([left, left[:1]])
+    signs = (-1.0) ** orders
+    return np.concatenate([left[:1] * signs, right]), np.concatenate([left, right[-1:] * signs])
 
 
 def _solve_with_quotient(b, vcoef, u_at, h, inv_h, t, source: SourceTerm) -> np.ndarray:
@@ -289,24 +299,24 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
     t = _tables(p, q, config.quad_points)
     h = mesh.widths
     inv_h = 1.0 / h
-    tr_u = interface_traces(DGField1D(mesh, p, ucoef), p)
-    tr_v = interface_traces(DGField1D(mesh, q, vcoef), q)
-    vhat, uxhat = numerical_fluxes(tr_v.minus[:, 0], tr_v.plus[:, 0],
-                                   tr_u.minus[:, 1], tr_u.plus[:, 1], config.flux)
+    u_minus, u_plus = _traces(ucoef, mesh, endpoint_values(p, p))
+    v_minus, v_plus = _traces(vcoef, mesh, endpoint_values(q, q))
+    ju = u_plus - u_minus
+    vhat, uxhat = numerical_fluxes(v_minus[:, 0], v_plus[:, 0],
+                                   u_minus[:, 1], u_plus[:, 1], config.flux)
     if config.damping:
-        sigma_u, sigma_v = damping_weights(tr_u, tr_v, h, config)
+        sigma_u, sigma_v = damping_weights(ju, v_plus - v_minus, h, config)
     if config.source is not None:
         u_at = ucoef @ t["vp_tab"].T
 
     # u equation: tested against the derivatives of the degree-p modes
     b = 2.0 * inv_h[:, None] * (vcoef @ t["kpq"].T)
-    flux_right = (vhat - tr_v.minus[:, 0])[1:]   # at the right end of each cell
-    flux_left = (vhat - tr_v.plus[:, 0])[:-1]    # at the left end
+    flux_right = (vhat - v_minus[:, 0])[1:]   # at the right end of each cell
+    flux_left = (vhat - v_plus[:, 0])[:-1]    # at the left end
     b += flux_right[:, None] * (2.0 * inv_h)[:, None] * t["dp_right"][None, :]
     b -= flux_left[:, None] * (2.0 * inv_h)[:, None] * t["dp_left"][None, :]
     if config.penalty and config.penalty_coefficient > 0.0:
-        ju = tr_u.jumps()[:, 0]
-        pen = ju[1:, None] * t["p_right"][None, :] - ju[:-1, None] * t["p_left"][None, :]
+        pen = ju[1:, 0, None] * t["p_right"][None, :] - ju[:-1, 0, None] * t["p_left"][None, :]
         b += (config.penalty_coefficient / mesh.h**2) * pen
     if config.damping:
         # mode k of u_x is damped by every level l <= k

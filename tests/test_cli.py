@@ -173,6 +173,12 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     # more DG cells than comparator intervals would leave a cell without a comparator point
     (["compare-ctcs", "--problem", "ex5", "--ns", "1001"], "'ns'"),
     (["compare-ctcs", "--problem", "ex7", "--ns", "1001"], "'ns'"),
+    # config files that cannot be decoded: UTF-16 text, JSON nested beyond the recursion limit
+    (["shock", "--config", "{dir}/utf16.cfg"], "--config"),
+    (["shock", "--config", "{dir}/deep.json"], "--config"),
+    # fewer DG cells than comparator intervals, but a perturbed mesh leaves cells without a point
+    (["compare-ctcs", "--problem", "ex4", "--ns", "900", "--mesh-perturb", "0.2", "--seed", "3",
+      "--t-final", "0.002", "--damping", "0", "--check"], "'ns'"),
 ])
 def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, argv, key):
     (tmp_path / "broken.json").write_text('{"config": {"p": 3,}}')
@@ -183,6 +189,8 @@ def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch,
     (tmp_path / "huge_domain.json").write_text(
         '{"config": {"problem": "custom", "ns": [8], "domain": [0, %s]}}' % huge)
     (tmp_path / "huge_ns.json").write_text('{"config": {"problem": "ex1", "ns": [%s]}}' % huge)
+    (tmp_path / "utf16.cfg").write_text("problem = ex1\n", encoding="utf-16")
+    (tmp_path / "deep.json").write_text('{"config": ' + "[" * 100_000)
 
     def no_compute(*args, **kwargs):
         raise AssertionError("integration ran before the input was checked")

@@ -4,7 +4,9 @@ import pytest
 
 from wavedg.diagnostics import (
     ConvergenceTable,
+    bin_average,
     compare_front_positions,
+    empty_bins,
     energy,
     l2_error,
     level_crossings,
@@ -13,6 +15,8 @@ from wavedg.diagnostics import (
 )
 from wavedg.field import DGField1D, DGField2D
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
+from wavedg.problems import EXAMPLES
+from wavedg.reference import make_grid_1d
 from wavedg.scheme1d import SOURCES
 
 
@@ -154,3 +158,25 @@ def test_compare_front_positions_reads_each_front_at_its_half_height():
     assert centred.max_offset <= 1.0 * h
     shifted = compare_front_positions(x, plateau, x, smeared(0.33), coarse_h=h)
     assert len(shifted.test_fronts) == 2 and not shifted.matches
+
+
+def test_bin_average_rejects_cells_without_a_point():
+    # the 1000 points of the ex5 comparator grid and the 1201 nodes of a 1200-cell mesh
+    prob = EXAMPLES["ex5"]
+    grid, _ = make_grid_1d(prob.domain[0], prob.domain[1], prob.comparator_intervals,
+                           prob.t_final)
+    nodes = uniform_mesh_1d(prob.domain[0], prob.domain[1], 1200).nodes
+    assert len(grid.points) == 1000 and len(nodes) == 1201
+    assert len(empty_bins(grid.points, nodes)) == 200
+    with pytest.raises(ValueError, match="200 cells hold no point"):
+        bin_average(grid.points, np.ones(1000), nodes)
+    # with fewer cells than points every cell holds some, and the average of ones is one
+    coarse = uniform_mesh_1d(prob.domain[0], prob.domain[1], 320).nodes
+    assert len(empty_bins(grid.points, coarse)) == 0
+    assert np.array_equal(bin_average(grid.points, np.ones(1000), coarse), np.ones(320))
+
+
+def test_bin_average_counts_a_point_on_an_inner_edge_to_its_right():
+    edges = [0.0, 1.0, 2.0, 3.0]
+    assert bin_average([0.5, 1.0, 2.5], [1.0, 2.0, 3.0], edges).tolist() == [1.0, 2.0, 3.0]
+    assert empty_bins([0.5, 1.5], edges).tolist() == [2]

@@ -3,13 +3,15 @@ import numpy as np
 import pytest
 
 from wavedg import field as dgfield
-from wavedg.field import (
-    DGField1D,
-    DGField2D,
-    interface_traces,
-    write_columns_csv,
-)
+from wavedg.basis import endpoint_values
+from wavedg.field import DGField1D, DGField2D, write_columns_csv
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
+from wavedg.scheme1d import _traces
+
+
+def _interface_traces(f: DGField1D, order: int):
+    """(minus, plus) of f's derivatives up to order at every interface, as the RHS reads them."""
+    return _traces(f.coeffs, f.mesh, endpoint_values(f.degree, order))
 
 
 def test_project_constant_reproduced():
@@ -51,32 +53,33 @@ def test_eval_modal_midcell():
 def test_trace_consistency_with_eval():
     m = uniform_mesh_1d(0, 1, 4)
     f = DGField1D.project(lambda x: np.sin(2 * x), m, 3)
-    left, right = f.endpoint_derivatives(1)
+    minus, plus = _interface_traces(f, 1)
     for j in range(4):
-        assert right[j, 0] == pytest.approx(
+        # P_m(+1) = 1 and P_m(-1) = (-1)^m
+        assert minus[j + 1, 0] == pytest.approx(
             float(f.coeffs[j] @ np.array([1.0, 1.0, 1.0, 1.0])), abs=1e-13)
-    tr = interface_traces(f, 0)
-    mids = 0.5 * (m.nodes[:-1] + m.nodes[1:])
-    del mids
-    assert np.allclose(tr.minus[1:, 0], right[:, 0])
-    assert np.allclose(tr.plus[:-1, 0], left[:, 0])
+        assert plus[j, 0] == pytest.approx(
+            float(f.coeffs[j] @ np.array([1.0, -1.0, 1.0, -1.0])), abs=1e-13)
+    # a cell's left trace is the field at its left node, derivative included
+    assert np.allclose(plus[:-1, 0], f.eval(m.nodes[:-1]))
+    assert np.allclose(plus[:-1, 1], f.eval(m.nodes[:-1], 1))
 
 
 def test_piecewise_constant_jump_sign():
     m = uniform_mesh_1d(0, 1, 2)
     f = DGField1D(m, 1, np.array([[1.0, 0.0], [0.5, 0.0]]))
-    tr = interface_traces(f, 0)
+    minus, plus = _interface_traces(f, 0)
     # interior interface: reading left-to-right, jump = plus - minus = -0.5
-    assert tr.jumps()[1, 0] == pytest.approx(-0.5)
+    assert (plus - minus)[1, 0] == pytest.approx(-0.5)
 
 
 def test_constant_field_zero_jumps():
     m = uniform_mesh_1d(0, 1, 6)
     f = DGField1D.project(lambda x: 0 * x + 2.0, m, 2)
-    tr = interface_traces(f, 2)
-    assert np.max(np.abs(tr.jumps()[:, 0])) == 0.0
+    minus, plus = _interface_traces(f, 2)
+    assert np.max(np.abs((plus - minus)[:, 0])) == 0.0
     # derivative traces amplify projection roundoff by 2/h per order
-    assert np.max(np.abs(tr.jumps())) < 1e-12
+    assert np.max(np.abs(plus - minus)) < 1e-12
 
 
 def test_projection_jump_refinement_rate():
@@ -85,7 +88,8 @@ def test_projection_jump_refinement_rate():
     for n in (160, 320):
         m = uniform_mesh_1d(-1, 1, n)
         f = DGField1D.project(lambda x: np.sin(np.pi * x), m, 2)
-        errs.append(np.max(np.abs(interface_traces(f, 0).jumps()[:, 0])))
+        minus, plus = _interface_traces(f, 0)
+        errs.append(np.max(np.abs((plus - minus)[:, 0])))
     ratio = errs[0] / errs[1]
     assert 6.0 < ratio < 10.0
 
@@ -93,11 +97,11 @@ def test_projection_jump_refinement_rate():
 def test_neumann_trace_mirror():
     m = uniform_mesh_1d(0, 1, 3, boundary="neumann")
     f = DGField1D.project(lambda x: x**2 + x, m, 2)
-    tr = interface_traces(f, 2)
-    assert tr.minus[0, 0] == pytest.approx(tr.plus[0, 0])
-    assert tr.minus[0, 1] == pytest.approx(-tr.plus[0, 1])
-    assert tr.minus[0, 2] == pytest.approx(tr.plus[0, 2])
-    assert tr.plus[-1, 1] == pytest.approx(-tr.minus[-1, 1])
+    minus, plus = _interface_traces(f, 2)
+    assert minus[0, 0] == pytest.approx(plus[0, 0])
+    assert minus[0, 1] == pytest.approx(-plus[0, 1])
+    assert minus[0, 2] == pytest.approx(plus[0, 2])
+    assert plus[-1, 1] == pytest.approx(-minus[-1, 1])
 
 
 def test_2d_projection_and_center_values():

@@ -69,10 +69,13 @@ def test_cartesian_mesh_sizes():
 
 def test_periodic_interface_count_1d():
     # with periodic wrap, the two boundary interfaces carry the same state
-    from wavedg.field import DGField1D, interface_traces
+    from wavedg.basis import endpoint_values
+    from wavedg.field import DGField1D
+    from wavedg.scheme1d import _traces
 
     m = uniform_mesh_1d(0, 1, 5)
     f = DGField1D.project(lambda x: x**2, m, 2)
-    tr = interface_traces(f, 1)
-    assert np.allclose(tr.minus[0], tr.minus[-1])
-    assert np.allclose(tr.plus[-1], tr.plus[0])
+    minus, plus = _traces(f.coeffs, m, endpoint_values(2, 1))
+    assert minus.shape == plus.shape == (6, 2)
+    assert np.allclose(minus[0], minus[-1])
+    assert np.allclose(plus[-1], plus[0])

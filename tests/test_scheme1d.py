@@ -6,13 +6,15 @@ import pytest
 
 from oracles import brute_rhs_1d
 from wavedg.diagnostics import energy, gradient_l2_error, l2_error
-from wavedg.field import DGField1D, interface_traces
+from wavedg.basis import endpoint_values
+from wavedg.field import DGField1D
 from wavedg.mesh import uniform_mesh_1d
 from wavedg.scheme1d import (
     SOURCES,
     FluxParams,
     SolverConfig,
     SourceTerm,
+    _traces,
     damping_weights,
     flux_from_name,
     numerical_fluxes,
@@ -24,10 +26,15 @@ def _random_state(rng, n, p, q, scale=1.0):
     return scale * rng.standard_normal((n, p + 1)), scale * rng.standard_normal((n, q + 1))
 
 
+def _jumps(f: DGField1D) -> np.ndarray:
+    """plus - minus of every derivative of f at every interface, as the RHS forms them."""
+    minus, plus = _traces(f.coeffs, f.mesh, endpoint_values(f.degree, f.degree))
+    return plus - minus
+
+
 def _damping(u: DGField1D, v: DGField1D, cfg: SolverConfig):
-    """damping_weights from the fields' interface traces, as the RHS takes them."""
-    return damping_weights(interface_traces(u, cfg.p), interface_traces(v, cfg.q),
-                           u.mesh.widths, cfg)
+    """damping_weights from the fields' interface jumps, as the RHS takes them."""
+    return damping_weights(_jumps(u), _jumps(v), u.mesh.widths, cfg)
 
 
 def test_flux_examples():
@@ -136,17 +143,17 @@ def test_damping_vanishing_rate_under_refinement():
 
 
 def test_boundary_closure_values():
-    # the closure is interface_traces' fill of the two boundary ghost sides,
-    # chosen by the mesh's boundary kind
+    # the closure is _traces' fill of the two boundary ghost sides, chosen by
+    # the mesh's boundary kind
     m = uniform_mesh_1d(0, 1, 3, boundary="neumann")
     f = DGField1D.project(lambda x: 0.7 * x, m, 2)
-    closed = interface_traces(f, 1)
-    assert closed.minus[0, 1] == pytest.approx(-0.7, abs=1e-13)
-    assert closed.minus[0, 0] == pytest.approx(closed.plus[0, 0], abs=1e-13)
+    minus, plus = _traces(f.coeffs, m, endpoint_values(2, 1))
+    assert minus[0, 1] == pytest.approx(-0.7, abs=1e-13)
+    assert minus[0, 0] == pytest.approx(plus[0, 0], abs=1e-13)
     # value jump at the wall vanishes, so the penalty contribution does too
-    assert closed.jumps()[0, 0] == pytest.approx(0.0, abs=1e-13)
-    assert closed.plus[-1, 1] == pytest.approx(-0.7, abs=1e-13)
-    assert closed.jumps()[-1, 0] == pytest.approx(0.0, abs=1e-13)
+    assert (plus - minus)[0, 0] == pytest.approx(0.0, abs=1e-13)
+    assert plus[-1, 1] == pytest.approx(-0.7, abs=1e-13)
+    assert (plus - minus)[-1, 0] == pytest.approx(0.0, abs=1e-13)
     with pytest.raises(ValueError):
         uniform_mesh_1d(0, 1, 3, boundary="dirichlet")
 
@@ -357,3 +364,43 @@ def test_energy_examples():
     m = uniform_mesh_1d(-1, 1, 64)
     us = DGField1D.project(lambda x: np.sin(np.pi * x), m, 3)
     assert energy(us, DGField1D(m, 2)) == pytest.approx(np.pi**2, rel=1e-6)
+
+
+# each flux with the flux that the mirror image of a mesh reads: left and right swap,
+# so the alternating flux's side 0 becomes its side 1
+MIRRORED_FLUXES = [(FluxParams.central(), FluxParams.central()),
+                   (FluxParams.alternating(0), FluxParams.alternating(1)),
+                   (FluxParams.alternating(1), FluxParams.alternating(0)),
+                   (FluxParams.sommerfeld(2.0), FluxParams.sommerfeld(2.0))]
+SOURCE_CHI = [(None, 0), (None, 1), ("cubic_4", 0), ("cubic_4", 1)]
+
+
+@pytest.mark.parametrize("flux", [f for f, _ in MIRRORED_FLUXES])
+def test_rhs_of_a_periodically_shifted_state_is_the_shifted_rhs(flux):
+    # widths of 1/16 are exact, so every cell and both wrapped ends see the same numbers
+    m = uniform_mesh_1d(0.0, 1.0, 16)
+    u, v = _random_state(np.random.default_rng(16), 16, 3, 2)
+    for source, chi in SOURCE_CHI:
+        cfg = SolverConfig(p=3, q=2, flux=flux, chi=chi, source=source and SOURCES[source])
+        du, dv = rhs_arrays_1d(u, v, m, cfg)
+        su, sv = rhs_arrays_1d(np.roll(u, 5, axis=0), np.roll(v, 5, axis=0), m, cfg)
+        assert np.array_equal(su, np.roll(du, 5, axis=0)), (source, chi)
+        assert np.array_equal(sv, np.roll(dv, 5, axis=0)), (source, chi)
+
+
+@pytest.mark.parametrize("flux, mirrored", MIRRORED_FLUXES)
+def test_rhs_of_a_reflected_state_at_neumann_walls_is_the_reflected_rhs(flux, mirrored):
+    # reflection x -> -x: the cells reverse and mode m changes sign as (-1)^m
+    m = uniform_mesh_1d(-1.0, 1.0, 12, boundary="neumann")
+
+    def reflect(c):
+        return c[::-1] * (-1.0) ** np.arange(c.shape[1])
+
+    u, v = _random_state(np.random.default_rng(12), 12, 3, 2)
+    for source, chi in SOURCE_CHI:
+        src = source and SOURCES[source]
+        du, dv = rhs_arrays_1d(u, v, m, SolverConfig(p=3, q=2, flux=mirrored, chi=chi, source=src))
+        ru, rv = rhs_arrays_1d(reflect(u), reflect(v), m,
+                               SolverConfig(p=3, q=2, flux=flux, chi=chi, source=src))
+        for got, want in ((ru, reflect(du)), (rv, reflect(dv))):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (source, chi)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, diagnostics
 from .diagnostics import FRONT_BAND_FRACTION, FRONT_MATCH_FACTOR, FRONT_MERGE_FACTOR
-from .discretization import DISCRETIZATIONS
+from .discretization import DISCRETIZATIONS, usable_cpus
 from .problems import EXAMPLES, make_custom_problem
 from .scheme1d import SOURCES, SolverConfig, flux_from_name
 from .timeint import SolverAbort, dt_rule, integrate
@@ -314,7 +314,7 @@ def run_convergence(cfg: ExperimentConfig):
     # every level is built before the first one runs, so a bad cell count stops the sweep early
     levels = [(cfg, n, *_initial_state(cfg, prob, n)[1:]) for n in ns]
     if cfg.parallel and len(ns) > 1:
-        with ProcessPoolExecutor(max_workers=min(len(ns), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(ns), usable_cpus())) as pool:
             rows = list(pool.map(_one_level, levels))
     else:
         rows = [_one_level(lv) for lv in levels]

@@ -7,6 +7,7 @@ run metadata records which normalization was used.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -33,10 +34,32 @@ def gradient_l2_error(fld, exact_dx, exact_dy=None) -> float:
     return float(np.sqrt(q.integrate(sq)))
 
 
+#: cells per block of `source_integral`; a 1D mesh of up to this many cells is one block
+SOURCE_BLOCK_CELLS = 8192
+
+
 def source_integral(u, source) -> float:
-    """integral(G(u)) by per-cell Gauss quadrature, G the source antiderivative."""
-    q = u.gauss_points(u.degree + 3)
-    return q.integrate(source.antiderivative_G(q.values(u.coeffs)))
+    """integral(G(u)) by per-cell Gauss quadrature, G the source antiderivative.
+
+    G is evaluated in blocks of whole rows of cells, as for the strips of
+    the 2D kernel: balanced, of at most SOURCE_BLOCK_CELLS cells and so at
+    least half that, which keeps BLAS's products to the rounding of large
+    ones.  Each block's values are weighted into one mesh-sized array, and
+    one np.sum adds it up.  IEEE products commute, so this is
+    q.integrate(G(values)) bit for bit, with one mesh-sized array in place
+    of several.
+    """
+    nq = u.degree + 3
+    q = u.gauss_points(nq)
+    coeffs = u.coeffs
+    rows = coeffs.shape[0]
+    blocks = -(-rows // max(1, SOURCE_BLOCK_CELLS // math.prod(coeffs.shape[1:-1])))
+    weighted = np.empty(coeffs.shape[:-1] + (nq,) * (coeffs.ndim - 1))
+    for k in range(blocks):
+        part = slice(k * rows // blocks, (k + 1) * rows // blocks)
+        vals = source.antiderivative_G(q.values(coeffs[part]))
+        np.multiply(vals, q.weights(part), out=weighted[part])
+    return float(np.sum(weighted))
 
 
 def energy(u, v, source=None) -> float:

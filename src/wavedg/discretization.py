@@ -1,7 +1,8 @@
 """One object per dimension for what differs between 1D and 2D runs.
 
 A discretization holds the mesh, the `SolverConfig` and the scratch its
-right-hand side reuses.  It gives the field class, the defaults of chi and
+right-hand side reuses; `close` releases what the run held (the 2D strip
+pool's threads).  It gives the field class, the defaults of chi and
 of the energy sampling interval, the right-hand side, sampled values (cell
 midpoints in 1D, centres in 2D), the snapshot CSV, and the leapfrog
 comparator with the DG profile matched against it.
@@ -11,6 +12,8 @@ call time, so a wrapper set on the module sees every call.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from . import diagnostics
@@ -18,7 +21,14 @@ from .field import DGField1D, DGField2D, n_modes, write_columns_csv
 from .mesh import Mesh1D, Mesh2D, cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
 from .reference import ctcs_solve_1d, ctcs_solve_2d, make_grid_1d, make_grid_2d
 from .scheme1d import rhs_arrays_1d
-from .scheme2d import StripWorkspace, rhs_arrays_2d
+from .scheme2d import StripPool, rhs_arrays_2d, strip_bounds
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, as taskset or a cgroup set it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class Discretization1D:
@@ -42,6 +52,9 @@ class Discretization1D:
 
     def rhs(self, state):
         return rhs_arrays_1d(state[0], state[1], self.mesh, self.config)
+
+    def close(self):
+        """Nothing to release: the 1D right-hand side keeps no scratch."""
 
     def samples(self, u):
         return u.midpoint_values()
@@ -85,7 +98,9 @@ class Discretization2D:
         self.config = config
         cells = (mesh.nx, mesh.ny)
         self.out = (np.empty(cells + (n_modes(config.p),)), np.empty(cells + (n_modes(config.q),)))
-        self.work = StripWorkspace()
+        # one worker per usable CPU, and no more than there are strips
+        workers = min(usable_cpus(), len(strip_bounds(mesh.nx, mesh.ny)))
+        self.pool = StripPool(workers)
 
     @classmethod
     def build(cls, prob, n, config, perturb=0.0, seed=0):
@@ -95,7 +110,11 @@ class Discretization2D:
     def rhs(self, state):
         """The derivative pair, written over the one of the previous call."""
         return rhs_arrays_2d(state[0], state[1], self.mesh, self.config,
-                             out=self.out, work=self.work)
+                             out=self.out, pool=self.pool)
+
+    def close(self):
+        """End the strip pool's threads; the right-hand side is not called after this."""
+        self.pool.close()
 
     def samples(self, u):
         return u.center_values().ravel()

@@ -1,4 +1,4 @@
-"""DG coefficient storage, projection, evaluation and energies.
+"""DG coefficient storage, projection, sampling and energies.
 
 A field stores modal Legendre coefficients per cell.  In 1D the layout is
 (ncells, degree+1).  In 2D the basis is the tensor-Legendre set restricted
@@ -53,19 +53,6 @@ class DGField1D:
     def gauss_points(self, nq: int) -> "GaussPoints1D":
         return GaussPoints1D(self.mesh, self.degree, nq)
 
-    def eval(self, x, order: int = 0):
-        """Value of the order-th derivative at x, with chain factor (2/h_j)^order."""
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa < self.mesh.a - 1e-14) or np.any(xa > self.mesh.b + 1e-14):
-            raise ValueError("evaluation point outside domain")
-        cells = np.clip(np.searchsorted(self.mesh.nodes, xa, side="right") - 1,
-                        0, self.mesh.ncells - 1)
-        h = self.mesh.widths[cells]
-        xi = 2.0 * (xa - self.mesh.centers[cells]) / h
-        v = vandermonde(xi, self.degree, order)
-        out = np.einsum("...m,...m->...", self.coeffs[cells], v) * (2.0 / h) ** order
-        return out if xa.ndim else float(out)
-
     def midpoint_values(self) -> np.ndarray:
         v0 = vandermonde(0.0, self.degree)
         return self.coeffs @ v0
@@ -104,9 +91,13 @@ class GaussPoints1D:
         v1 = vandermonde(self.rule.nodes, self.degree, 1)
         return [(coeffs @ v1.T) * (2.0 / self.mesh.widths)[:, None]]
 
+    def weights(self, rows=slice(None)) -> np.ndarray:
+        """The cell-scaled weights of the cells in rows, shaped like their values."""
+        return 0.5 * self.mesh.widths[rows, None] * self.rule.weights[None, :]
+
     def integrate(self, vals: np.ndarray) -> float:
         """Sum of vals against the cell-scaled weights: the integral of what vals samples."""
-        return float(np.sum(0.5 * self.mesh.widths[:, None] * self.rule.weights[None, :] * vals))
+        return float(np.sum(self.weights() * vals))
 
 
 @lru_cache(maxsize=None)
@@ -172,26 +163,6 @@ class DGField2D:
         b = v0[self.modes[:, 0]] * v0[self.modes[:, 1]]
         return self.coeffs @ b
 
-    def eval(self, x, y, orders: tuple[int, int] = (0, 0)):
-        """Pointwise derivative d^orders field at (x, y) inside the domain."""
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        mesh = self.mesh
-        if (np.any(xa < mesh.xnodes[0] - 1e-14) or np.any(xa > mesh.xnodes[-1] + 1e-14)
-                or np.any(ya < mesh.ynodes[0] - 1e-14) or np.any(ya > mesh.ynodes[-1] + 1e-14)):
-            raise ValueError("evaluation point outside domain")
-        ix = np.clip(np.searchsorted(mesh.xnodes, xa, side="right") - 1, 0, mesh.nx - 1)
-        iy = np.clip(np.searchsorted(mesh.ynodes, ya, side="right") - 1, 0, mesh.ny - 1)
-        hx, hy = mesh.hx[ix], mesh.hy[iy]
-        xi = 2.0 * (xa - mesh.xcenters[ix]) / hx
-        eta = 2.0 * (ya - mesh.ycenters[iy]) / hy
-        vx = vandermonde(xi, self.degree, orders[0])
-        vy = vandermonde(eta, self.degree, orders[1])
-        b = vx[..., self.modes[:, 0]] * vy[..., self.modes[:, 1]]
-        out = np.einsum("...m,...m->...", self.coeffs[ix, iy], b)
-        out = out * (2.0 / hx) ** orders[0] * (2.0 / hy) ** orders[1]
-        return out if xa.ndim else float(out)
-
     def gradient_energy(self) -> float:
         """integral(|grad u|^2) over the mesh, which must be uniform."""
         if not self.mesh.is_uniform():
@@ -239,10 +210,14 @@ class GaussPoints2D:
         return [np.einsum("xym,ghm->xygh", coeffs, bx) * (2.0 / self.mesh.hx)[:, None, None, None],
                 np.einsum("xym,ghm->xygh", coeffs, by) * (2.0 / self.mesh.hy)[None, :, None, None]]
 
+    def weights(self, rows=slice(None)) -> np.ndarray:
+        """The cell-scaled weights of the cells in x-rows rows, shaped like their values."""
+        vol = 0.25 * self.mesh.hx[rows, None] * self.mesh.hy[None, :]  # the cell Jacobian
+        return vol[:, :, None, None] * self.w2[None, None]
+
     def integrate(self, vals: np.ndarray) -> float:
         """Sum of vals against the cell-scaled weights: the integral of what vals samples."""
-        vol = 0.25 * self.mesh.hx[:, None] * self.mesh.hy[None, :]  # the cell Jacobian
-        return float(np.sum(vol[:, :, None, None] * self.w2[None, None] * vals))
+        return float(np.sum(self.weights() * vals))
 
 
 #: rows formatted per write by write_columns_csv; bounds the memory it takes

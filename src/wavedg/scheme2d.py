@@ -34,20 +34,34 @@ other last bits for 200 rows or fewer than for 250 or more.  Balanced
 strips keep every block at about half of CELLS_PER_STRIP cells or more,
 never a sliver of one row.
 
-Buffers.  The caller owns the output pair `out` and the `StripWorkspace`
-`work`, which holds the ghosted strip copies and the kernel's large
-intermediates, all sized to one strip.  Passing the same workspace on
-every call, as `timeint.integrate` does, allocates them once for a run.
-The damping weights and the source function's own temporaries remain
-ordinary strip-sized arrays.  CELLS_PER_STRIP was set by timing one RHS
-of the ex8 configuration at 320^2 (p = 2, q = 1, source, damping and
-penalty on) on one core of a shared 2-vCPU Xeon, three sweeps: strips of
-2,560, 5,120 and 10,240 cells took 111 to 156 ms, strips of 640 cells 276
-to 291 ms, and one whole-mesh pass 166 to 190 ms.
+Workers.  A `StripPool` deals the strips round-robin to its workers,
+which run on threads; numpy's ufuncs and BLAS release the GIL, so the
+strips' array work overlaps.  `Discretization2D` sizes its pool to the
+CPUs of the process's affinity mask (`discretization.usable_cpus`),
+capped at the number of strips, and `timeint.integrate` ends its threads
+when it returns or aborts.  One worker, or a mesh of one strip, runs the
+strips in the calling thread.  A strip's numbers depend only on the rows
+it reads, never on the worker that computes it or on what the others do,
+and each strip writes only its own rows of the output, so every worker
+count gives the serial bits, provided that BLAS itself is
+deterministic: with BLAS on one thread (OPENBLAS_NUM_THREADS=1) it is.
+
+Buffers.  The caller owns the output pair `out` and each worker its own
+`StripWorkspace`, which holds the ghosted strip copies and the kernel's
+large intermediates, all sized to one strip.  Passing the same pool or
+workspace on every call, as `timeint.integrate` does through its
+discretization, allocates them once for a run.  The damping weights and
+the source function's own temporaries remain ordinary strip-sized arrays.
+CELLS_PER_STRIP was set by timing one RHS of the ex8 configuration at
+320^2 (p = 2, q = 1, source, damping and penalty on) on one core of a
+shared 2-vCPU Xeon, three sweeps: strips of 2,560, 5,120 and 10,240 cells
+took 111 to 156 ms, strips of 640 cells 276 to 291 ms, and one whole-mesh
+pass 166 to 190 ms.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache
 
 import numpy as np
@@ -384,45 +398,97 @@ def _gather_strip(arr: np.ndarray, start: int, stop: int, out: np.ndarray) -> np
     return out
 
 
+def strip_bounds(nx: int, ny: int) -> list[tuple[int, int]]:
+    """(start, stop) rows of each strip of an nx-by-ny mesh; see the module docstring."""
+    strips = -(-nx // max(1, CELLS_PER_STRIP // ny))
+    return [(k * nx // strips, (k + 1) * nx // strips) for k in range(strips)]
+
+
+class StripPool:
+    """The workers that evaluate the strips of `rhs_arrays_2d`, one `StripWorkspace` each.
+
+    Worker k takes strips k, k + workers, k + 2 workers, ...  One worker
+    runs them in the calling thread and starts no thread; more run on a
+    thread pool whose threads start on first use and end at `close`.  work
+    is the first worker's workspace (a fresh one by default).
+    """
+
+    def __init__(self, workers: int = 1, work: StripWorkspace | None = None):
+        self.work = [work if work is not None else StripWorkspace()]
+        self.work += [StripWorkspace() for _ in range(workers - 1)]
+        self._threads = ThreadPoolExecutor(workers, "wavedg-strip") if workers > 1 else None
+
+    def deal(self, fn, items: list) -> None:
+        """fn(items[k::workers], work[k]) for every worker k with items, then wait for all."""
+        if self._threads is None:
+            fn(items, self.work[0])
+            return
+        n = len(self.work)
+        futures = [self._threads.submit(fn, items[k::n], w)
+                   for k, w in enumerate(self.work) if items[k::n]]
+        wait(futures)
+        for f in futures:
+            f.result()
+
+    def close(self) -> None:
+        """End the threads, if any; the pool takes no more work."""
+        if self._threads is not None:
+            self._threads.shutdown()
+
+
 def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: SolverConfig,
-                  out=None, work: StripWorkspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  out=None, work: StripWorkspace | None = None,
+                  pool: StripPool | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (du, dv) of the 2D modal coefficients.
 
     out, if given, is a (du, dv) pair to write into, which must not overlap
-    the inputs; otherwise fresh arrays are returned.  work holds the
-    scratch arrays; a caller that evaluates many right-hand sides passes
-    the same workspace each time.
+    the inputs; otherwise fresh arrays are returned.  pool runs the strips
+    on its workers, each with its own scratch arrays; without one, the
+    strips run in this thread in work, or in a fresh workspace.  A caller
+    that evaluates many right-hand sides passes the same pool or workspace
+    each time.
     """
     if not mesh.is_uniform():
         raise ValueError("the 2D scheme assumes a uniform Cartesian mesh")
     if config.source is not None and config.chi == 1:
         raise ValueError("the in-cell source quotient treatment is 1D-only; use chi=0 in 2D")
     du, dv = out if out is not None else (np.empty(ucoef.shape), np.empty(vcoef.shape))
-    work = work if work is not None else StripWorkspace()
-    nx, ny = ucoef.shape[:2]
-    strips = -(-nx // max(1, CELLS_PER_STRIP // ny))
-    if strips == 1:
-        _strip_rhs(ucoef, vcoef, mesh, config, work, du, dv)
-        return du, dv
-    for k in range(strips):
-        start, stop = k * nx // strips, (k + 1) * nx // strips
-        lead = (stop - start + 2, ny)
-        us = _gather_strip(ucoef, start, stop, work.take("u_in", lead + ucoef.shape[2:]))
-        vs = _gather_strip(vcoef, start, stop, work.take("v_in", lead + vcoef.shape[2:]))
-        dus = work.take("du_out", us.shape)
-        dvs = work.take("dv_out", vs.shape)
-        _strip_rhs(us, vs, mesh, config, work, dus, dvs)
-        du[start:stop] = dus[1:-1]
-        dv[start:stop] = dvs[1:-1]
-    return du, dv
-
-
-def _strip_rhs(ucoef, vcoef, mesh: Mesh2D, config: SolverConfig, work: StripWorkspace,
-               du, dv) -> None:
-    """Write the right-hand side of a block of rows, periodic in both directions, to du, dv."""
+    pool = pool if pool is not None else StripPool(work=work)
     p, q = config.p, config.q
     hx, hy = float(mesh.hx[0]), float(mesh.hy[0])
     t = _tables2d(p, q, hx, hy, config.quad_points)
+    nx, ny = ucoef.shape[:2]
+    bounds = strip_bounds(nx, ny)
+    if len(bounds) == 1:
+        _strip_rhs(ucoef, vcoef, mesh, config, t, pool.work[0], du, dv)
+        return du, dv
+    if config.damping:
+        # fill these caches here, not from several workers at once
+        _corner_major_tables(p, p, hx, hy)
+        _corner_major_tables(q, q, hx, hy)
+
+    def run(deal, work):
+        for start, stop in deal:
+            lead = (stop - start + 2, ny)
+            us = _gather_strip(ucoef, start, stop, work.take("u_in", lead + ucoef.shape[2:]))
+            vs = _gather_strip(vcoef, start, stop, work.take("v_in", lead + vcoef.shape[2:]))
+            dus = work.take("du_out", us.shape)
+            dvs = work.take("dv_out", vs.shape)
+            _strip_rhs(us, vs, mesh, config, t, work, dus, dvs)
+            du[start:stop] = dus[1:-1]
+            dv[start:stop] = dvs[1:-1]
+
+    pool.deal(run, bounds)
+    return du, dv
+
+
+def _strip_rhs(ucoef, vcoef, mesh: Mesh2D, config: SolverConfig, t: dict,
+               work: StripWorkspace, du, dv) -> None:
+    """Write the right-hand side of a block of rows, periodic in both directions, to du, dv.
+
+    t holds the `_tables2d` of the mesh's cell.
+    """
+    hx, hy = float(mesh.hx[0]), float(mesh.hy[0])
     nm, nmq = ucoef.shape[-1], t["nmq"]
     nq_face = len(t["rule"].weights)
     fp = config.flux

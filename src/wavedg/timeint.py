@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,12 +203,14 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
 
     record(state)
     t = 0.0
-    for n in range(plan.steps):
-        step_dt = plan.dt if n < plan.steps - 1 else plan.last_dt
-        ssp_rk3_step(state, disc.rhs, step_dt, out=state, work=registers)
-        t += step_dt
-        _check_state(state, n + 1, t)
-        if (n + 1) % sample_every == 0 or n == plan.steps - 1:
-            trace.times.append(t)
-            record(state)
+    # the discretization's worker threads, started by its first rhs, end with this call
+    with closing(disc):
+        for n in range(plan.steps):
+            step_dt = plan.dt if n < plan.steps - 1 else plan.last_dt
+            ssp_rk3_step(state, disc.rhs, step_dt, out=state, work=registers)
+            t += step_dt
+            _check_state(state, n + 1, t)
+            if (n + 1) % sample_every == 0 or n == plan.steps - 1:
+                trace.times.append(t)
+                record(state)
     return disc.field(mesh, config.p, state[0]), disc.field(mesh, config.q, state[1]), trace

@@ -10,6 +10,9 @@ since that is the data format under test.
 The 2D face flux family is kept here too, as plain expressions
 (`fluxes_2d`); the solver's buffered flux kernel must match it.
 
+`eval_1d` and `eval_2d` evaluate a DG field pointwise the same
+independent way.
+
 The module also keeps the time stepping in its plain whole-array form:
 SSP-RK3 with fresh arrays per stage, and the leapfrog comparator over
 np.roll copies.  The in-place and blocked solver code must match them bit
@@ -51,6 +54,22 @@ def _project_values(series, level, xl, xr, x):
     rhs = np.array([np.sum(wq * bi(xq) * series(xq)) for bi in basis])
     coef = np.linalg.solve(gram, rhs)
     return sum(c * b(x) for c, b in zip(coef, basis))
+
+
+def eval_1d(fld, x, order: int = 0):
+    """The order-th derivative of a 1D DG field at x, by numpy's Legendre series.
+
+    A point on an inner node reads the cell on its right, the right end the
+    last cell; a point outside the mesh is a ValueError.
+    """
+    mesh = fld.mesh
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < mesh.a - 1e-14) or np.any(xa > mesh.b + 1e-14):
+        raise ValueError("evaluation point outside domain")
+    cells = np.clip(np.searchsorted(mesh.nodes, xa, side="right") - 1, 0, mesh.ncells - 1)
+    out = np.array([_cell_series(fld.coeffs[j], mesh.nodes[j], mesh.nodes[j + 1]).deriv(order)(xv)
+                    for j, xv in zip(cells.ravel(), xa.ravel())]).reshape(xa.shape)
+    return out if xa.ndim else float(out)
 
 
 def brute_rhs_1d(ucoef, vcoef, nodes, p, q, alpha, tau, beta, c_penalty,
@@ -231,6 +250,21 @@ class _CellPoly2D:
         sx = (2.0 / (self.xr - self.xl)) ** rx
         sy = (2.0 / (self.yr - self.yl)) ** ry
         return out * sx * sy
+
+
+def eval_2d(fld, x: float, y: float, orders: tuple[int, int] = (0, 0)) -> float:
+    """d^orders of a 2D DG field at the point (x, y), by `_CellPoly2D`.
+
+    As `eval_1d`, a point on an inner node reads the cell above it.
+    """
+    mesh = fld.mesh
+    if not (mesh.xnodes[0] - 1e-14 <= x <= mesh.xnodes[-1] + 1e-14
+            and mesh.ynodes[0] - 1e-14 <= y <= mesh.ynodes[-1] + 1e-14):
+        raise ValueError("evaluation point outside domain")
+    i = min(max(int(np.searchsorted(mesh.xnodes, x, side="right")) - 1, 0), mesh.nx - 1)
+    j = min(max(int(np.searchsorted(mesh.ynodes, y, side="right")) - 1, 0), mesh.ny - 1)
+    box = (mesh.xnodes[i], mesh.xnodes[i + 1], mesh.ynodes[j], mesh.ynodes[j + 1])
+    return float(_CellPoly2D(fld.coeffs[i, j], _modes_2d(fld.degree), box)(x, y, *orders))
 
 
 def brute_rhs_2d(ucoef, vcoef, xnodes, ynodes, p, q, alpha, tau, beta,

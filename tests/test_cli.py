@@ -250,6 +250,31 @@ def test_parallel_sweep_matches_sequential(tmp_path):
     assert np.allclose(t1.errors, t2.errors, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (8, 3)])
+def test_parallel_sweep_sizes_its_pool_by_the_affinity_mask(tmp_path, monkeypatch, cpus, workers):
+    # taskset or a cgroup narrows the mask below os.cpu_count()
+    sizes = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    run_convergence(parse_config(None, {"problem": "ex1", "ns": (10, 20, 40), "parallel": True,
+                                        "outdir": str(tmp_path)}))
+    assert sizes == [workers]
+
+
 def test_custom_problem_roundtrip_and_run(tmp_path):
     overrides = {"problem": "custom", "dim": 1, "domain": (0.0, 2.0),
                  "initial": "box", "source": "cubic_4", "ns": (24,),

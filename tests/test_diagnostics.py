@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from wavedg import diagnostics
 from wavedg.diagnostics import (
     ConvergenceTable,
     bin_average,
@@ -12,8 +13,9 @@ from wavedg.diagnostics import (
     level_crossings,
     merge_close,
     oscillation_metrics,
+    source_integral,
 )
-from wavedg.field import DGField1D, DGField2D
+from wavedg.field import DGField1D, DGField2D, n_modes
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
 from wavedg.reference import make_grid_1d
@@ -180,3 +182,20 @@ def test_bin_average_counts_a_point_on_an_inner_edge_to_its_right():
     edges = [0.0, 1.0, 2.0, 3.0]
     assert bin_average([0.5, 1.0, 2.5], [1.0, 2.0, 3.0], edges).tolist() == [1.0, 2.0, 3.0]
     assert empty_bins([0.5, 1.5], edges).tolist() == [2]
+
+
+@pytest.mark.parametrize("block_cells", [64, 8192])
+def test_source_integral_in_blocks_is_the_whole_array_sum(monkeypatch, block_cells):
+    # 64 cells a block: 1D meshes in several blocks; 2D blocks of 2 to 4 x-rows
+    monkeypatch.setattr(diagnostics, "SOURCE_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(71)
+    fields = [DGField1D(uniform_mesh_1d(0.0, 2.0, n), p, rng.standard_normal((n, p + 1)))
+              for n, p in ((37, 2), (320, 3), (1000, 4))]
+    for (nx, ny), p in (((23, 16), 2), ((40, 30), 3), ((9, 70), 2)):
+        mesh = cartesian_mesh_2d(0.0, 1.0, -1.0, 1.0, nx, ny)
+        fields.append(DGField2D(mesh, p, rng.standard_normal((nx, ny, n_modes(p)))))
+    for f in fields:
+        q = f.gauss_points(f.degree + 3)
+        for source in SOURCES.values():
+            whole = q.integrate(source.antiderivative_G(q.values(f.coeffs)))
+            assert source_integral(f, source) == whole

@@ -1,13 +1,19 @@
 """2D semi-discrete assembly: fluxes, vertex jumps, oracle equivalence, reduction."""
+import os
+import threading
+import time
+from contextlib import closing
+
 import numpy as np
 import pytest
 
 from oracles import brute_rhs_2d, fluxes_2d
 from wavedg.field import DGField2D, n_modes, total_degree_modes
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
-from wavedg.scheme1d import SOURCES, FluxParams, SolverConfig, numerical_fluxes
+from wavedg.scheme1d import SOURCES, FluxParams, SolverConfig, SourceTerm, numerical_fluxes
 from wavedg import scheme2d
-from wavedg.scheme2d import StripWorkspace, damping_coeffs_2d, rhs_arrays_2d
+from wavedg.discretization import Discretization2D
+from wavedg.scheme2d import StripPool, StripWorkspace, damping_coeffs_2d, rhs_arrays_2d
 
 
 def _random_state_2d(rng, nx, ny, p, q, scale=1.0):
@@ -414,3 +420,64 @@ def test_rhs_writes_into_supplied_arrays(monkeypatch):
     assert got[0] is out[0] and got[1] is out[1]
     du, dv = rhs_arrays_2d(u, v, mesh, cfg)
     assert np.array_equal(out[0], du) and np.array_equal(out[1], dv)
+
+
+@pytest.mark.parametrize("fluxname", sorted(FLUX_CASES))
+@pytest.mark.parametrize("penalty", [False, True])
+@pytest.mark.parametrize("source", [None, "cubic_4"])
+def test_strip_workers_give_the_serial_bytes(monkeypatch, fluxname, penalty, source):
+    # 23 rows in 4 strips of at most 96 // 16 = 6 rows; 8 CPUs still make 4 workers
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    rng = np.random.default_rng(61)
+    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.5, 23, 16)
+    cfg = SolverConfig(p=2, q=1, chi=0, flux=FLUX_CASES[fluxname], penalty=penalty,
+                       source=SOURCES[source] if source else None)
+    for _ in range(2):
+        u, v = _random_state_2d(rng, 23, 16, 2, 1, scale=0.5)
+        du, dv = rhs_arrays_2d(u, v, mesh, cfg)
+        for cpus, workers in ((1, 1), (2, 2), (3, 3), (8, 4)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            with closing(Discretization2D(mesh, cfg)) as disc:
+                assert len(disc.pool.work) == workers
+                got = disc.rhs((u, v))
+                assert np.array_equal(got[0], du) and np.array_equal(got[1], dv)
+        # more workers than strips: the idle ones get no strip
+        with closing(StripPool(6)) as pool:
+            got = rhs_arrays_2d(u, v, mesh, cfg, pool=pool)
+            assert np.array_equal(got[0], du) and np.array_equal(got[1], dv)
+
+
+@pytest.mark.parametrize("cpus, n", [(4, 6), (1, 23)])
+def test_one_strip_or_one_cpu_starts_no_thread(monkeypatch, cpus, n):
+    # 6 x 16 cells are one strip of 96; 23 x 16 are four
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, n, 16)
+    u, v = _random_state_2d(np.random.default_rng(73), n, 16, 2, 1)
+    before = threading.active_count()
+    with closing(Discretization2D(mesh, SolverConfig(p=2, q=1, chi=0))) as disc:
+        assert len(disc.pool.work) == 1
+        disc.rhs((u, v))
+        assert threading.active_count() == before
+
+
+def test_a_failing_strip_is_raised_after_every_worker_is_done(monkeypatch):
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, 23, 16)
+    rng = np.random.default_rng(67)
+    u, v = _random_state_2d(rng, 23, 16, 2, 1)
+    done = []
+
+    def g(x):
+        if x.shape[0] == 7:  # the first strip, 5 rows and two ghosts
+            raise FloatingPointError("bad strip")
+        time.sleep(0.05)  # the other worker is still busy when the first one fails
+        done.append(x.shape[0])
+        return x
+
+    cfg = SolverConfig(p=2, q=1, chi=0, source=SourceTerm("failing", g, g, 0.0))
+    with closing(StripPool(2)) as pool:
+        with pytest.raises(FloatingPointError, match="bad strip"):
+            rhs_arrays_2d(u, v, mesh, cfg, pool=pool)
+        # the other worker's two strips ran to the end before the error came out
+        assert done.count(8) == 2

@@ -1,12 +1,14 @@
 """Time stepping: dt rule, SSP-RK3 order, integration driver, energy tracing."""
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from oracles import ssp_rk3_out_of_place
-from wavedg import diagnostics, scheme1d, scheme2d
+from wavedg import diagnostics, discretization, scheme1d, scheme2d
 from wavedg.field import DGField1D, DGField2D
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
@@ -256,6 +258,53 @@ def test_integrate_matches_out_of_place_rk3_2d(monkeypatch):
     want = _reference_run(u0, v0, cfg, 6.5 * dt, dt,
                           lambda s: scheme2d.rhs_arrays_2d(s[0], s[1], m, cfg))
     _assert_same_run(integrate(u0, v0, cfg, 6.5 * dt, dt=dt), want)
+
+
+def _ex8_run(n, steps):
+    """ex8 on n x n cells: the fields, config and dt of `steps` steps."""
+    prob = EXAMPLES["ex8"]
+    m = cartesian_mesh_2d(*prob.domain, n, n)
+    cfg = SolverConfig(p=2, q=1, chi=0, source=SOURCES[prob.source_name])
+    dt = dt_rule(2, m.h)
+    return DGField2D.project(prob.u0, m, 2), DGField2D.project(prob.u1, m, 1), cfg, steps * dt, dt
+
+
+def test_integrate_gives_the_same_bytes_on_one_and_two_workers(monkeypatch):
+    # 24 x 24 cells in strips of at most 4 rows: 6 strips
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    u0, v0, cfg, t_final, dt = _ex8_run(24, 20)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        runs.append(integrate(u0, v0, cfg, t_final, dt=dt, sample_every=3))
+    (u1, v1, tr1), (u2, v2, tr2) = runs
+    assert np.array_equal(u1.coeffs, u2.coeffs) and np.array_equal(v1.coeffs, v2.coeffs)
+    assert tr1 == tr2 and len(tr1.times) == 8
+
+
+@pytest.mark.parametrize("aborts", [False, True])
+def test_integrate_ends_its_worker_threads(monkeypatch, aborts):
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    seen = []
+
+    def counted(*args, _rhs=discretization.rhs_arrays_2d, **kwargs):
+        out = _rhs(*args, **kwargs)
+        seen.append(threading.active_count())
+        return out
+
+    monkeypatch.setattr(discretization, "rhs_arrays_2d", counted)
+    u0, v0, cfg, t_final, dt = _ex8_run(24, 3)
+    if aborts:
+        u0.coeffs[:] = 2.0 * BLOWUP_LIMIT
+    before = threading.active_count()
+    if aborts:
+        with pytest.raises(SolverAbort, match="step 1"):
+            integrate(u0, v0, cfg, t_final, dt=dt)
+    else:
+        integrate(u0, v0, cfg, t_final, dt=dt)
+    assert max(seen) == before + 2
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -15,7 +15,7 @@ The matrix covers converge on ex1 (also with alternating side 1) and ex6
 (also with the Sommerfeld flux); shock on ex1 (perturbed mesh), ex3 (also
 with the central flux undamped, and without the penalty), ex7 and ex8
 (also at 80^2, the one 2D run that the kernel evaluates in two ghosted
-strips); energy on ex2 (also with the Sommerfeld flux at speed 2), ex3
+strips, on two strip workers where the process may use two CPUs); energy on ex2 (also with the Sommerfeld flux at speed 2), ex3
 and ex4; compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the
 1000^2 grid); and two custom problems, from config files written to
 OUTDIR/configs: a Neumann box with the cubic source in 1D (shock) and a

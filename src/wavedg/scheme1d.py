@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -48,7 +48,8 @@ class FluxParams:
 
     Sides: `alternating(0)` takes vhat = v- and uxhat = u_x+ in 1D, but v+
     and d_n u- on a 2D face, where zeta = alpha - 1/2 weighs the sides
-    mirrored (`scheme2d._fast_fluxes`); side 1 swaps both.
+    mirrored (the 2D face fluxes are stated in `scheme2d._fast_fluxes`);
+    side 1 swaps both.
     """
 
     alpha: float = 0.5
@@ -116,28 +117,20 @@ class SourceTerm:
         return np.where(small, self.gprime0, self.g(u) / safe)
 
 
-def _g_sine_gordon(u):
-    return -np.sin(u)
+def _g_sine(c, u):
+    return c * np.sin(u)
 
 
-def _G_sine_gordon(u):
-    return 1.0 - np.cos(u)
+def _G_sine(c, u):
+    return c * (np.cos(u) - 1.0)
 
 
-def _g_sine_gordon_160(u):
-    return 160.0 * np.sin(u)
+def _sine_source(name: str, c: float) -> SourceTerm:
+    """The source g(u) = c sin u, with G(u) = c (cos u - 1) and g'(0) = c.
 
-
-def _G_sine_gordon_160(u):
-    return 160.0 * (np.cos(u) - 1.0)
-
-
-def _g_sine_gordon_16(u):
-    return 16.0 * np.sin(u)
-
-
-def _G_sine_gordon_16(u):
-    return 16.0 * (np.cos(u) - 1.0)
+    g and G are partials of module-level functions, so the term pickles.
+    """
+    return SourceTerm(name, partial(_g_sine, c), partial(_G_sine, c), c)
 
 
 def _g_cubic_4(u):
@@ -150,9 +143,9 @@ def _G_cubic_4(u):
 
 
 SOURCES: dict[str, SourceTerm] = {
-    "sine_gordon": SourceTerm("sine_gordon", _g_sine_gordon, _G_sine_gordon, -1.0),
-    "sine_gordon_160": SourceTerm("sine_gordon_160", _g_sine_gordon_160, _G_sine_gordon_160, 160.0),
-    "sine_gordon_16": SourceTerm("sine_gordon_16", _g_sine_gordon_16, _G_sine_gordon_16, 16.0),
+    "sine_gordon": _sine_source("sine_gordon", -1.0),
+    "sine_gordon_160": _sine_source("sine_gordon_160", 160.0),
+    "sine_gordon_16": _sine_source("sine_gordon_16", 16.0),
     "cubic_4": SourceTerm("cubic_4", _g_cubic_4, _G_cubic_4, 0.0),
 }
 

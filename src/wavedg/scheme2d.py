@@ -17,22 +17,31 @@ quotient treatment (chi = 1) is a 1D-only feature.
 
 Strips.  `rhs_arrays_2d` evaluates the mesh in x-strips of whole rows, at
 most max(1, CELLS_PER_STRIP // ny) rows each, balanced so that their
-heights differ by at most one row.  A mesh that fits in one strip runs as
-one pass.  Otherwise each strip is copied out with one ghost row on each
-side, taken with periodic wrap, the kernel runs on that block as if it
-were periodic, and the strip's own rows are copied to the output.  Every
-term couples a cell only to its edge neighbours: the face traces and
-fluxes, the two-sided penalty and gradient faces, and the vertex jumps
-that drive the damping.  The block's own wrap along x therefore corrupts
-only the ghost rows, which are dropped, and the rows kept see exactly the
-neighbours they have in the mesh.  BLAS computes each row of a product
-independently of the others, so the strips give the whole-mesh numbers
-bit for bit.  That last step needs products of more than a few hundred
-rows: OpenBLAS 0.3.31 rounds some small products differently.  With
-p = 3 and a source, the product over 36 quadrature values per cell gives
-other last bits for 200 rows or fewer than for 250 or more.  Balanced
-strips keep every block at about half of CELLS_PER_STRIP cells or more,
-never a sliver of one row.
+heights differ by at most one row.  Every strip, that of a one-strip mesh
+too, is copied out framed: with one ghost cell on all four sides, taken
+with periodic wrap, and flattened to (cells, modes).  In a frame w = ny + 2
+cells wide a cell's neighbour along y is the next cell and its neighbour
+along x the cell w further on, so every shift is a plain slice and a face
+array is the difference of two slices.  The kernel keeps the band of the
+strip's own rows, ghost columns included, and writes their inner columns
+to the output.  Every term couples a cell only to its edge neighbours: the
+face traces and fluxes, the two-sided penalty and gradient faces, and the
+vertex jumps that drive the damping.  So only the ghost cells see wrong
+neighbours, and they are dropped.  Each squared vertex jump is taken once
+per face and added into both of its cells, corner by corner in the order
+BL, BR, TL, TR, since (a - b)^2 equals (b - a)^2 exactly.
+
+BLAS computes each row of a product independently of the others, so the
+strips give the whole-mesh numbers bit for bit.  That needs products of
+more than a few hundred rows: OpenBLAS 0.3.31 rounds some small products
+differently.  With p = 3 and a source, the product over 36 quadrature
+values per cell gives other last bits for 200 rows or fewer than for 250
+or more.  Balanced strips keep every block at about half of
+CELLS_PER_STRIP cells or more, never a sliver of one row.  For the same
+reason the cell-local source products run on the strip's own rows of the
+input, without the frame, so that a one-strip mesh multiplies exactly its
+own cells: on framed rows, meshes of 100 to 200 cells with a source at
+p >= 3 got other last bits of dv.
 
 Workers.  A `StripPool` deals the strips round-robin to its workers,
 which run on threads; numpy's ufuncs and BLAS release the GIL, so the
@@ -47,16 +56,26 @@ count gives the serial bits, provided that BLAS itself is
 deterministic: with BLAS on one thread (OPENBLAS_NUM_THREADS=1) it is.
 
 Buffers.  The caller owns the output pair `out` and each worker its own
-`StripWorkspace`, which holds the ghosted strip copies and the kernel's
-large intermediates, all sized to one strip.  Passing the same pool or
-workspace on every call, as `timeint.integrate` does through its
-discretization, allocates them once for a run.  The damping weights and
-the source function's own temporaries remain ordinary strip-sized arrays.
+`StripWorkspace`, which holds the framed strip copies and the kernel's
+large intermediates, all sized to one strip and zero-filled when first
+allocated.  Passing the same pool or workspace on every call, as
+`timeint.integrate` does through its discretization, allocates them once
+for a run.  The two axes, and the vertex jumps of u and of v, share their
+buffers.  Every trace, corner and face product writes a contiguous array
+of its own, since operands sliced by mode cost more than the products
+they would save (BLAS on one thread, 2-vCPU Xeon): `pen += both[..., :6]`
+on an 18 x 320 block took 43 us against 11 us for a contiguous operand,
+and one (5796, 20) product of four stacked trace tables with one
+subtraction on each trace's columns 409 to 443 us, against 143 to 149 us
+for four products and contiguous subtractions.  GEMM cost here follows the
+size of the output, not the number of calls.  The damping weights and the
+source function's own temporaries remain ordinary strip-sized arrays.
 CELLS_PER_STRIP was set by timing one RHS of the ex8 configuration at
 320^2 (p = 2, q = 1, source, damping and penalty on) on one core of a
-shared 2-vCPU Xeon, three sweeps: strips of 2,560, 5,120 and 10,240 cells
-took 111 to 156 ms, strips of 640 cells 276 to 291 ms, and one whole-mesh
-pass 166 to 190 ms.
+shared 2-vCPU Xeon, three sweeps of the framed kernel: strips of 5,120
+cells took 67 to 69 ms, of 2,560 cells 65 to 88 ms, of 10,240 cells 76 to
+97 ms, of 640 cells 107 to 150 ms, and one strip of the whole mesh 124 to
+158 ms.
 """
 from __future__ import annotations
 
@@ -77,42 +96,6 @@ _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))  # BL, BR, TL, T
 CELLS_PER_STRIP = 5120
 
 
-def _roll_slices(axis: int, shift: int) -> tuple:
-    """(destination, source) index pairs that realize np.roll by shift = +-1."""
-    pre = (slice(None),) * axis
-    if shift == 1:
-        pairs = ((slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None)))
-    else:
-        pairs = ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(0, 1)))
-    return tuple((pre + (d,), pre + (s,)) for d, s in pairs)
-
-
-def _minus_rolled(a, b, shift: int, axis: int, out=None) -> np.ndarray:
-    """a - np.roll(b, shift, axis) without materializing the rolled copy.
-
-    out may be a itself, which subtracts in place.
-    """
-    if out is None:
-        out = np.empty(a.shape)
-    for dst, src in _roll_slices(axis, shift):
-        np.subtract(a[dst], b[src], out=out[dst])
-    return out
-
-
-def _rolled_minus(b, shift: int, axis: int, a, out) -> np.ndarray:
-    """np.roll(b, shift, axis) - a, written to out, without the rolled copy."""
-    for dst, src in _roll_slices(axis, shift):
-        np.subtract(b[src], a[dst], out=out[dst])
-    return out
-
-
-def _rolled(b, shift: int, axis: int, out) -> np.ndarray:
-    """np.roll(b, shift, axis), written to out."""
-    for dst, src in _roll_slices(axis, shift):
-        out[dst] = b[src]
-    return out
-
-
 def _weighted_sum(c1: float, x1, c2: float, x2, out, tmp):
     """c1*x1 + c2*x2, dropping zero-weight terms and unit factors.
 
@@ -128,36 +111,35 @@ def _weighted_sum(c1: float, x1, c2: float, x2, out, tmp):
     return np.add(out, np.multiply(c2, x2, out=tmp), out=out)
 
 
-def _fast_fluxes(v_minus, v_own, dnu_minus, dnu_own, params: FluxParams, axis: int, buf):
-    """Face fluxes (vhat, grad-u-hat . n) of every face normal to one axis.
+def _fast_fluxes(v_minus, v_plus, dnu_minus, dnu_plus, params: FluxParams, buf):
+    """Fluxes (vhat, grad-u-hat . n) of faces normal to one axis, one row per face.
 
     The energy-based DG flux family (Appelo & Hagstrom, SINUM 53, 2015),
-    for the face i+1/2 with normal n = +e_axis and z = params.zeta:
+    for a face with normal n = +e_axis and z = params.zeta:
 
         vhat   = (1/2 - z) v+ + (1/2 + z) v- + tau [[d_n u]]
         gradn  = (1/2 + z) d_n u+ + (1/2 - z) d_n u- + beta [[v]]
 
-    with minus the lower cell i, plus the upper cell i+1 and [[.]] = plus -
-    minus.  Mirrored from the 1D `numerical_fluxes`, the alternating flux of
-    side 0 (z = -1/2) takes vhat = v+ and gradn = d_n u- here, v- and u_x+
-    in 1D.  Face i+1/2's plus-side traces are cell i+1's own lower-side
-    traces (v_own, dnu_own rolled by -1 along axis); the roll is only taken
-    where a term needs it, since the alternating flux reads one side of each
-    pair.  buf(name) gives a scratch array shaped like the traces.
+    with minus the lower cell, plus the upper cell and [[.]] = plus - minus.
+    Mirrored from the 1D `numerical_fluxes`, the alternating flux of side 0
+    (z = -1/2) takes vhat = v+ and gradn = d_n u- here, v- and u_x+ in 1D.
+    Row k of each argument is a trace on face k: the lower cell's upper-side
+    traces (v_minus, dnu_minus) and the upper cell's lower-side ones
+    (v_plus, dnu_plus).  A normal derivative that no term reads (the
+    alternating flux without tau) may be None.  buf(name) gives a scratch
+    array of their shape.
     """
     z = params.zeta
     a_plus, a_minus = 0.5 - z, 0.5 + z
     tmp = buf("flux_tmp")
-    v_plus = _rolled(v_own, -1, axis, buf(f"v_plus{axis}")) if a_plus or params.beta else None
-    dnu_plus = _rolled(dnu_own, -1, axis, buf(f"dnu_plus{axis}")) if a_minus or params.tau else None
-    vhat = _weighted_sum(a_plus, v_plus, a_minus, v_minus, buf(f"vhat{axis}"), tmp)
+    vhat = _weighted_sum(a_plus, v_plus, a_minus, v_minus, buf("vhat"), tmp)
     if params.tau:
         jump = np.subtract(dnu_plus, dnu_minus, out=tmp)
-        vhat = np.add(vhat, np.multiply(params.tau, jump, out=tmp), out=buf(f"vhat{axis}"))
-    gradn = _weighted_sum(a_minus, dnu_plus, a_plus, dnu_minus, buf(f"gradn{axis}"), tmp)
+        vhat = np.add(vhat, np.multiply(params.tau, jump, out=tmp), out=buf("vhat"))
+    gradn = _weighted_sum(a_minus, dnu_plus, a_plus, dnu_minus, buf("gradn"), tmp)
     if params.beta:
         jump = np.subtract(v_plus, v_minus, out=tmp)
-        gradn = np.add(gradn, np.multiply(params.beta, jump, out=tmp), out=buf(f"gradn{axis}"))
+        gradn = np.add(gradn, np.multiply(params.beta, jump, out=tmp), out=buf("gradn"))
     return vhat, gradn
 
 
@@ -182,16 +164,9 @@ def _dxy_matrices(degree: int):
     return dx, dy
 
 
-def _mm(arr: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
-    """Contract the trailing axis against a table via BLAS.
-
-    out, if given, is a C-contiguous array that receives the result.
-    """
-    lead = arr.shape[:-1]
-    flat = arr.reshape(-1, arr.shape[-1])
-    if out is None:
-        return (flat @ table).reshape(lead + (table.shape[1],))
-    np.matmul(flat, table, out=out.reshape(-1, table.shape[1]))
+def _mm(arr: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Contract the trailing axis against a table via BLAS into out, a C-contiguous array."""
+    np.matmul(arr.reshape(-1, arr.shape[-1]), table, out=out.reshape(-1, table.shape[1]))
     return out
 
 
@@ -227,60 +202,73 @@ def _alphas_upto(max_order: int) -> tuple:
     return tuple(out)
 
 
-def _sq_jump_pair(own, nb1, shift1, axis1, nb2, shift2, axis2) -> np.ndarray:
-    """(own - roll(nb1))**2 + (own - roll(nb2))**2: one corner's two edge-neighbor jumps."""
-    first = _minus_rolled(own, nb1, shift1, axis1)
-    np.square(first, out=first)
-    second = _minus_rolled(own, nb2, shift2, axis2)
-    np.square(second, out=second)
-    first += second
-    return first
-
-
-def _vertex_jump_acc(coeffs: np.ndarray, degree: int, max_order: int,
-                     hx: float, hy: float) -> np.ndarray:
+def _vertex_jump_acc(block: np.ndarray, width: int, degree: int, max_order: int,
+                     hx: float, hy: float, work: StripWorkspace) -> np.ndarray:
     """Per order l: sum over |alpha| = l of sqrt(quarter-sum of corner jumps).
 
     The corner jump of d^alpha u at one of the four corners (bottom-left,
     bottom-right, top-left, top-right) sums the squared differences against
     the two edge-neighbors meeting that corner; the diagonal neighbor is not
-    compared.  Returns shape (nx, ny, max_order+1); all multi-index corner
-    values come from one stacked matmul and the four-corner jump algebra
-    runs over every multi-index at once.
+    compared.  block is a framed strip flattened to (cells, modes), width
+    cells to a row (see `_strip_rhs`); the result has one row per cell of
+    every row but the first and the last, shape (cells - 2 width,
+    max_order + 1).  Each squared jump is taken once per face and read by
+    both of its cells, since (a - b)^2 == (b - a)^2 exactly.
     """
     alphas = _alphas_upto(max_order)
+    n, w, na = len(block), width, len(alphas)
+    rows = n - 2 * w
     tabs = _corner_major_tables(degree, max_order, hx, hy)
-    bl = _mm(coeffs, tabs[0])
-    br = _mm(coeffs, tabs[1])
-    tl = _mm(coeffs, tabs[2])
-    tr = _mm(coeffs, tabs[3])
-    total = _sq_jump_pair(bl, br, 1, 0, tl, 1, 1)
-    total += _sq_jump_pair(br, bl, -1, 0, tr, 1, 1)
-    total += _sq_jump_pair(tl, tr, 1, 0, bl, -1, 1)
-    total += _sq_jump_pair(tr, tl, -1, 0, br, -1, 1)
+    bl, br, tl, tr = (_mm(block, tab, work.take(name, (n, na)))
+                      for name, tab in zip(("bl", "br", "tl", "tr"), tabs))
+
+    def sq_jump(a, b, name):
+        jump = np.subtract(a, b, out=work.take(name, (len(a), na)))
+        return np.square(jump, out=jump)
+
+    # x-face k joins cells k and k + w, y-face k cells w - 1 + k and w + k
+    xb, xt = sq_jump(br[:n - w], bl[w:], "xb"), sq_jump(tr[:n - w], tl[w:], "xt")
+    yl = sq_jump(tl[w - 1:n - w], bl[w:n - w + 1], "yl")
+    yr = sq_jump(tr[w - 1:n - w], br[w:n - w + 1], "yr")
+    # per corner, in the order BL, BR, TL, TR: its x-face jump plus its y-face jump
+    total = np.add(xb[:rows], yl[:rows], out=work.take("total", (rows, na)))
+    pair = work.take("pair", (rows, na))
+    for x, y in ((xb[w:], yr[:rows]), (xt[:rows], yl[1:]), (xt[w:], yr[1:])):
+        total += np.add(x, y, out=pair)
     total *= 0.25
     roots = np.sqrt(total, out=total)
-    out = np.zeros(coeffs.shape[:-1] + (max_order + 1,))
+    out = np.zeros((rows, max_order + 1))
     for k, (r1, r2) in enumerate(alphas):
-        out[..., r1 + r2] += roots[..., k]
+        out[:, r1 + r2] += roots[:, k]
     return out
 
 
 def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D,
-                      config: SolverConfig):
-    """Damping weights (for_u[i,j,l], l=1..p; for_v[i,j,l], l=0..q).
+                      config: SolverConfig, work: StripWorkspace | None = None):
+    """Damping weights (for_u[i,j,l], l=1..p; for_v[i,j,l], l=0..q) of a framed block.
+
+    ucoef and vcoef are framed blocks, (rows + 2, cols + 2, modes), whose
+    outer ring of cells holds each edge cell's periodic neighbours.  The
+    weights come back for the block's rows 1..rows, every column included,
+    shape (rows, cols + 2, orders); those of the two outer columns are not
+    meaningful.  For a whole periodic mesh, frame it with
+    np.pad(coeffs, ((1, 1), (1, 1), (0, 0)), mode="wrap") and keep [:, 1:-1].
 
     for_u at order l sums, over the multi-indices of that order, the root of
     the quarter-sum of squared vertex jumps, scaled by
     2(2l+1)/(2p-1) * h_d^l / l!; for_v uses (2q-1), h_d^(l+1) and (l+1)!.
+    work holds the scratch arrays (a fresh `StripWorkspace` by default).
     """
     p, q = config.p, config.q
     hx, hy = float(mesh.hx[0]), float(mesh.hy[0])
     h_d = mesh.h
-    acc_u = _vertex_jump_acc(ucoef, p, p, hx, hy)
-    acc_v = _vertex_jump_acc(vcoef, q, q, hx, hy)
-    for_u = np.zeros(ucoef.shape[:2] + (p + 1,))
-    for_v = np.zeros(vcoef.shape[:2] + (q + 1,))
+    work = work if work is not None else StripWorkspace()
+    rows, width = ucoef.shape[0] - 2, ucoef.shape[1]
+    acc_u = _vertex_jump_acc(ucoef.reshape(-1, ucoef.shape[-1]), width, p, p, hx, hy, work)
+    acc_v = _vertex_jump_acc(vcoef.reshape(-1, vcoef.shape[-1]), width, q, q, hx, hy, work)
+    for_u = np.zeros((rows, width, p + 1))
+    for_v = np.zeros((rows, width, q + 1))
+    acc_u, acc_v = acc_u.reshape(rows, width, -1), acc_v.reshape(rows, width, -1)
     for l in range(1, p + 1):
         for_u[..., l] = (2.0 * (2 * l + 1) / (2 * p - 1)) * h_d**l / math.factorial(l) * acc_u[..., l]
     for l in range(0, q + 1):
@@ -317,15 +305,15 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
         fw = rule.weights * (0.5 * h_t)
         pen_hi, pen_lo = (hi * fw).T, (lo * fw).T
         faces.append({
-            # stacked trace tables: one matmul per field and axis
-            "u": np.concatenate([hi, lo, d_hi, d_lo], axis=1),
-            "v": np.concatenate([hi, lo], axis=1)[:nmq],
+            # trace tables, one product each: upper and lower side, value and normal derivative
+            "hi": hi, "lo": lo, "d_hi": d_hi, "d_lo": d_lo,
+            "v_hi": hi[:nmq], "v_lo": lo[:nmq],
             # assembly tables with face weights folded in, (nq, nm)
             "hi_w": (d_hi * fw).T.copy(),
             "lo_w": (d_lo * fw).T.copy(),
-            # both sides of a face from one matmul: [minus cell | plus cell]
-            "pen": np.concatenate([pen_hi, pen_lo], axis=1),
-            "gradn": np.concatenate([pen_hi[:, :nmq], pen_lo[:, :nmq]], axis=1),
+            # testing tables of the penalty and of gradn on either side of a face
+            "pen_hi": pen_hi.copy(), "pen_lo": pen_lo.copy(),
+            "gn_hi": pen_hi[:, :nmq].copy(), "gn_lo": pen_lo[:, :nmq].copy(),
             "d_ref": d_ref,
             "aspect": h_t / h_n,
         })
@@ -356,27 +344,24 @@ def _sum_by_degree(sig, first: int, out) -> np.ndarray:
     return out
 
 
-def _two_sided_faces(face_vals, table, axis: int, out, both) -> np.ndarray:
+def _two_sided_faces(faces, hi, lo, shift: int, out, fold) -> None:
     """Add a face quantity, tested on both sides, into out in place.
 
-    Face i+1/2 adds its value tested with cell i's upper-side traces and
-    subtracts it tested with cell i+1's lower-side traces; table holds the
-    two test tables side by side, and both receives that product.  Matmul
-    rows are independent, so testing before the shift gives the same
-    numbers as shifting first.  The penalty fits this form because cell
-    i+1 sees exactly the negated jump.
+    Row k of faces is the face above (x: right of) cell k - shift of out and
+    below cell k; each cell adds its upper face's value tested with its
+    upper-side traces (hi) and subtracts its lower face's value tested with
+    its lower-side traces (lo).  fold receives each product.  The penalty
+    fits this form because the upper cell sees exactly the negated jump.
     """
-    _mm(face_vals, table, both)
-    half = table.shape[1] // 2
-    out += both[..., :half]
-    return _minus_rolled(out, both[..., half:], 1, axis, out=out)
+    out += _mm(faces[shift:], hi, fold)
+    out -= _mm(faces[:len(out)], lo, fold)
 
 
 class StripWorkspace:
     """Scratch arrays of `rhs_arrays_2d`, kept between calls by their owner.
 
-    A named buffer is allocated on first use, or again when a larger strip
-    needs more room; a smaller strip uses its leading part.
+    A named buffer is allocated, zero-filled, on first use, or again when a
+    larger strip needs more room; a smaller strip uses its leading part.
     """
 
     def __init__(self):
@@ -386,15 +371,17 @@ class StripWorkspace:
         size = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size)
+            flat = self._flat[name] = np.zeros(size)
         return flat[:size].reshape(shape)
 
 
-def _gather_strip(arr: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-    """Rows start..stop-1 of arr with one periodic ghost row on each side."""
-    out[0] = arr[start - 1]
-    out[1:-1] = arr[start:stop]
-    out[-1] = arr[stop % arr.shape[0]]
+def _framed(arr: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Rows start..stop-1 of arr with one periodic ghost cell on all four sides, in out."""
+    out[1:-1, 1:-1] = arr[start:stop]
+    out[0, 1:-1] = arr[start - 1]
+    out[-1, 1:-1] = arr[stop % len(arr)]
+    out[:, 0] = out[:, -2]
+    out[:, -1] = out[:, 1]
     return out
 
 
@@ -457,11 +444,6 @@ def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: So
     p, q = config.p, config.q
     hx, hy = float(mesh.hx[0]), float(mesh.hy[0])
     t = _tables2d(p, q, hx, hy, config.quad_points)
-    nx, ny = ucoef.shape[:2]
-    bounds = strip_bounds(nx, ny)
-    if len(bounds) == 1:
-        _strip_rhs(ucoef, vcoef, mesh, config, t, pool.work[0], du, dv)
-        return du, dv
     if config.damping:
         # fill these caches here, not from several workers at once
         _corner_major_tables(p, p, hx, hy)
@@ -469,35 +451,40 @@ def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: So
 
     def run(deal, work):
         for start, stop in deal:
-            lead = (stop - start + 2, ny)
-            us = _gather_strip(ucoef, start, stop, work.take("u_in", lead + ucoef.shape[2:]))
-            vs = _gather_strip(vcoef, start, stop, work.take("v_in", lead + vcoef.shape[2:]))
-            dus = work.take("du_out", us.shape)
-            dvs = work.take("dv_out", vs.shape)
-            _strip_rhs(us, vs, mesh, config, t, work, dus, dvs)
-            du[start:stop] = dus[1:-1]
-            dv[start:stop] = dvs[1:-1]
+            _strip_rhs(ucoef, vcoef, start, stop, mesh, config, t, work, du, dv)
 
-    pool.deal(run, bounds)
+    pool.deal(run, strip_bounds(*ucoef.shape[:2]))
     return du, dv
 
 
-def _strip_rhs(ucoef, vcoef, mesh: Mesh2D, config: SolverConfig, t: dict,
-               work: StripWorkspace, du, dv) -> None:
-    """Write the right-hand side of a block of rows, periodic in both directions, to du, dv.
+def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: SolverConfig,
+               t: dict, work: StripWorkspace, du, dv) -> None:
+    """Write the right-hand side of rows start..stop-1 to the same rows of du, dv.
 
-    t holds the `_tables2d` of the mesh's cell.
+    t holds the `_tables2d` of the mesh's cell.  The rows are framed (see
+    the module docstring) and flattened, so that the cells w apart are
+    x-neighbours and consecutive cells y-neighbours.  The accumulators hold
+    the band of the strip's own rows, ghost columns included, and their
+    inner columns go to du, dv at the end.
     """
     hx, hy = float(mesh.hx[0]), float(mesh.hy[0])
     nm, nmq = ucoef.shape[-1], t["nmq"]
-    nq_face = len(t["rule"].weights)
+    nq = len(t["rule"].weights)
+    rows, w = stop - start, ucoef.shape[1] + 2
+    u3 = _framed(ucoef, start, stop, work.take("u_in", (rows + 2, w, nm)))
+    v3 = _framed(vcoef, start, stop, work.take("v_in", (rows + 2, w, nmq)))
+    u, v = u3.reshape(-1, nm), v3.reshape(-1, nmq)
+    n = len(u)
+    nb, band = n - 2 * w, slice(w, n - w)
     fp = config.flux
 
-    def buf(name, width=nq_face):
-        return work.take(name, ucoef.shape[:-1] + (width,))
+    def buf(name, cells=nb, width=nq):
+        return work.take(name, (cells, width))
 
     # v's modes are the degree-q prefix of u's, so its tables are row prefixes
-    b = _mm(vcoef, t["g"][:nmq], buf("b", nm))  # integral of grad v . grad phi_a
+    b = _mm(v[band], t["g"][:nmq], buf("b", width=nm))  # integral of grad v . grad phi_a
+    rhs = _mm(u[band], t["g"][:, :nmq], buf("rhs", width=nmq))
+    np.negative(rhs, out=rhs)
 
     # a one-sided vhat (alternating flux) is that side's own v trace, so the
     # face correction vhat - v on that side vanishes and is skipped
@@ -505,26 +492,31 @@ def _strip_rhs(ucoef, vcoef, mesh: Mesh2D, config: SolverConfig, t: dict,
     takes_plus = fp.zeta == -0.5 and not fp.tau
     penalty = config.penalty and config.penalty_coefficient > 0.0
     if penalty:
-        pen = buf("pen", nm)
+        pen = buf("pen", width=nm)
         pen.fill(0.0)
-    gradn = []
 
-    # axis 0: vertical interfaces, indexed by the cell on their left, normal +x;
-    # axis 1: horizontal interfaces, indexed by the cell below, normal +y
-    for axis, f in enumerate(t["faces"]):
-        u_tr = _mm(ucoef, f["u"], buf(f"u_tr{axis}", 4 * nq_face))
-        v_tr = _mm(vcoef, f["v"], buf(f"v_tr{axis}", 2 * nq_face))
-        v_m, v_own = v_tr[..., :nq_face], v_tr[..., nq_face:]
-        u_m, u_own, dnu_m, dnu_own = (u_tr[..., k * nq_face:(k + 1) * nq_face] for k in range(4))
-        vhat, gn = _fast_fluxes(v_m, v_own, dnu_m, dnu_own, fp, axis, buf)
-        gradn.append(gn)
+    # axis 0: vertical faces, shift w, normal +x; axis 1: horizontal faces,
+    # shift 1, normal +y.  Face k lies between cells w - s + k and w + k,
+    # from the lower face of the band's first cell to the upper face of its last.
+    for f, s in zip(t["faces"], (w, 1)):
+        nf = nb + s
+        lower, upper = u[w - s:n - w], u[w:n - w + s]
+        u_m, u_p = _mm(lower, f["hi"], buf("u_m", nf)), _mm(upper, f["lo"], buf("u_p", nf))
+        # the alternating flux reads the normal derivative on one side only
+        dnu_m = _mm(lower, f["d_hi"], buf("dnu_m", nf)) if fp.zeta != 0.5 or fp.tau else None
+        dnu_p = _mm(upper, f["d_lo"], buf("dnu_p", nf)) if fp.zeta != -0.5 or fp.tau else None
+        v_m = _mm(v[w - s:n - w], f["v_hi"], buf("v_m", nf))
+        v_p = _mm(v[w:n - w + s], f["v_lo"], buf("v_p", nf))
+        vhat, gn = _fast_fluxes(v_m, v_p, dnu_m, dnu_p, fp, lambda name: buf(name, nf))
+        fold = buf("fold", width=nm)
         if not takes_minus:
-            b += _mm(np.subtract(vhat, v_m, out=buf("face")), f["hi_w"], buf("fold", nm))
+            b += _mm(np.subtract(vhat[s:], v_m[s:], out=buf("face")), f["hi_w"], fold)
         if not takes_plus:
-            b -= _mm(_rolled_minus(vhat, 1, axis, v_own, buf("face")), f["lo_w"], buf("fold", nm))
+            b -= _mm(np.subtract(vhat[:nb], v_p[:nb], out=buf("face")), f["lo_w"], fold)
         if penalty:
-            _two_sided_faces(_rolled_minus(u_own, -1, axis, u_m, buf("face")), f["pen"], axis,
-                             pen, buf("both", 2 * nm))
+            _two_sided_faces(np.subtract(u_p, u_m, out=buf("jump", nf)), f["pen_hi"], f["pen_lo"],
+                             s, pen, fold)
+        _two_sided_faces(gn, f["gn_hi"], f["gn_lo"], s, rhs, buf("fold", width=nmq))
 
     if penalty:
         pen *= config.penalty_coefficient / mesh.h**2
@@ -532,39 +524,37 @@ def _strip_rhs(ucoef, vcoef, mesh: Mesh2D, config: SolverConfig, t: dict,
 
     sig_u = sig_v = None
     if config.damping:
-        sig_u, sig_v = damping_coeffs_2d(ucoef, vcoef, mesh, config)
+        sig_u, sig_v = damping_coeffs_2d(u3, v3, mesh, config, work)
         h_d = mesh.h
         # a mode of total degree k is damped by every level 1..k
-        wu = _sum_by_degree(sig_u, 1, buf("wu", nm))
+        wu = _sum_by_degree(sig_u.reshape(nb, -1), 1, buf("wu", width=nm))
         for f in t["faces"]:
-            weighted = _mm(ucoef, f["d_ref"].T, buf("d_ref", nm))
+            weighted = _mm(u[band], f["d_ref"].T, buf("d_ref", width=nm))
             weighted *= wu
             weighted *= t["mass2"]
-            fold = _mm(weighted, f["d_ref"], buf("fold", nm))
+            fold = _mm(weighted, f["d_ref"], buf("fold", width=nm))
             fold *= f["aspect"] / h_d
             b -= fold
 
-    du[..., 0] = vcoef[..., 0]
-    du[..., 1:] = _mm(b[..., 1:], t["ginv"], buf("fold", nm - 1))
-
-    # v equation: mass solve over the degree-q prefix of the mode list
-    rhs = _mm(ucoef, t["g"][:, :nmq], buf("rhs_v", nmq))
-    np.negative(rhs, out=rhs)
-    for axis, (f, gn) in enumerate(zip(t["faces"], gradn)):
-        _two_sided_faces(gn, f["gradn"], axis, rhs, buf("both", 2 * nmq))
+    own = slice(None), slice(1, -1)  # the strip's own cells of a (rows, w, .) band
+    du[start:stop, :, 0] = vcoef[start:stop, :, 0]
+    solved = _mm(b[:, 1:], t["ginv"], buf("fold", width=nm - 1))
+    du[start:stop, :, 1:] = solved.reshape(rows, w, nm - 1)[own]
 
     if config.source is not None:
-        u_at = _mm(ucoef, t["bv_flat"], buf("u_at", t["bv_flat"].shape[1]))
+        # cell-local, on the strip's own rows of the input: see the module docstring
+        u_own = ucoef[start:stop]
+        u_at = _mm(u_own, t["bv_flat"], work.take("u_at", u_own.shape[:-1] + (nq * nq,)))
         g_at = config.source.g(u_at)
-        fold = _mm(g_at, t["bvw_q"], buf("fold", nmq))
+        fold = _mm(g_at, t["bvw_q"], work.take("fold", u_own.shape[:-1] + (nmq,)))
         fold *= 0.25 * hx * hy
-        rhs += fold
+        rhs.reshape(rows, w, nmq)[own] += fold
 
-    np.divide(rhs, 0.25 * hx * hy * t["mass2"][:nmq], out=dv)
+    dv_band = np.divide(rhs, 0.25 * hx * hy * t["mass2"][:nmq], out=rhs)
     if sig_v is not None:
         # a mode of v of total degree k >= 1 is damped by every level 0..k
-        wv = _sum_by_degree(sig_v, 0, buf("wv", nmq))
-        wv *= vcoef
+        wv = _sum_by_degree(sig_v.reshape(nb, -1), 0, buf("wv", width=nmq))
+        wv *= v[band]
         wv /= mesh.h
-        dv -= wv
-
+        dv_band -= wv
+    dv[start:stop] = dv_band.reshape(rows, w, nmq)[own]

@@ -1,5 +1,6 @@
 """1D semi-discrete assembly: fluxes, damping, penalty, oracle equivalence."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -288,6 +289,19 @@ def test_chi_regularization_at_zero():
     assert src.g_over_u(1e-12) == pytest.approx(-1.0)
     assert src.g_over_u(0.1) == pytest.approx(-np.sin(0.1) / 0.1)
     assert src.antiderivative_G(0.0) == 0.0
+
+
+def test_sine_sources_keep_their_closed_forms_and_pickle():
+    # g = c sin u, G = c (cos u - 1) from one factory: c = -1 gives -sin u
+    # and 1 - cos u bit for bit, and every term survives a pickle round trip
+    u = np.random.default_rng(3).uniform(-7.0, 7.0, 257)
+    closed = {"sine_gordon": (-np.sin(u), 1.0 - np.cos(u), -1.0),
+              "sine_gordon_160": (160.0 * np.sin(u), 160.0 * (np.cos(u) - 1.0), 160.0),
+              "sine_gordon_16": (16.0 * np.sin(u), 16.0 * (np.cos(u) - 1.0), 16.0)}
+    for name, (g, big_g, gprime0) in closed.items():
+        src = pickle.loads(pickle.dumps(SOURCES[name]))
+        assert src.name == name and src.gprime0 == gprime0
+        assert np.array_equal(src.g(u), g) and np.array_equal(src.antiderivative_G(u), big_g)
 
 
 def test_solve_ut_consistency_refinement():

@@ -1,4 +1,5 @@
 """2D semi-discrete assembly: fluxes, vertex jumps, oracle equivalence, reduction."""
+import math
 import os
 import threading
 import time
@@ -70,16 +71,18 @@ FLUX_CASES = {
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("fluxname", sorted(FLUX_CASES))
 def test_fast_fluxes_match_the_reference_flux(fluxname, axis):
-    # _fast_fluxes reads face i+1/2's plus side as cell i+1's own lower-side
-    # traces; the reference takes both sides of every face explicitly
+    # in a 5 x 4 block flattened to 20 cells, face k joins cell k (minus) to
+    # cell k + 4 along x or k + 1 along y (plus), whose lower-side traces are
+    # that slice further on; the reference is the pointwise flux formula
     rng = np.random.default_rng(61 + axis)
     fp = FLUX_CASES[fluxname]
-    v_minus, v_own, dnu_minus, dnu_own = rng.standard_normal((4, 5, 4, 3))
+    v_minus, v_own, dnu_minus, dnu_own = rng.standard_normal((4, 20, 3))
+    shift = (4, 1)[axis]
+    sides = (v_minus[:-shift], v_own[shift:], dnu_minus[:-shift], dnu_own[shift:])
     work = StripWorkspace()
-    vhat, gradn = scheme2d._fast_fluxes(v_minus, v_own, dnu_minus, dnu_own, fp, axis,
-                                        lambda name: work.take(name, v_own.shape))
-    vhat_ref, gradn_ref = fluxes_2d(v_minus, np.roll(v_own, -1, axis),
-                                    dnu_minus, np.roll(dnu_own, -1, axis), fp)
+    vhat, gradn = scheme2d._fast_fluxes(*sides, fp,
+                                        lambda name: work.take(name, (20 - shift, 3)))
+    vhat_ref, gradn_ref = fluxes_2d(*sides, fp)
     assert np.allclose(vhat, vhat_ref, rtol=0.0, atol=1e-14)
     assert np.allclose(gradn, gradn_ref, rtol=0.0, atol=1e-14)
 
@@ -92,18 +95,31 @@ def test_alternating_side_reads_mirrored_sides_in_1d_and_2d(side):
     v_minus, v_plus, d_minus, d_plus = 1.0, 2.0, 3.0, 4.0
     want_1d = (v_minus, d_plus) if side == 0 else (v_plus, d_minus)
     assert numerical_fluxes(v_minus, v_plus, d_minus, d_plus, fp) == want_1d
-    # two cells along x: face 0's plus side is cell 1's own lower-side trace
+    # two faces, each with its upper cell's lower-side traces as the plus side
     work = StripWorkspace()
     vhat, gradn = scheme2d._fast_fluxes(
         np.full(2, v_minus), np.full(2, v_plus), np.full(2, d_minus), np.full(2, d_plus),
-        fp, 0, lambda name: work.take(name, (2,)))
+        fp, lambda name: work.take(name, (2,)))
     want_2d = (v_plus, d_minus) if side == 0 else (v_minus, d_plus)
     assert vhat.tolist() == [want_2d[0]] * 2 and gradn.tolist() == [want_2d[1]] * 2
 
 
+def _framed(coeffs: np.ndarray) -> np.ndarray:
+    """A whole periodic mesh's coefficients with one wrapped ghost cell on every side."""
+    return np.pad(coeffs, ((1, 1), (1, 1), (0, 0)), mode="wrap")
+
+
 def _vertex_jump_acc(f: DGField2D, max_order: int) -> np.ndarray:
-    return scheme2d._vertex_jump_acc(f.coeffs, f.degree, max_order,
-                                     float(f.mesh.hx[0]), float(f.mesh.hy[0]))
+    framed = _framed(f.coeffs)
+    acc = scheme2d._vertex_jump_acc(framed.reshape(-1, framed.shape[-1]), framed.shape[1],
+                                    f.degree, max_order, float(f.mesh.hx[0]),
+                                    float(f.mesh.hy[0]), StripWorkspace())
+    return acc.reshape(f.mesh.nx, f.mesh.ny + 2, -1)[:, 1:-1]
+
+
+def _damping_coeffs(u, v, mesh, cfg):
+    """damping_coeffs_2d over a whole periodic mesh, framed by wrap."""
+    return tuple(s[:, 1:-1] for s in damping_coeffs_2d(_framed(u), _framed(v), mesh, cfg))
 
 
 def test_vertex_jumps_single_polynomial():
@@ -143,6 +159,40 @@ def test_vertex_jumps_single_cell_bump():
     assert np.allclose(acc, expected, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 3)])
+def test_face_shared_damping_weights_equal_the_per_corner_formula(p, q):
+    # each corner's two squared jumps against its edge neighbours, taken with
+    # np.roll over the whole periodic mesh and summed corner by corner in the
+    # order BL, BR, TL, TR; the kernel squares each jump once per face
+    rng = np.random.default_rng(17 + p + q)
+    m = cartesian_mesh_2d(0.0, 0.7, 0.0, 0.9, 9, 7)
+    hx, hy, h_d = float(m.hx[0]), float(m.hy[0]), m.h
+
+    def per_corner(coeffs, degree):
+        bl, br, tl, tr = (coeffs @ tab for tab in
+                          scheme2d._corner_major_tables(degree, degree, hx, hy))
+        total = (bl - np.roll(br, 1, 0)) ** 2 + (bl - np.roll(tl, 1, 1)) ** 2
+        total += (br - np.roll(bl, -1, 0)) ** 2 + (br - np.roll(tr, 1, 1)) ** 2
+        total += (tl - np.roll(tr, 1, 0)) ** 2 + (tl - np.roll(bl, -1, 1)) ** 2
+        total += (tr - np.roll(tl, -1, 0)) ** 2 + (tr - np.roll(br, -1, 1)) ** 2
+        roots = np.sqrt(0.25 * total)
+        acc = np.zeros((9, 7, degree + 1))
+        for k, (r1, r2) in enumerate(scheme2d._alphas_upto(degree)):
+            acc[..., r1 + r2] += roots[..., k]
+        return acc
+
+    u, v = _random_state_2d(rng, 9, 7, p, q)
+    acc_u, acc_v = per_corner(u, p), per_corner(v, q)
+    want_u, want_v = np.zeros((9, 7, p + 1)), np.zeros((9, 7, q + 1))
+    for l in range(1, p + 1):
+        want_u[..., l] = (2.0 * (2 * l + 1) / (2 * p - 1)) * h_d**l / math.factorial(l) * acc_u[..., l]
+    for l in range(0, q + 1):
+        want_v[..., l] = (2.0 * (2 * l + 1) / (2 * q - 1)) * h_d**(l + 1) / math.factorial(l + 1) * acc_v[..., l]
+    sig_u, sig_v = _damping_coeffs(u, v, m, SolverConfig(p=p, q=q))
+    assert np.array_equal(sig_u, want_u)
+    assert np.array_equal(sig_v, want_v)
+
+
 def test_damping_coeffs_2d_formula_spot_check():
     # q = 1, l = 0, h_d = diag size: quarter-sum of unit squared v jumps = 1
     # at one cell gives sigma_v = 2 * h_d * 1
@@ -151,7 +201,7 @@ def test_damping_coeffs_2d_formula_spot_check():
     u = DGField2D(m, 2)
     v = DGField2D(m, 1)
     v.coeffs[1, 1, 0] = 1.0
-    sig_u, sig_v = damping_coeffs_2d(u.coeffs, v.coeffs, m, cfg)
+    sig_u, sig_v = _damping_coeffs(u.coeffs, v.coeffs, m, cfg)
     h_d = m.h
     # bumped cell: each corner has both neighbors differing by 1 -> sq = 2
     # quarter-sum over 4 corners = 2 -> sqrt = sqrt(2)
@@ -218,6 +268,24 @@ def test_oracle_equivalence_2d_with_source():
     scale = max(1.0, np.max(np.abs(du_o)), np.max(np.abs(dv_o)))
     assert np.max(np.abs(du - du_o)) <= 1e-10 * scale
     assert np.max(np.abs(dv - dv_o)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 5), (6, 1), (2, 2)])
+def test_oracle_equivalence_2d_on_thin_meshes(nx, ny):
+    # one cell across an axis is its own neighbour on both sides of it; the
+    # framed strip wraps it onto itself along x and along y
+    rng = np.random.default_rng(11 + nx + 10 * ny)
+    m = cartesian_mesh_2d(0.0, 0.8, 0.0, 1.1, nx, ny)
+    for flux in (FluxParams(alpha=0.8, tau=0.3, beta=0.7), FluxParams.alternating(0)):
+        cfg = SolverConfig(p=2, q=1, flux=flux, chi=0, damping=True, penalty=True,
+                           source=SOURCES["cubic_4"])
+        u, v = _random_state_2d(rng, nx, ny, 2, 1, scale=0.5)
+        du, dv = rhs_arrays_2d(u, v, m, cfg)
+        du_o, dv_o = brute_rhs_2d(u, v, m.xnodes, m.ynodes, 2, 1, flux.alpha, flux.tau,
+                                  flux.beta, 1.0, True, True, source=cfg.source)
+        scale = max(1.0, np.max(np.abs(du_o)), np.max(np.abs(dv_o)))
+        assert np.max(np.abs(du - du_o)) <= 1e-10 * scale
+        assert np.max(np.abs(dv - dv_o)) <= 1e-10 * scale
 
 
 def test_energy_dissipation_2d_random_states():
@@ -321,8 +389,8 @@ def test_rotation_symmetry_of_damping():
             out[..., target] += sign * rot
         return out
 
-    su, sv = damping_coeffs_2d(u, v, m, cfg)
-    su_r, sv_r = damping_coeffs_2d(rotate(u, modes2), rotate(v, modes1), m, cfg)
+    su, sv = _damping_coeffs(u, v, m, cfg)
+    su_r, sv_r = _damping_coeffs(rotate(u, modes2), rotate(v, modes1), m, cfg)
     assert np.allclose(np.transpose(su, (1, 0, 2))[::-1], su_r, atol=1e-11)
     assert np.allclose(np.transpose(sv, (1, 0, 2))[::-1], sv_r, atol=1e-11)
 
@@ -388,6 +456,20 @@ def test_rhs_commutes_with_periodic_shift_along_x(monkeypatch):
         du_r, dv_r = rhs_arrays_2d(np.roll(u, 7, axis=0), np.roll(v, 7, axis=0), mesh, cfg)
         assert np.array_equal(du_r, np.roll(du, 7, axis=0))
         assert np.array_equal(dv_r, np.roll(dv, 7, axis=0))
+
+
+def test_rhs_commutes_with_periodic_shift_along_y(monkeypatch):
+    # shifted by 5 of 16 columns: every cell crosses the frame's wrapped columns
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    rng = np.random.default_rng(49)
+    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, 23, 16)
+    for flux in (FluxParams.alternating(0), FluxParams.sommerfeld(1.0)):
+        cfg = SolverConfig(p=2, q=1, chi=0, flux=flux, source=SOURCES["cubic_4"])
+        u, v = _random_state_2d(rng, 23, 16, 2, 1, scale=0.5)
+        du, dv = rhs_arrays_2d(u, v, mesh, cfg)
+        du_r, dv_r = rhs_arrays_2d(np.roll(u, 5, axis=1), np.roll(v, 5, axis=1), mesh, cfg)
+        assert np.array_equal(du_r, np.roll(du, 5, axis=1))
+        assert np.array_equal(dv_r, np.roll(dv, 5, axis=1))
 
 
 @pytest.mark.parametrize("cells_per_strip", [96, 10**9])
@@ -469,7 +551,7 @@ def test_a_failing_strip_is_raised_after_every_worker_is_done(monkeypatch):
     done = []
 
     def g(x):
-        if x.shape[0] == 7:  # the first strip, 5 rows and two ghosts
+        if x.shape[0] == 5:  # the first strip, 5 rows (the source runs on a strip's own rows)
             raise FloatingPointError("bad strip")
         time.sleep(0.05)  # the other worker is still busy when the first one fails
         done.append(x.shape[0])
@@ -480,4 +562,4 @@ def test_a_failing_strip_is_raised_after_every_worker_is_done(monkeypatch):
         with pytest.raises(FloatingPointError, match="bad strip"):
             rhs_arrays_2d(u, v, mesh, cfg, pool=pool)
         # the other worker's two strips ran to the end before the error came out
-        assert done.count(8) == 2
+        assert done.count(6) == 2

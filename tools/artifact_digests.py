@@ -13,11 +13,14 @@ byte-identical.
 
 The matrix covers converge on ex1 (also with alternating side 1) and ex6
 (also with the Sommerfeld flux); shock on ex1 (perturbed mesh), ex3 (also
-with the central flux undamped, and without the penalty), ex7 and ex8
-(also at 80^2, the one 2D run that the kernel evaluates in two ghosted
-strips, on two strip workers where the process may use two CPUs); energy on ex2 (also with the Sommerfeld flux at speed 2), ex3
-and ex4; compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the
-1000^2 grid); and two custom problems, from config files written to
+with the central flux undamped, and without the penalty), ex7 (also at
+p = 3 on 14^2: one strip of 196 cells, whose p = 3 source product has a
+row count at which OpenBLAS rounds small products differently) and ex8
+(also at 80^2, the one 2D run that the kernel evaluates in two framed
+strips, on two strip workers where the process may use two CPUs); energy
+on ex2 (also with the Sommerfeld flux at speed 2), ex3 and ex4;
+compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the 1000^2
+grid); and two custom problems, from config files written to
 OUTDIR/configs: a Neumann box with the cubic source in 1D (shock) and a
 Gaussian on a 1-by-2 rectangle in 2D (energy); only the runs' own
 directories are hashed.  It takes about 20 s on one core.  Set
@@ -44,6 +47,7 @@ RUNS = {
                             "--seed", "7"],
     "shock-ex3": ["shock", "--problem", "ex3", "--ns", "40"],
     "shock-ex7": ["shock", "--problem", "ex7", "--ns", "20"],
+    "shock-ex7-p3": ["shock", "--problem", "ex7", "-p", "3", "--ns", "14"],
     "shock-ex8": ["shock", "--problem", "ex8", "--ns", "40"],
     "shock-ex8-strips": ["shock", "--problem", "ex8", "--ns", "80"],
     "energy-ex2": ["energy", "--problem", "ex2", "--ns", "40", "--chi", "0"],

@@ -90,10 +90,6 @@ class ConvergenceTable:
         if any(n2 <= n1 for n1, n2 in zip(self.ns, self.ns[1:])):
             raise ValueError("cell counts must be strictly increasing")
 
-    @property
-    def saturated(self) -> bool:
-        return any(e == 0.0 for e in self.errors)
-
     def pairwise_slopes(self) -> list:
         out = []
         for (h1, e1), (h2, e2) in zip(zip(self.hs, self.errors), zip(self.hs[1:], self.errors[1:])):

@@ -1,9 +1,9 @@
 """1D partitions and 2D Cartesian meshes.
 
 Meshes are immutable after construction and carry the size metadata the
-schemes need: per-cell widths, the global mesh size h, and (in 2D) the
-per-cell diagonal sizes.  Random perturbation of internal nodes uses the
-counter-based Philox generator so meshes are reproducible from a seed.
+schemes need: per-cell widths and the global mesh size h; a 2D mesh is
+uniform and periodic by construction.  Random perturbation of internal
+nodes uses the Philox generator so meshes are reproducible from a seed.
 """
 from __future__ import annotations
 
@@ -107,12 +107,11 @@ def perturb_mesh_1d(mesh: Mesh1D, fraction: float, seed: int) -> Mesh1D:
 
 @dataclass(frozen=True)
 class Mesh2D:
-    """Tensor-product partition of a rectangle; periodic in both directions."""
+    """Uniform tensor-product partition of a rectangle; periodic in both directions."""
 
     dim: ClassVar[int] = 2
     xnodes: np.ndarray
     ynodes: np.ndarray
-    boundary: str = "periodic"
 
     def __post_init__(self):
         for name in ("xnodes", "ynodes"):
@@ -121,10 +120,11 @@ class Mesh2D:
             nodes.setflags(write=False)
             if nodes.ndim != 1 or len(nodes) < 2:
                 raise ValueError(f"{name} needs at least two entries")
-            if np.any(np.diff(nodes) <= 0):
+            widths = np.diff(nodes)
+            if np.any(widths <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
-        if self.boundary != "periodic":
-            raise ValueError("2D meshes support periodic boundaries only")
+            if not widths.max() - widths.min() <= 1e-12 * widths.max():
+                raise ValueError(f"{name} must be uniformly spaced")
 
     @property
     def nx(self) -> int:
@@ -159,21 +159,9 @@ class Mesh2D:
         return c
 
     @cached_property
-    def diagonals(self) -> np.ndarray:
-        """Per-cell diagonal size sqrt(hx_i^2 + hy_j^2), shape (nx, ny)."""
-        d = np.sqrt(self.hx[:, None] ** 2 + self.hy[None, :] ** 2)
-        d.setflags(write=False)
-        return d
-
-    @cached_property
     def h(self) -> float:
-        return float(self.diagonals.max())
-
-    def is_uniform(self) -> bool:
-        return (
-            self.hx.max() - self.hx.min() <= 1e-12 * self.hx.max()
-            and self.hy.max() - self.hy.min() <= 1e-12 * self.hy.max()
-        )
+        """The largest cell diagonal sqrt(hx_i^2 + hy_j^2)."""
+        return float(np.sqrt(self.hx[:, None] ** 2 + self.hy[None, :] ** 2).max())
 
     def summary(self) -> dict:
         return {
@@ -186,7 +174,7 @@ class Mesh2D:
             "h": self.h,
             "hx": float(self.hx.max()),
             "hy": float(self.hy.max()),
-            "boundary": self.boundary,
+            "boundary": "periodic",
         }
 
 

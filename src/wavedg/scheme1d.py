@@ -133,13 +133,17 @@ def _sine_source(name: str, c: float) -> SourceTerm:
     return SourceTerm(name, partial(_g_sine, c), partial(_G_sine, c), c)
 
 
-def _g_cubic_4(u):
-    return 4.0 * u * u * u
+def _g_cubic_4(u):  # ((4u)u)u, in one temporary
+    out = 4.0 * u
+    out *= u
+    out *= u
+    return out
 
 
-def _G_cubic_4(u):
-    u2 = u * u
-    return -(u2 * u2)
+def _G_cubic_4(u):  # -((u u)(u u)), in one temporary; a scalar has no out to negate into
+    out = u * u
+    out *= out
+    return np.negative(out, out=out) if isinstance(out, np.ndarray) else -out
 
 
 SOURCES: dict[str, SourceTerm] = {
@@ -245,6 +249,24 @@ def damping_weights(ju: np.ndarray, jv: np.ndarray, widths: np.ndarray,
     return for_u, for_v
 
 
+def sum_by_degree(weights: np.ndarray, degrees: np.ndarray, first: int, out=None) -> np.ndarray:
+    """Per mode a: weights[..., first] + ... + weights[..., degrees[a]], 0 where degrees[a] = 0.
+
+    weights holds one damping weight per derivative order on its last axis,
+    and a mode of degree k is damped by every order first..k of its cell.
+    The modes come sorted by degree, and the sums run in np.cumsum's order.
+    """
+    out = np.empty(weights.shape[:-1] + degrees.shape) if out is None else out
+    ends = np.searchsorted(degrees, np.arange(1, degrees[-1] + 2)).tolist()  # modes of degree <= l
+    out[..., :ends[0]] = 0.0
+    acc = weights[..., first]
+    for l in range(1, len(ends)):
+        if l > first:
+            acc = acc + weights[..., l]
+        out[..., ends[l - 1]:ends[l]] = acc[..., None]
+    return out
+
+
 def _traces(coeffs: np.ndarray, mesh: Mesh1D, ends) -> tuple[np.ndarray, np.ndarray]:
     """(minus, plus)[g, r]: order-r derivative limits from the left and right of
     interface g = 0..N, from the endpoint tables (left, right)[r, m].  The ends
@@ -312,9 +334,7 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
         pen = ju[1:, 0, None] * t["p_right"][None, :] - ju[:-1, 0, None] * t["p_left"][None, :]
         b += (config.penalty_coefficient / mesh.h**2) * pen
     if config.damping:
-        # mode k of u_x is damped by every level l <= k
-        wu = np.zeros((mesh.ncells, p + 1))
-        wu[:, 1:] = np.cumsum(sigma_u[:, 1:], axis=1)
+        wu = sum_by_degree(sigma_u, np.arange(p + 1), 1)
         weighted = wu * (ucoef @ t["dp"].T) * t["inv2kp1_p"][None, :]
         b -= 4.0 * inv_h[:, None] ** 2 * (weighted @ t["dp"])
     if config.chi == 1 and config.source is not None:
@@ -333,8 +353,5 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
         rhs += np.einsum("jg,gm->jm", g_w, t["vq_tab"]) * (0.5 * h[:, None])
     dv = rhs * t["two_m_q"][None, :] * inv_h[:, None]
     if config.damping:
-        # mode m >= 1 of v is damped by levels l = 0..m
-        wv = np.cumsum(sigma_v, axis=1)
-        wv[:, 0] = 0.0
-        dv -= wv * vcoef * inv_h[:, None]
+        dv -= sum_by_degree(sigma_v, np.arange(q + 1), 0) * vcoef * inv_h[:, None]
     return du, dv

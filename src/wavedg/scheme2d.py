@@ -12,8 +12,8 @@ The edge penalty is oriented the same dissipative way as in 1D: it adds
 (c/h^2) * (exterior trace - interior trace) tested with the interior test
 trace on every face.
 
-Meshes must be uniform and periodic in both directions; the in-cell source
-quotient treatment (chi = 1) is a 1D-only feature.
+A `Mesh2D` is uniform and periodic in both directions by construction;
+the in-cell source quotient treatment (chi = 1) is a 1D-only feature.
 
 Strips.  `rhs_arrays_2d` evaluates the mesh in x-strips of whole rows, at
 most max(1, CELLS_PER_STRIP // ny) rows each, balanced so that their
@@ -58,13 +58,13 @@ deterministic: with BLAS on one thread (OPENBLAS_NUM_THREADS=1) it is.
 Buffers.  The caller owns the output pair `out` and each worker its own
 `StripWorkspace`, which holds the framed strip copies and the kernel's
 large intermediates, all sized to one strip and zero-filled when first
-allocated.  Passing the same pool or workspace on every call, as
-`timeint.integrate` does through its discretization, allocates them once
-for a run.  The two axes, and the vertex jumps of u and of v, share their
-buffers.  Every trace, corner and face product writes a contiguous array
-of its own, since operands sliced by mode cost more than the products
-they would save (BLAS on one thread, 2-vCPU Xeon): `pen += both[..., :6]`
-on an 18 x 320 block took 43 us against 11 us for a contiguous operand,
+allocated.  Passing the same pool on every call, as `timeint.integrate`
+does through its discretization, allocates them once for a run.  The two
+axes, and the vertex jumps of u and of v, share their buffers.  Every
+trace, corner and face product writes a contiguous array of its own,
+since operands sliced by mode cost more than the products they would
+save (BLAS on one thread, 2-vCPU Xeon): `pen += both[..., :6]` on an
+18 x 320 block took 43 us against 11 us for a contiguous operand,
 and one (5796, 20) product of four stacked trace tables with one
 subtraction on each trace's columns 409 to 443 us, against 143 to 149 us
 for four products and contiguous subtractions.  GEMM cost here follows the
@@ -88,7 +88,7 @@ import numpy as np
 from .basis import derivative_matrix, gauss_rule, mass_diagonal, vandermonde
 from .field import gradient_gram, n_modes, total_degree_modes
 from .mesh import Mesh2D
-from .scheme1d import FluxParams, SolverConfig
+from .scheme1d import FluxParams, SolverConfig, sum_by_degree
 
 _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))  # BL, BR, TL, TR
 
@@ -170,16 +170,15 @@ def _mm(arr: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _corner_major_tables(degree: int, max_order: int, hx: float, hy: float) -> tuple:
-    """Per corner: derivative tables for all |alpha| <= max_order, (nm, n_alpha).
+def _corner_major_tables(degree: int, hx: float, hy: float) -> tuple:
+    """Per corner: derivative tables for all |alpha| <= degree, (nm, n_alpha).
 
     Column k of a corner's table holds d^alpha_k phi_a at that corner, in
     physical scaling.  One matmul per corner then yields contiguous
     per-corner value arrays.
     """
     modes = total_degree_modes(degree)
-    alphas = _alphas_upto(max_order)
+    alphas = _alphas_upto(degree)
     out = []
     for xi, eta in _CORNERS:
         cols = np.empty((len(modes), len(alphas)))
@@ -193,32 +192,31 @@ def _corner_major_tables(degree: int, max_order: int, hx: float, hy: float) -> t
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _alphas_upto(max_order: int) -> tuple:
+def _alphas_upto(degree: int) -> tuple:
     out = []
-    for l in range(max_order + 1):
+    for l in range(degree + 1):
         for r1 in range(l + 1):
             out.append((r1, l - r1))
     return tuple(out)
 
 
-def _vertex_jump_acc(block: np.ndarray, width: int, degree: int, max_order: int,
-                     hx: float, hy: float, work: StripWorkspace) -> np.ndarray:
+def _vertex_jump_acc(block: np.ndarray, width: int, degree: int, t: dict,
+                     work: StripWorkspace) -> np.ndarray:
     """Per order l: sum over |alpha| = l of sqrt(quarter-sum of corner jumps).
 
     The corner jump of d^alpha u at one of the four corners (bottom-left,
     bottom-right, top-left, top-right) sums the squared differences against
     the two edge-neighbors meeting that corner; the diagonal neighbor is not
     compared.  block is a framed strip flattened to (cells, modes), width
-    cells to a row (see `_strip_rhs`); the result has one row per cell of
-    every row but the first and the last, shape (cells - 2 width,
-    max_order + 1).  Each squared jump is taken once per face and read by
-    both of its cells, since (a - b)^2 == (b - a)^2 exactly.
+    cells to a row (see `_strip_rhs`), t the cell's `_tables2d`; the result
+    has one row per cell of every row but the first and the last, shape
+    (cells - 2 width, degree + 1).  Each squared jump is taken once per
+    face and read by both of its cells, since (a - b)^2 == (b - a)^2 exactly.
     """
-    alphas = _alphas_upto(max_order)
+    alphas = t["alphas"][degree]
     n, w, na = len(block), width, len(alphas)
     rows = n - 2 * w
-    tabs = _corner_major_tables(degree, max_order, hx, hy)
+    tabs = t["corners"][degree]
     bl, br, tl, tr = (_mm(block, tab, work.take(name, (n, na)))
                       for name, tab in zip(("bl", "br", "tl", "tr"), tabs))
 
@@ -237,7 +235,7 @@ def _vertex_jump_acc(block: np.ndarray, width: int, degree: int, max_order: int,
         total += np.add(x, y, out=pair)
     total *= 0.25
     roots = np.sqrt(total, out=total)
-    out = np.zeros((rows, max_order + 1))
+    out = np.zeros((rows, degree + 1))
     for k, (r1, r2) in enumerate(alphas):
         out[:, r1 + r2] += roots[:, k]
     return out
@@ -260,12 +258,12 @@ def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D,
     work holds the scratch arrays (a fresh `StripWorkspace` by default).
     """
     p, q = config.p, config.q
-    hx, hy = float(mesh.hx[0]), float(mesh.hy[0])
+    t = _tables2d(p, q, float(mesh.hx[0]), float(mesh.hy[0]), config.quad_points)
     h_d = mesh.h
     work = work if work is not None else StripWorkspace()
     rows, width = ucoef.shape[0] - 2, ucoef.shape[1]
-    acc_u = _vertex_jump_acc(ucoef.reshape(-1, ucoef.shape[-1]), width, p, p, hx, hy, work)
-    acc_v = _vertex_jump_acc(vcoef.reshape(-1, vcoef.shape[-1]), width, q, q, hx, hy, work)
+    acc_u = _vertex_jump_acc(ucoef.reshape(-1, ucoef.shape[-1]), width, p, t, work)
+    acc_v = _vertex_jump_acc(vcoef.reshape(-1, vcoef.shape[-1]), width, q, t, work)
     for_u = np.zeros((rows, width, p + 1))
     for_v = np.zeros((rows, width, q + 1))
     acc_u, acc_v = acc_u.reshape(rows, width, -1), acc_v.reshape(rows, width, -1)
@@ -278,12 +276,15 @@ def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D,
 
 @lru_cache(maxsize=None)
 def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
-    """Face/volume trace tables, shape (nmodes, nquad), for one cell geometry.
+    """Every table of the 2D kernel for one cell geometry, built once.
 
     "faces" holds one entry per axis, for the faces normal to it (axis 0:
     x, vertical faces; axis 1: y, horizontal faces).  Each face table is the
     normal factor of a mode at the cell's upper (+1) or lower (-1) side
-    times its tangential factor at the face's quadrature nodes.
+    times its tangential factor at the face's quadrature nodes, shape
+    (nmodes, nquad).  "corners", "alphas" and "degrees" map p and q to their
+    corner tables, multi-indices and modes' total degrees.  The strips'
+    workers only read this cache: `rhs_arrays_2d` fills it before it deals.
     """
     modes = total_degree_modes(p)
     nmq = n_modes(q)
@@ -323,25 +324,14 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
         "mass2": mass2,
         "g": g,
         "ginv": np.linalg.inv(g[1:, 1:]),
+        "jacobian": 0.25 * hx * hy,
         "faces": faces,
+        "corners": {d: _corner_major_tables(d, hx, hy) for d in {p, q}},
+        "alphas": {d: _alphas_upto(d) for d in {p, q}},
+        "degrees": {d: total_degree_modes(d).sum(axis=1) for d in {p, q}},
         "bv_flat": basis_vol.reshape(nq * nq, -1).T,  # (nm, ngh)
         "bvw_q": (basis_vol * w2[:, :, None]).reshape(nq * nq, -1)[:, :nmq],  # (ngh, nmq)
     }
-
-
-def _sum_by_degree(sig, first: int, out) -> np.ndarray:
-    """out[..., a] = sig[..., first] + ... + sig[..., deg(a)], 0 where deg(a) = 0.
-
-    The sums run in np.cumsum's order.  Modes are sorted by total degree,
-    so the modes of degree l are the block n_modes(l-1):n_modes(l).
-    """
-    out[..., 0] = 0.0
-    acc = sig[..., first]
-    for l in range(1, sig.shape[-1]):
-        if l > first:
-            acc = acc + sig[..., l]
-        out[..., n_modes(l - 1):n_modes(l)] = acc[..., None]
-    return out
 
 
 def _two_sided_faces(faces, hi, lo, shift: int, out, fold) -> None:
@@ -396,13 +386,11 @@ class StripPool:
 
     Worker k takes strips k, k + workers, k + 2 workers, ...  One worker
     runs them in the calling thread and starts no thread; more run on a
-    thread pool whose threads start on first use and end at `close`.  work
-    is the first worker's workspace (a fresh one by default).
+    thread pool whose threads start on first use and end at `close`.
     """
 
-    def __init__(self, workers: int = 1, work: StripWorkspace | None = None):
-        self.work = [work if work is not None else StripWorkspace()]
-        self.work += [StripWorkspace() for _ in range(workers - 1)]
+    def __init__(self, workers: int = 1):
+        self.work = [StripWorkspace() for _ in range(workers)]
         self._threads = ThreadPoolExecutor(workers, "wavedg-strip") if workers > 1 else None
 
     def deal(self, fn, items: list) -> None:
@@ -424,30 +412,20 @@ class StripPool:
 
 
 def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: SolverConfig,
-                  out=None, work: StripWorkspace | None = None,
-                  pool: StripPool | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  out=None, pool: StripPool | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (du, dv) of the 2D modal coefficients.
 
     out, if given, is a (du, dv) pair to write into, which must not overlap
     the inputs; otherwise fresh arrays are returned.  pool runs the strips
-    on its workers, each with its own scratch arrays; without one, the
-    strips run in this thread in work, or in a fresh workspace.  A caller
-    that evaluates many right-hand sides passes the same pool or workspace
-    each time.
+    on its workers, each with its own scratch arrays; without one, they run
+    in this thread in a fresh workspace.  A caller that evaluates many
+    right-hand sides passes the same pool each time.
     """
-    if not mesh.is_uniform():
-        raise ValueError("the 2D scheme assumes a uniform Cartesian mesh")
     if config.source is not None and config.chi == 1:
         raise ValueError("the in-cell source quotient treatment is 1D-only; use chi=0 in 2D")
     du, dv = out if out is not None else (np.empty(ucoef.shape), np.empty(vcoef.shape))
-    pool = pool if pool is not None else StripPool(work=work)
-    p, q = config.p, config.q
-    hx, hy = float(mesh.hx[0]), float(mesh.hy[0])
-    t = _tables2d(p, q, hx, hy, config.quad_points)
-    if config.damping:
-        # fill these caches here, not from several workers at once
-        _corner_major_tables(p, p, hx, hy)
-        _corner_major_tables(q, q, hx, hy)
+    pool = pool if pool is not None else StripPool()
+    t = _tables2d(config.p, config.q, float(mesh.hx[0]), float(mesh.hy[0]), config.quad_points)
 
     def run(deal, work):
         for start, stop in deal:
@@ -467,7 +445,6 @@ def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: Solver
     the band of the strip's own rows, ghost columns included, and their
     inner columns go to du, dv at the end.
     """
-    hx, hy = float(mesh.hx[0]), float(mesh.hy[0])
     nm, nmq = ucoef.shape[-1], t["nmq"]
     nq = len(t["rule"].weights)
     rows, w = stop - start, ucoef.shape[1] + 2
@@ -525,15 +502,14 @@ def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: Solver
     sig_u = sig_v = None
     if config.damping:
         sig_u, sig_v = damping_coeffs_2d(u3, v3, mesh, config, work)
-        h_d = mesh.h
         # a mode of total degree k is damped by every level 1..k
-        wu = _sum_by_degree(sig_u.reshape(nb, -1), 1, buf("wu", width=nm))
+        wu = sum_by_degree(sig_u.reshape(nb, -1), t["degrees"][config.p], 1, buf("wu", width=nm))
         for f in t["faces"]:
             weighted = _mm(u[band], f["d_ref"].T, buf("d_ref", width=nm))
             weighted *= wu
             weighted *= t["mass2"]
             fold = _mm(weighted, f["d_ref"], buf("fold", width=nm))
-            fold *= f["aspect"] / h_d
+            fold *= f["aspect"] / mesh.h
             b -= fold
 
     own = slice(None), slice(1, -1)  # the strip's own cells of a (rows, w, .) band
@@ -547,13 +523,13 @@ def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: Solver
         u_at = _mm(u_own, t["bv_flat"], work.take("u_at", u_own.shape[:-1] + (nq * nq,)))
         g_at = config.source.g(u_at)
         fold = _mm(g_at, t["bvw_q"], work.take("fold", u_own.shape[:-1] + (nmq,)))
-        fold *= 0.25 * hx * hy
+        fold *= t["jacobian"]
         rhs.reshape(rows, w, nmq)[own] += fold
 
-    dv_band = np.divide(rhs, 0.25 * hx * hy * t["mass2"][:nmq], out=rhs)
+    dv_band = np.divide(rhs, t["jacobian"] * t["mass2"][:nmq], out=rhs)
     if sig_v is not None:
         # a mode of v of total degree k >= 1 is damped by every level 0..k
-        wv = _sum_by_degree(sig_v.reshape(nb, -1), 0, buf("wv", width=nmq))
+        wv = sum_by_degree(sig_v.reshape(nb, -1), t["degrees"][config.q], 0, buf("wv", width=nmq))
         wv *= v[band]
         wv /= mesh.h
         dv_band -= wv

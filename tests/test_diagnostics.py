@@ -100,7 +100,6 @@ def test_fit_rates_examples():
 
 def test_fit_rates_saturated():
     t = ConvergenceTable(ns=[10, 20], hs=[0.1, 0.05], errors=[1e-2, 0.0])
-    assert t.saturated
     assert np.isnan(t.pairwise_slopes()[0]) and np.isnan(t.least_squares_slope())
 
 

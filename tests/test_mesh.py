@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from wavedg.mesh import Mesh1D, cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
+from wavedg.mesh import Mesh1D, Mesh2D, cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
 
 
 def test_uniform_mesh_basics():
@@ -62,9 +62,35 @@ def test_cartesian_mesh_sizes():
     assert np.allclose(m.hy, 2 * np.pi / 10)
     assert m.h == pytest.approx(2 * np.pi / 10 * np.sqrt(2))
     one = cartesian_mesh_2d(0, 1, 0, 2, 1, 1)
-    assert one.diagonals[0, 0] == pytest.approx(np.sqrt(5.0))
+    assert one.h == pytest.approx(np.sqrt(5.0))
     with pytest.raises(ValueError):
         cartesian_mesh_2d(0, 0, 0, 1, 2, 2)
+
+
+@pytest.mark.parametrize("domain, nx, ny", [
+    ((-1.0, 1.0, -1.0, 1.0), 320, 320),
+    ((-1.0, 1.0, -1.0, 1.0), 80, 80),
+    ((0.0, 0.7, 0.0, 0.9), 9, 7),
+    ((0.0, 1.0, 0.0, 2.0), 12, 12),
+])
+def test_2d_mesh_size_is_the_largest_cell_diagonal(domain, nx, ny):
+    m = cartesian_mesh_2d(*domain, nx, ny)
+    diagonals = np.sqrt(m.hx[:, None] ** 2 + m.hy[None, :] ** 2)
+    assert m.h == float(diagonals.max())
+
+
+@pytest.mark.parametrize("axis", ["xnodes", "ynodes"])
+def test_2d_mesh_rejects_non_uniform_nodes(axis):
+    nodes = {"xnodes": np.linspace(0.0, 1.0, 5), "ynodes": np.linspace(0.0, 2.0, 4)}
+    nodes[axis] = np.array([0.0, 0.3, 0.5, 1.0])
+    with pytest.raises(ValueError, match=f"{axis} must be uniformly spaced"):
+        Mesh2D(**nodes)
+    # the widths may spread by 1e-12 of the largest, as linspace's rounding needs
+    nodes[axis] = np.array([0.0, 1.0, 2.0, 3.0 + 5e-13])
+    assert Mesh2D(**nodes).summary()["boundary"] == "periodic"
+    nodes[axis] = np.array([0.0, 1.0, 2.0, 3.0 + 2e-12])
+    with pytest.raises(ValueError, match=f"{axis} must be uniformly spaced"):
+        Mesh2D(**nodes)
 
 
 def test_periodic_interface_count_1d():

@@ -8,7 +8,7 @@ import pytest
 from oracles import brute_rhs_1d
 from wavedg.diagnostics import energy, gradient_l2_error, l2_error
 from wavedg.basis import endpoint_values
-from wavedg.field import DGField1D
+from wavedg.field import DGField1D, n_modes, total_degree_modes
 from wavedg.mesh import uniform_mesh_1d
 from wavedg.scheme1d import (
     SOURCES,
@@ -20,6 +20,7 @@ from wavedg.scheme1d import (
     flux_from_name,
     numerical_fluxes,
     rhs_arrays_1d,
+    sum_by_degree,
 )
 
 
@@ -302,6 +303,62 @@ def test_sine_sources_keep_their_closed_forms_and_pickle():
         src = pickle.loads(pickle.dumps(SOURCES[name]))
         assert src.name == name and src.gprime0 == gprime0
         assert np.array_equal(src.g(u), g) and np.array_equal(src.antiderivative_G(u), big_g)
+
+
+def test_cubic_source_keeps_the_bytes_of_its_closed_form():
+    # the values include signed zeros, subnormals, cubes and fourth powers in
+    # the subnormal range, overflow to inf, inf and NaN
+    tiny = np.finfo(float).smallest_subnormal
+    u = np.concatenate([[0.0, -0.0, tiny, -tiny, 1e-310, -3e-320, 1e-104, -2.7e-105, 3e-78,
+                         1e200, -1e200, 1e77, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0],
+                        np.random.default_rng(5).uniform(-30.0, 30.0, 100)])
+    kept = u.copy()
+    src = SOURCES["cubic_4"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, big_g = src.g(u), src.antiderivative_G(u)
+        u2 = u * u
+        assert g.tobytes() == (4.0 * u * u * u).tobytes()
+        assert big_g.tobytes() == (-(u2 * u2)).tobytes()
+    assert u.tobytes() == kept.tobytes()
+    assert src.g(1.5) == 13.5 and src.antiderivative_G(-2.0) == -16.0
+
+
+def _old_sum_by_degree(sig, first, out):
+    """The 2D kernel's former per-mode sum over the degree blocks of total_degree_modes."""
+    out[..., 0] = 0.0
+    acc = sig[..., first]
+    for l in range(1, sig.shape[-1]):
+        if l > first:
+            acc = acc + sig[..., l]
+        out[..., n_modes(l - 1):n_modes(l)] = acc[..., None]
+    return out
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_sum_by_degree_equals_the_former_sums_of_both_kernels(first):
+    # weights from subnormal to 1e4, and zeros, as damping weights come
+    rng = np.random.default_rng(71 + first)
+
+    def weights(orders):
+        w = np.exp(rng.uniform(math.log(1e-320), math.log(1e4), (40, orders)))
+        w[rng.random(w.shape) < 0.1] = 0.0
+        return w
+
+    for p in range(first, 7):  # the former loop reads order `first`, so p >= first
+        sig = weights(p + 1)
+        degrees = total_degree_modes(p).sum(axis=1)
+        want = _old_sum_by_degree(sig, first, np.empty((40, n_modes(p))))
+        got = sum_by_degree(sig, degrees, first, np.empty((40, n_modes(p))))
+        assert got.tobytes() == want.tobytes()
+    for p in range(2, 7):
+        sig = weights(p + 1)
+        if first == 1:  # the former u block of rhs_arrays_1d
+            want = np.zeros((40, p + 1))
+            want[:, 1:] = np.cumsum(sig[:, 1:], axis=1)
+        else:  # its v block
+            want = np.cumsum(sig, axis=1)
+            want[:, 0] = 0.0
+        assert sum_by_degree(sig, np.arange(p + 1), first).tobytes() == want.tobytes()
 
 
 def test_solve_ut_consistency_refinement():

@@ -109,11 +109,13 @@ def _framed(coeffs: np.ndarray) -> np.ndarray:
     return np.pad(coeffs, ((1, 1), (1, 1), (0, 0)), mode="wrap")
 
 
-def _vertex_jump_acc(f: DGField2D, max_order: int) -> np.ndarray:
+def _vertex_jump_acc(f: DGField2D) -> np.ndarray:
+    """Per order 0..degree: the vertex-jump sums of a field over its whole periodic mesh."""
     framed = _framed(f.coeffs)
+    t = scheme2d._tables2d(f.degree, f.degree, float(f.mesh.hx[0]), float(f.mesh.hy[0]),
+                           f.degree + 3)
     acc = scheme2d._vertex_jump_acc(framed.reshape(-1, framed.shape[-1]), framed.shape[1],
-                                    f.degree, max_order, float(f.mesh.hx[0]),
-                                    float(f.mesh.hy[0]), StripWorkspace())
+                                    f.degree, t, StripWorkspace())
     return acc.reshape(f.mesh.nx, f.mesh.ny + 2, -1)[:, 1:-1]
 
 
@@ -125,7 +127,7 @@ def _damping_coeffs(u, v, mesh, cfg):
 def test_vertex_jumps_single_polynomial():
     m = cartesian_mesh_2d(0, 1, 0, 1, 3, 3)
     f = DGField2D.project(lambda x, y: 1.7 + 0 * x * y, m, 2)
-    assert np.max(np.abs(_vertex_jump_acc(f, 2))) < 1e-10
+    assert np.max(np.abs(_vertex_jump_acc(f))) < 1e-10
 
 
 def test_vertex_jumps_checkerboard():
@@ -133,7 +135,7 @@ def test_vertex_jumps_checkerboard():
     f = DGField2D(m, 2)
     ix, iy = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
     f.coeffs[..., 0] = (ix + iy) % 2
-    acc = _vertex_jump_acc(f, 2)
+    acc = _vertex_jump_acc(f)
     # both face-neighbors differ by 1 at every corner: squared jumps 2 at
     # each of the four corners, so the root of their quarter-sum is sqrt(2)
     assert np.allclose(acc[..., 0], np.sqrt(2.0))
@@ -146,7 +148,7 @@ def test_vertex_jumps_single_cell_bump():
     f = DGField2D(m, 2)
     delta = 0.7
     f.coeffs[1, 1, 0] = delta
-    acc = _vertex_jump_acc(f, 0)[..., 0]
+    acc = _vertex_jump_acc(f)[..., 0]
     expected = np.zeros((3, 3))
     # the bumped cell sees both face-neighbors differ by delta at each corner:
     # squared jumps 2 delta^2 at four corners
@@ -170,7 +172,7 @@ def test_face_shared_damping_weights_equal_the_per_corner_formula(p, q):
 
     def per_corner(coeffs, degree):
         bl, br, tl, tr = (coeffs @ tab for tab in
-                          scheme2d._corner_major_tables(degree, degree, hx, hy))
+                          scheme2d._corner_major_tables(degree, hx, hy))
         total = (bl - np.roll(br, 1, 0)) ** 2 + (bl - np.roll(tl, 1, 1)) ** 2
         total += (br - np.roll(bl, -1, 0)) ** 2 + (br - np.roll(tr, 1, 1)) ** 2
         total += (tl - np.roll(tr, 1, 0)) ** 2 + (tl - np.roll(bl, -1, 1)) ** 2
@@ -478,10 +480,9 @@ def test_successive_rhs_results_do_not_alias(monkeypatch, cells_per_strip):
     rng = np.random.default_rng(53)
     mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, 23, 16)
     cfg = SolverConfig(p=2, q=1, chi=0)
-    work = StripWorkspace()
     u1, v1 = _random_state_2d(rng, 23, 16, 2, 1)
     u2, v2 = _random_state_2d(rng, 23, 16, 2, 1)
-    for kwargs in ({}, {"work": work}):
+    for kwargs in ({}, {"pool": StripPool()}):
         first = rhs_arrays_2d(u1, v1, mesh, cfg, **kwargs)
         kept = [a.copy() for a in first]
         second = rhs_arrays_2d(u2, v2, mesh, cfg, **kwargs)

@@ -23,9 +23,10 @@ compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the 1000^2
 grid); and two custom problems, from config files written to
 OUTDIR/configs: a Neumann box with the cubic source in 1D (shock) and a
 Gaussian on a 1-by-2 rectangle in 2D (energy); only the runs' own
-directories are hashed.  It takes about 20 s on one core.  Set
-OPENBLAS_NUM_THREADS=1 on both sides, since the bits of small matrix
-products may depend on the BLAS thread count.
+directories are hashed.  It takes about 20 s on one core.  The bits of
+small matrix products may depend on the BLAS thread count, so the script
+sets OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1 before numpy loads,
+unless the caller has set them, as the test suite does.
 """
 from __future__ import annotations
 
@@ -35,6 +36,9 @@ import hashlib
 import json
 import os
 import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 RUNS = {
     "converge-ex1-p2": ["converge", "--problem", "ex1", "--ns", "10,20,40"],

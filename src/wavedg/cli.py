@@ -266,8 +266,8 @@ def _metadata(cfg: ExperimentConfig, prob, mesh, dt: float, extra: dict | None =
                     "notes": prob.notes},
         "mesh": mesh.summary(),
         "dt": dt,
-        "volume_quadrature_points": cfg.p + 3,
-        "error_quadrature_points": cfg.p + 5,
+        "volume_quadrature_points": solver_config(cfg, prob).quad_points,
+        "error_quadrature_points": diagnostics.error_quadrature_points(cfg.p),
         "energy_normalization": "integral(u_x^2 + v^2); with a source term "
                                 "0.5*quadratic + integral(G)",
     }

@@ -16,16 +16,21 @@ import numpy as np
 from .field import write_columns_csv
 
 
+def error_quadrature_points(degree: int) -> int:
+    """Gauss points per direction and cell of the error norms of a field of this degree."""
+    return degree + 5
+
+
 def l2_error(fld, exact) -> float:
     """L2 norm of (field - exact) by per-cell Gauss quadrature."""
-    q = fld.gauss_points(fld.degree + 5)
+    q = fld.gauss_points(error_quadrature_points(fld.degree))
     diff = q.values(fld.coeffs) - np.asarray(exact(*q.points), dtype=float)
     return float(np.sqrt(q.integrate(diff**2)))
 
 
 def gradient_l2_error(fld, exact_dx, exact_dy=None) -> float:
     """L2 norm of the gradient error (derivative error in 1D)."""
-    q = fld.gauss_points(fld.degree + 5)
+    q = fld.gauss_points(error_quadrature_points(fld.degree))
     grads = q.gradient(fld.coeffs)
     if len(grads) == 2 and exact_dy is None:
         raise ValueError("2D gradient error needs exact_dy")
@@ -70,8 +75,11 @@ def energy(u, v, source=None) -> float:
     the source antiderivative supplied by the source descriptor.
     """
     quad = u.gradient_energy() + v.l2_squared()
-    if source is None:
-        return quad
+    return quad if source is None else source_energy(quad, u, source)
+
+
+def source_energy(quad: float, u, source) -> float:
+    """The source-augmented energy 0.5 * quad + integral(G(u)), quad the quadratic energy."""
     return 0.5 * quad + source_integral(u, source)
 
 

@@ -1,11 +1,11 @@
 """One object per dimension for what differs between 1D and 2D runs.
 
-A discretization holds the mesh, the `SolverConfig` and the scratch its
-right-hand side reuses; `close` releases what the run held (the 2D strip
-pool's threads).  It gives the field class, the defaults of chi and
-of the energy sampling interval, the right-hand side, sampled values (cell
-midpoints in 1D, centres in 2D), the snapshot CSV, and the leapfrog
-comparator with the DG profile matched against it.
+A discretization holds the mesh, the `SolverConfig` and, in 2D, the
+output pair and the strip pool of its right-hand side; `close` releases
+what the run held (the pool's threads).  It gives the field class, the
+defaults of chi and of the energy sampling interval, the right-hand side,
+sampled values (cell midpoints in 1D, centres in 2D), the snapshot CSV,
+and the leapfrog comparator with the DG profile matched against it.
 `DISCRETIZATIONS` maps a mesh's `dim` to its class.  The scheme,
 comparator and CSV functions are looked up in this module's globals at
 call time, so a wrapper set on the module sees every call.
@@ -54,7 +54,7 @@ class Discretization1D:
         return rhs_arrays_1d(state[0], state[1], self.mesh, self.config)
 
     def close(self):
-        """Nothing to release: the 1D right-hand side keeps no scratch."""
+        """Nothing to release: the 1D right-hand side keeps no arrays or threads."""
 
     def samples(self, u):
         return u.midpoint_values()

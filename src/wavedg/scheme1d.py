@@ -48,8 +48,9 @@ class FluxParams:
 
     Sides: `alternating(0)` takes vhat = v- and uxhat = u_x+ in 1D, but v+
     and d_n u- on a 2D face, where zeta = alpha - 1/2 weighs the sides
-    mirrored (the 2D face fluxes are stated in `scheme2d._fast_fluxes`);
-    side 1 swaps both.
+    mirrored: the 2D kernel calls `numerical_fluxes` with
+    FluxParams(1 - alpha, tau, beta), minus the lower cell and u_x the
+    normal derivative d_n u.  Side 1 swaps both.
     """
 
     alpha: float = 0.5
@@ -183,13 +184,30 @@ class SolverConfig:
         return self.p + 3
 
 
+def _weighted_sum(c1: float, x1, c2: float, x2):
+    """c1*x1 + c2*x2 without its zero-weight term; a unit-weight term alone is x1 or x2 itself."""
+    if c2 == 0.0:
+        return x1 if c1 == 1.0 else c1 * x1
+    if c1 == 0.0:
+        return x2 if c2 == 1.0 else c2 * x2
+    return c1 * x1 + c2 * x2
+
+
 def numerical_fluxes(v_minus, v_plus, ux_minus, ux_plus, params: FluxParams):
-    """Single-valued interface states (vhat, uxhat); inputs broadcast."""
+    """Single-valued interface states (vhat, uxhat) of `FluxParams`; inputs broadcast.
+
+    The one flux routine of both kernels.  Zero-weight terms are skipped,
+    since they add only a signed zero on finite inputs, and a unit-weight
+    side comes back as the input itself; so a derivative that no term reads
+    (the alternating flux without tau) may be None.
+    """
     a = params.alpha
-    jump_ux = np.asarray(ux_plus) - np.asarray(ux_minus)
-    jump_v = np.asarray(v_plus) - np.asarray(v_minus)
-    vhat = a * v_plus + (1.0 - a) * v_minus + params.tau * jump_ux
-    uxhat = (1.0 - a) * ux_plus + a * ux_minus + params.beta * jump_v
+    vhat = _weighted_sum(a, v_plus, 1.0 - a, v_minus)
+    if params.tau:
+        vhat = vhat + params.tau * (ux_plus - ux_minus)
+    uxhat = _weighted_sum(1.0 - a, ux_plus, a, ux_minus)
+    if params.beta:
+        uxhat = uxhat + params.beta * (v_plus - v_minus)
     return vhat, uxhat
 
 
@@ -249,14 +267,14 @@ def damping_weights(ju: np.ndarray, jv: np.ndarray, widths: np.ndarray,
     return for_u, for_v
 
 
-def sum_by_degree(weights: np.ndarray, degrees: np.ndarray, first: int, out=None) -> np.ndarray:
+def sum_by_degree(weights: np.ndarray, degrees: np.ndarray, first: int) -> np.ndarray:
     """Per mode a: weights[..., first] + ... + weights[..., degrees[a]], 0 where degrees[a] = 0.
 
     weights holds one damping weight per derivative order on its last axis,
     and a mode of degree k is damped by every order first..k of its cell.
     The modes come sorted by degree, and the sums run in np.cumsum's order.
     """
-    out = np.empty(weights.shape[:-1] + degrees.shape) if out is None else out
+    out = np.empty(weights.shape[:-1] + degrees.shape)
     ends = np.searchsorted(degrees, np.arange(1, degrees[-1] + 2)).tolist()  # modes of degree <= l
     out[..., :ends[0]] = 0.0
     acc = weights[..., first]

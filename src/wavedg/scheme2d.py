@@ -55,21 +55,24 @@ and each strip writes only its own rows of the output, so every worker
 count gives the serial bits, provided that BLAS itself is
 deterministic: with BLAS on one thread (OPENBLAS_NUM_THREADS=1) it is.
 
-Buffers.  The caller owns the output pair `out` and each worker its own
-`StripWorkspace`, which holds the framed strip copies and the kernel's
-large intermediates, all sized to one strip and zero-filled when first
-allocated.  Passing the same pool on every call, as `timeint.integrate`
-does through its discretization, allocates them once for a run.  The two
-axes, and the vertex jumps of u and of v, share their buffers.  Every
-trace, corner and face product writes a contiguous array of its own,
-since operands sliced by mode cost more than the products they would
-save (BLAS on one thread, 2-vCPU Xeon): `pen += both[..., :6]` on an
-18 x 320 block took 43 us against 11 us for a contiguous operand,
-and one (5796, 20) product of four stacked trace tables with one
-subtraction on each trace's columns 409 to 443 us, against 143 to 149 us
-for four products and contiguous subtractions.  GEMM cost here follows the
-size of the output, not the number of calls.  The damping weights and the
-source function's own temporaries remain ordinary strip-sized arrays.
+Buffers.  The caller owns the output pair `out`; every other array of a
+strip, its framed copies, products, traces and weights, is made fresh for
+that strip, 0.2 to 1 MB at CELLS_PER_STRIP cells.  Buffers named and kept
+per worker between calls saved no time: one serial ex8 RHS at 320^2 after
+15 steps took 53.5 ms with them and 52.3 ms with fresh arrays, 38.2 and
+36.5 ms on two workers (BLAS on one thread, 2-vCPU Xeon, medians of six
+alternated batches, the same bytes).  That holds once glibc's malloc keeps
+freed blocks of that size rather than returning them to the system, as it
+does after the process has freed a larger block; a run's projections free
+mesh-sized arrays first.  Before that, each such RHS page-faulted about
+37,000 times and took 120 to 180 ms, against about 90 ms with the buffers.
+Every trace, corner and face product writes a contiguous array of its own,
+since operands sliced by mode cost more than the products they would save:
+`pen += both[..., :6]` on an 18 x 320 block took 43 us against 11 us for a
+contiguous operand, and one (5796, 20) product of four stacked trace
+tables with one subtraction on each trace's columns 409 to 443 us, against
+143 to 149 us for four products and contiguous subtractions.  GEMM cost
+here follows the size of the output, not the number of calls.
 CELLS_PER_STRIP was set by timing one RHS of the ex8 configuration at
 320^2 (p = 2, q = 1, source, damping and penalty on) on one core of a
 shared 2-vCPU Xeon, three sweeps of the framed kernel: strips of 5,120
@@ -88,59 +91,12 @@ import numpy as np
 from .basis import derivative_matrix, gauss_rule, mass_diagonal, vandermonde
 from .field import gradient_gram, n_modes, total_degree_modes
 from .mesh import Mesh2D
-from .scheme1d import FluxParams, SolverConfig, sum_by_degree
+from .scheme1d import FluxParams, SolverConfig, numerical_fluxes, sum_by_degree
 
 _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))  # BL, BR, TL, TR
 
 #: cells per strip of one right-hand side evaluation; see the module docstring
 CELLS_PER_STRIP = 5120
-
-
-def _weighted_sum(c1: float, x1, c2: float, x2, out, tmp):
-    """c1*x1 + c2*x2, dropping zero-weight terms and unit factors.
-
-    A dropped term adds a signed zero, so finite inputs give the same
-    values as the full expression.  The result is out, or x1 or x2 itself
-    when a unit factor leaves it unchanged; tmp is scratch.
-    """
-    if c2 == 0.0:
-        return x1 if c1 == 1.0 else np.multiply(c1, x1, out=out)
-    if c1 == 0.0:
-        return x2 if c2 == 1.0 else np.multiply(c2, x2, out=out)
-    np.multiply(c1, x1, out=out)
-    return np.add(out, np.multiply(c2, x2, out=tmp), out=out)
-
-
-def _fast_fluxes(v_minus, v_plus, dnu_minus, dnu_plus, params: FluxParams, buf):
-    """Fluxes (vhat, grad-u-hat . n) of faces normal to one axis, one row per face.
-
-    The energy-based DG flux family (Appelo & Hagstrom, SINUM 53, 2015),
-    for a face with normal n = +e_axis and z = params.zeta:
-
-        vhat   = (1/2 - z) v+ + (1/2 + z) v- + tau [[d_n u]]
-        gradn  = (1/2 + z) d_n u+ + (1/2 - z) d_n u- + beta [[v]]
-
-    with minus the lower cell, plus the upper cell and [[.]] = plus - minus.
-    Mirrored from the 1D `numerical_fluxes`, the alternating flux of side 0
-    (z = -1/2) takes vhat = v+ and gradn = d_n u- here, v- and u_x+ in 1D.
-    Row k of each argument is a trace on face k: the lower cell's upper-side
-    traces (v_minus, dnu_minus) and the upper cell's lower-side ones
-    (v_plus, dnu_plus).  A normal derivative that no term reads (the
-    alternating flux without tau) may be None.  buf(name) gives a scratch
-    array of their shape.
-    """
-    z = params.zeta
-    a_plus, a_minus = 0.5 - z, 0.5 + z
-    tmp = buf("flux_tmp")
-    vhat = _weighted_sum(a_plus, v_plus, a_minus, v_minus, buf("vhat"), tmp)
-    if params.tau:
-        jump = np.subtract(dnu_plus, dnu_minus, out=tmp)
-        vhat = np.add(vhat, np.multiply(params.tau, jump, out=tmp), out=buf("vhat"))
-    gradn = _weighted_sum(a_minus, dnu_plus, a_plus, dnu_minus, buf("gradn"), tmp)
-    if params.beta:
-        jump = np.subtract(v_plus, v_minus, out=tmp)
-        gradn = np.add(gradn, np.multiply(params.beta, jump, out=tmp), out=buf("gradn"))
-    return vhat, gradn
 
 
 @lru_cache(maxsize=None)
@@ -164,10 +120,9 @@ def _dxy_matrices(degree: int):
     return dx, dy
 
 
-def _mm(arr: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Contract the trailing axis against a table via BLAS into out, a C-contiguous array."""
-    np.matmul(arr.reshape(-1, arr.shape[-1]), table, out=out.reshape(-1, table.shape[1]))
-    return out
+def _mm(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Contract the trailing axis against a table via BLAS, into a fresh C-contiguous array."""
+    return (arr.reshape(-1, arr.shape[-1]) @ table).reshape(arr.shape[:-1] + table.shape[1:])
 
 
 def _corner_major_tables(degree: int, hx: float, hy: float) -> tuple:
@@ -200,8 +155,7 @@ def _alphas_upto(degree: int) -> tuple:
     return tuple(out)
 
 
-def _vertex_jump_acc(block: np.ndarray, width: int, degree: int, t: dict,
-                     work: StripWorkspace) -> np.ndarray:
+def _vertex_jump_acc(block: np.ndarray, width: int, degree: int, t: dict) -> np.ndarray:
     """Per order l: sum over |alpha| = l of sqrt(quarter-sum of corner jumps).
 
     The corner jump of d^alpha u at one of the four corners (bottom-left,
@@ -214,25 +168,21 @@ def _vertex_jump_acc(block: np.ndarray, width: int, degree: int, t: dict,
     face and read by both of its cells, since (a - b)^2 == (b - a)^2 exactly.
     """
     alphas = t["alphas"][degree]
-    n, w, na = len(block), width, len(alphas)
+    n, w = len(block), width
     rows = n - 2 * w
-    tabs = t["corners"][degree]
-    bl, br, tl, tr = (_mm(block, tab, work.take(name, (n, na)))
-                      for name, tab in zip(("bl", "br", "tl", "tr"), tabs))
+    bl, br, tl, tr = (_mm(block, tab) for tab in t["corners"][degree])
 
-    def sq_jump(a, b, name):
-        jump = np.subtract(a, b, out=work.take(name, (len(a), na)))
+    def sq_jump(a, b):
+        jump = a - b
         return np.square(jump, out=jump)
 
     # x-face k joins cells k and k + w, y-face k cells w - 1 + k and w + k
-    xb, xt = sq_jump(br[:n - w], bl[w:], "xb"), sq_jump(tr[:n - w], tl[w:], "xt")
-    yl = sq_jump(tl[w - 1:n - w], bl[w:n - w + 1], "yl")
-    yr = sq_jump(tr[w - 1:n - w], br[w:n - w + 1], "yr")
+    xb, xt = sq_jump(br[:n - w], bl[w:]), sq_jump(tr[:n - w], tl[w:])
+    yl, yr = sq_jump(tl[w - 1:n - w], bl[w:n - w + 1]), sq_jump(tr[w - 1:n - w], br[w:n - w + 1])
     # per corner, in the order BL, BR, TL, TR: its x-face jump plus its y-face jump
-    total = np.add(xb[:rows], yl[:rows], out=work.take("total", (rows, na)))
-    pair = work.take("pair", (rows, na))
+    total = xb[:rows] + yl[:rows]
     for x, y in ((xb[w:], yr[:rows]), (xt[:rows], yl[1:]), (xt[w:], yr[1:])):
-        total += np.add(x, y, out=pair)
+        total += x + y
     total *= 0.25
     roots = np.sqrt(total, out=total)
     out = np.zeros((rows, degree + 1))
@@ -241,8 +191,7 @@ def _vertex_jump_acc(block: np.ndarray, width: int, degree: int, t: dict,
     return out
 
 
-def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D,
-                      config: SolverConfig, work: StripWorkspace | None = None):
+def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: SolverConfig):
     """Damping weights (for_u[i,j,l], l=1..p; for_v[i,j,l], l=0..q) of a framed block.
 
     ucoef and vcoef are framed blocks, (rows + 2, cols + 2, modes), whose
@@ -255,15 +204,13 @@ def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D,
     for_u at order l sums, over the multi-indices of that order, the root of
     the quarter-sum of squared vertex jumps, scaled by
     2(2l+1)/(2p-1) * h_d^l / l!; for_v uses (2q-1), h_d^(l+1) and (l+1)!.
-    work holds the scratch arrays (a fresh `StripWorkspace` by default).
     """
     p, q = config.p, config.q
     t = _tables2d(p, q, float(mesh.hx[0]), float(mesh.hy[0]), config.quad_points)
     h_d = mesh.h
-    work = work if work is not None else StripWorkspace()
     rows, width = ucoef.shape[0] - 2, ucoef.shape[1]
-    acc_u = _vertex_jump_acc(ucoef.reshape(-1, ucoef.shape[-1]), width, p, t, work)
-    acc_v = _vertex_jump_acc(vcoef.reshape(-1, vcoef.shape[-1]), width, q, t, work)
+    acc_u = _vertex_jump_acc(ucoef.reshape(-1, ucoef.shape[-1]), width, p, t)
+    acc_v = _vertex_jump_acc(vcoef.reshape(-1, vcoef.shape[-1]), width, q, t)
     for_u = np.zeros((rows, width, p + 1))
     for_v = np.zeros((rows, width, q + 1))
     acc_u, acc_v = acc_u.reshape(rows, width, -1), acc_v.reshape(rows, width, -1)
@@ -334,39 +281,22 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
     }
 
 
-def _two_sided_faces(faces, hi, lo, shift: int, out, fold) -> None:
+def _two_sided_faces(faces, hi, lo, shift: int, out) -> None:
     """Add a face quantity, tested on both sides, into out in place.
 
     Row k of faces is the face above (x: right of) cell k - shift of out and
     below cell k; each cell adds its upper face's value tested with its
     upper-side traces (hi) and subtracts its lower face's value tested with
-    its lower-side traces (lo).  fold receives each product.  The penalty
-    fits this form because the upper cell sees exactly the negated jump.
+    its lower-side traces (lo).  The penalty fits this form because the
+    upper cell sees exactly the negated jump.
     """
-    out += _mm(faces[shift:], hi, fold)
-    out -= _mm(faces[:len(out)], lo, fold)
+    out += _mm(faces[shift:], hi)
+    out -= _mm(faces[:len(out)], lo)
 
 
-class StripWorkspace:
-    """Scratch arrays of `rhs_arrays_2d`, kept between calls by their owner.
-
-    A named buffer is allocated, zero-filled, on first use, or again when a
-    larger strip needs more room; a smaller strip uses its leading part.
-    """
-
-    def __init__(self):
-        self._flat: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.zeros(size)
-        return flat[:size].reshape(shape)
-
-
-def _framed(arr: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-    """Rows start..stop-1 of arr with one periodic ghost cell on all four sides, in out."""
+def _framed(arr: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of arr with one periodic ghost cell on all four sides."""
+    out = np.empty((stop - start + 2, arr.shape[1] + 2) + arr.shape[2:])
     out[1:-1, 1:-1] = arr[start:stop]
     out[0, 1:-1] = arr[start - 1]
     out[-1, 1:-1] = arr[stop % len(arr)]
@@ -382,7 +312,7 @@ def strip_bounds(nx: int, ny: int) -> list[tuple[int, int]]:
 
 
 class StripPool:
-    """The workers that evaluate the strips of `rhs_arrays_2d`, one `StripWorkspace` each.
+    """The workers that evaluate the strips of `rhs_arrays_2d`.
 
     Worker k takes strips k, k + workers, k + 2 workers, ...  One worker
     runs them in the calling thread and starts no thread; more run on a
@@ -390,17 +320,16 @@ class StripPool:
     """
 
     def __init__(self, workers: int = 1):
-        self.work = [StripWorkspace() for _ in range(workers)]
+        self.workers = workers
         self._threads = ThreadPoolExecutor(workers, "wavedg-strip") if workers > 1 else None
 
     def deal(self, fn, items: list) -> None:
-        """fn(items[k::workers], work[k]) for every worker k with items, then wait for all."""
+        """fn(items[k::workers]) for every worker k with items, then wait for all."""
         if self._threads is None:
-            fn(items, self.work[0])
+            fn(items)
             return
-        n = len(self.work)
-        futures = [self._threads.submit(fn, items[k::n], w)
-                   for k, w in enumerate(self.work) if items[k::n]]
+        n = self.workers
+        futures = [self._threads.submit(fn, items[k::n]) for k in range(n) if items[k::n]]
         wait(futures)
         for f in futures:
             f.result()
@@ -417,9 +346,8 @@ def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: So
 
     out, if given, is a (du, dv) pair to write into, which must not overlap
     the inputs; otherwise fresh arrays are returned.  pool runs the strips
-    on its workers, each with its own scratch arrays; without one, they run
-    in this thread in a fresh workspace.  A caller that evaluates many
-    right-hand sides passes the same pool each time.
+    on its workers; without one, they run in this thread.  A caller that
+    evaluates many right-hand sides passes the same pool each time.
     """
     if config.source is not None and config.chi == 1:
         raise ValueError("the in-cell source quotient treatment is 1D-only; use chi=0 in 2D")
@@ -427,16 +355,16 @@ def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: So
     pool = pool if pool is not None else StripPool()
     t = _tables2d(config.p, config.q, float(mesh.hx[0]), float(mesh.hy[0]), config.quad_points)
 
-    def run(deal, work):
-        for start, stop in deal:
-            _strip_rhs(ucoef, vcoef, start, stop, mesh, config, t, work, du, dv)
+    def run(strips):
+        for start, stop in strips:
+            _strip_rhs(ucoef, vcoef, start, stop, mesh, config, t, du, dv)
 
     pool.deal(run, strip_bounds(*ucoef.shape[:2]))
     return du, dv
 
 
 def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: SolverConfig,
-               t: dict, work: StripWorkspace, du, dv) -> None:
+               t: dict, du, dv) -> None:
     """Write the right-hand side of rows start..stop-1 to the same rows of du, dv.
 
     t holds the `_tables2d` of the mesh's cell.  The rows are framed (see
@@ -446,21 +374,18 @@ def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: Solver
     inner columns go to du, dv at the end.
     """
     nm, nmq = ucoef.shape[-1], t["nmq"]
-    nq = len(t["rule"].weights)
     rows, w = stop - start, ucoef.shape[1] + 2
-    u3 = _framed(ucoef, start, stop, work.take("u_in", (rows + 2, w, nm)))
-    v3 = _framed(vcoef, start, stop, work.take("v_in", (rows + 2, w, nmq)))
+    u3, v3 = _framed(ucoef, start, stop), _framed(vcoef, start, stop)
     u, v = u3.reshape(-1, nm), v3.reshape(-1, nmq)
     n = len(u)
     nb, band = n - 2 * w, slice(w, n - w)
     fp = config.flux
-
-    def buf(name, cells=nb, width=nq):
-        return work.take(name, (cells, width))
+    # a 2D face weighs its sides mirrored against 1D's: see FluxParams
+    face_flux = FluxParams(1.0 - fp.alpha, fp.tau, fp.beta)
 
     # v's modes are the degree-q prefix of u's, so its tables are row prefixes
-    b = _mm(v[band], t["g"][:nmq], buf("b", width=nm))  # integral of grad v . grad phi_a
-    rhs = _mm(u[band], t["g"][:, :nmq], buf("rhs", width=nmq))
+    b = _mm(v[band], t["g"][:nmq])  # integral of grad v . grad phi_a
+    rhs = _mm(u[band], t["g"][:, :nmq])
     np.negative(rhs, out=rhs)
 
     # a one-sided vhat (alternating flux) is that side's own v trace, so the
@@ -469,31 +394,26 @@ def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: Solver
     takes_plus = fp.zeta == -0.5 and not fp.tau
     penalty = config.penalty and config.penalty_coefficient > 0.0
     if penalty:
-        pen = buf("pen", width=nm)
-        pen.fill(0.0)
+        pen = np.zeros((nb, nm))
 
     # axis 0: vertical faces, shift w, normal +x; axis 1: horizontal faces,
     # shift 1, normal +y.  Face k lies between cells w - s + k and w + k,
     # from the lower face of the band's first cell to the upper face of its last.
     for f, s in zip(t["faces"], (w, 1)):
-        nf = nb + s
         lower, upper = u[w - s:n - w], u[w:n - w + s]
-        u_m, u_p = _mm(lower, f["hi"], buf("u_m", nf)), _mm(upper, f["lo"], buf("u_p", nf))
         # the alternating flux reads the normal derivative on one side only
-        dnu_m = _mm(lower, f["d_hi"], buf("dnu_m", nf)) if fp.zeta != 0.5 or fp.tau else None
-        dnu_p = _mm(upper, f["d_lo"], buf("dnu_p", nf)) if fp.zeta != -0.5 or fp.tau else None
-        v_m = _mm(v[w - s:n - w], f["v_hi"], buf("v_m", nf))
-        v_p = _mm(v[w:n - w + s], f["v_lo"], buf("v_p", nf))
-        vhat, gn = _fast_fluxes(v_m, v_p, dnu_m, dnu_p, fp, lambda name: buf(name, nf))
-        fold = buf("fold", width=nm)
+        dnu_m = _mm(lower, f["d_hi"]) if fp.zeta != 0.5 or fp.tau else None
+        dnu_p = _mm(upper, f["d_lo"]) if fp.zeta != -0.5 or fp.tau else None
+        v_m, v_p = _mm(v[w - s:n - w], f["v_hi"]), _mm(v[w:n - w + s], f["v_lo"])
+        vhat, gn = numerical_fluxes(v_m, v_p, dnu_m, dnu_p, face_flux)
         if not takes_minus:
-            b += _mm(np.subtract(vhat[s:], v_m[s:], out=buf("face")), f["hi_w"], fold)
+            b += _mm(vhat[s:] - v_m[s:], f["hi_w"])
         if not takes_plus:
-            b -= _mm(np.subtract(vhat[:nb], v_p[:nb], out=buf("face")), f["lo_w"], fold)
+            b -= _mm(vhat[:nb] - v_p[:nb], f["lo_w"])
         if penalty:
-            _two_sided_faces(np.subtract(u_p, u_m, out=buf("jump", nf)), f["pen_hi"], f["pen_lo"],
-                             s, pen, fold)
-        _two_sided_faces(gn, f["gn_hi"], f["gn_lo"], s, rhs, buf("fold", width=nmq))
+            jump = _mm(upper, f["lo"]) - _mm(lower, f["hi"])
+            _two_sided_faces(jump, f["pen_hi"], f["pen_lo"], s, pen)
+        _two_sided_faces(gn, f["gn_hi"], f["gn_lo"], s, rhs)
 
     if penalty:
         pen *= config.penalty_coefficient / mesh.h**2
@@ -501,35 +421,32 @@ def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: Solver
 
     sig_u = sig_v = None
     if config.damping:
-        sig_u, sig_v = damping_coeffs_2d(u3, v3, mesh, config, work)
+        sig_u, sig_v = damping_coeffs_2d(u3, v3, mesh, config)
         # a mode of total degree k is damped by every level 1..k
-        wu = sum_by_degree(sig_u.reshape(nb, -1), t["degrees"][config.p], 1, buf("wu", width=nm))
+        wu = sum_by_degree(sig_u.reshape(nb, -1), t["degrees"][config.p], 1)
         for f in t["faces"]:
-            weighted = _mm(u[band], f["d_ref"].T, buf("d_ref", width=nm))
+            weighted = _mm(u[band], f["d_ref"].T)
             weighted *= wu
             weighted *= t["mass2"]
-            fold = _mm(weighted, f["d_ref"], buf("fold", width=nm))
+            fold = _mm(weighted, f["d_ref"])
             fold *= f["aspect"] / mesh.h
             b -= fold
 
     own = slice(None), slice(1, -1)  # the strip's own cells of a (rows, w, .) band
     du[start:stop, :, 0] = vcoef[start:stop, :, 0]
-    solved = _mm(b[:, 1:], t["ginv"], buf("fold", width=nm - 1))
-    du[start:stop, :, 1:] = solved.reshape(rows, w, nm - 1)[own]
+    du[start:stop, :, 1:] = _mm(b[:, 1:], t["ginv"]).reshape(rows, w, nm - 1)[own]
 
     if config.source is not None:
         # cell-local, on the strip's own rows of the input: see the module docstring
-        u_own = ucoef[start:stop]
-        u_at = _mm(u_own, t["bv_flat"], work.take("u_at", u_own.shape[:-1] + (nq * nq,)))
-        g_at = config.source.g(u_at)
-        fold = _mm(g_at, t["bvw_q"], work.take("fold", u_own.shape[:-1] + (nmq,)))
+        g_at = config.source.g(_mm(ucoef[start:stop], t["bv_flat"]))
+        fold = _mm(g_at, t["bvw_q"])
         fold *= t["jacobian"]
         rhs.reshape(rows, w, nmq)[own] += fold
 
     dv_band = np.divide(rhs, t["jacobian"] * t["mass2"][:nmq], out=rhs)
     if sig_v is not None:
         # a mode of v of total degree k >= 1 is damped by every level 0..k
-        wv = sum_by_degree(sig_v.reshape(nb, -1), t["degrees"][config.q], 0, buf("wv", width=nmq))
+        wv = sum_by_degree(sig_v.reshape(nb, -1), t["degrees"][config.q], 0)
         wv *= v[band]
         wv /= mesh.h
         dv_band -= wv

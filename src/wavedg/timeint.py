@@ -198,8 +198,7 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
         quad = diagnostics.energy(uf, vf)
         trace.energies.append(quad)
         if with_source:
-            # diagnostics.energy's source-augmented form, without recomputing quad
-            trace.nonlinear.append(0.5 * quad + diagnostics.source_integral(uf, config.source))
+            trace.nonlinear.append(diagnostics.source_energy(quad, uf, config.source))
 
     record(state)
     t = 0.0

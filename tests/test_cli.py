@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from wavedg import cli
+from wavedg import cli, diagnostics
 from wavedg.cli import (
     ConfigError,
     ExperimentConfig,
@@ -18,6 +18,8 @@ from wavedg.cli import (
     run_energy,
     run_shock,
 )
+from wavedg.mesh import uniform_mesh_1d
+from wavedg.scheme1d import SolverConfig
 
 
 def test_defaults_match_problem_conventions():
@@ -86,6 +88,18 @@ def test_rerun_from_metadata_reproduces_csv(tmp_path):
     assert cfg2 == cfg
     _, stem2 = run_convergence(cfg2)
     assert open(stem2 + ".csv", "rb").read() == first
+
+
+def test_metadata_quadrature_points_follow_their_owners(monkeypatch):
+    cfg = parse_config(None, {"problem": "ex1", "p": 3})
+    prob, mesh = cfg.resolved_problem(), uniform_mesh_1d(0.0, 1.0, 4)
+    meta = cli._metadata(cfg, prob, mesh, 0.1)
+    assert (meta["volume_quadrature_points"], meta["error_quadrature_points"]) == (6, 8)
+    # the kernels read SolverConfig.quad_points, the error norms diagnostics' rule
+    monkeypatch.setattr(SolverConfig, "quad_points", property(lambda self: self.p + 7))
+    monkeypatch.setattr(diagnostics, "error_quadrature_points", lambda degree: degree + 9)
+    meta = cli._metadata(cfg, prob, mesh, 0.1)
+    assert (meta["volume_quadrature_points"], meta["error_quadrature_points"]) == (10, 12)
 
 
 def test_shock_run_artifacts(tmp_path):

@@ -348,7 +348,7 @@ def test_sum_by_degree_equals_the_former_sums_of_both_kernels(first):
         sig = weights(p + 1)
         degrees = total_degree_modes(p).sum(axis=1)
         want = _old_sum_by_degree(sig, first, np.empty((40, n_modes(p))))
-        got = sum_by_degree(sig, degrees, first, np.empty((40, n_modes(p))))
+        got = sum_by_degree(sig, degrees, first)
         assert got.tobytes() == want.tobytes()
     for p in range(2, 7):
         sig = weights(p + 1)

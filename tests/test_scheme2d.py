@@ -14,7 +14,7 @@ from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.scheme1d import SOURCES, FluxParams, SolverConfig, SourceTerm, numerical_fluxes
 from wavedg import scheme2d
 from wavedg.discretization import Discretization2D
-from wavedg.scheme2d import StripPool, StripWorkspace, damping_coeffs_2d, rhs_arrays_2d
+from wavedg.scheme2d import StripPool, damping_coeffs_2d, rhs_arrays_2d
 
 
 def _random_state_2d(rng, nx, ny, p, q, scale=1.0):
@@ -68,10 +68,16 @@ FLUX_CASES = {
 }
 
 
+def _mirrored(fp: FluxParams) -> FluxParams:
+    """The weights with which the 2D kernel calls numerical_fluxes on its faces."""
+    return FluxParams(1.0 - fp.alpha, fp.tau, fp.beta)
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("fluxname", sorted(FLUX_CASES))
 def test_fast_fluxes_match_the_reference_flux(fluxname, axis):
-    # in a 5 x 4 block flattened to 20 cells, face k joins cell k (minus) to
+    # the 2D face fluxes are numerical_fluxes with the sides mirrored.  In a
+    # 5 x 4 block flattened to 20 cells, face k joins cell k (minus) to
     # cell k + 4 along x or k + 1 along y (plus), whose lower-side traces are
     # that slice further on; the reference is the pointwise flux formula
     rng = np.random.default_rng(61 + axis)
@@ -79,9 +85,7 @@ def test_fast_fluxes_match_the_reference_flux(fluxname, axis):
     v_minus, v_own, dnu_minus, dnu_own = rng.standard_normal((4, 20, 3))
     shift = (4, 1)[axis]
     sides = (v_minus[:-shift], v_own[shift:], dnu_minus[:-shift], dnu_own[shift:])
-    work = StripWorkspace()
-    vhat, gradn = scheme2d._fast_fluxes(*sides, fp,
-                                        lambda name: work.take(name, (20 - shift, 3)))
+    vhat, gradn = numerical_fluxes(*sides, _mirrored(fp))
     vhat_ref, gradn_ref = fluxes_2d(*sides, fp)
     assert np.allclose(vhat, vhat_ref, rtol=0.0, atol=1e-14)
     assert np.allclose(gradn, gradn_ref, rtol=0.0, atol=1e-14)
@@ -96,12 +100,33 @@ def test_alternating_side_reads_mirrored_sides_in_1d_and_2d(side):
     want_1d = (v_minus, d_plus) if side == 0 else (v_plus, d_minus)
     assert numerical_fluxes(v_minus, v_plus, d_minus, d_plus, fp) == want_1d
     # two faces, each with its upper cell's lower-side traces as the plus side
-    work = StripWorkspace()
-    vhat, gradn = scheme2d._fast_fluxes(
-        np.full(2, v_minus), np.full(2, v_plus), np.full(2, d_minus), np.full(2, d_plus),
-        fp, lambda name: work.take(name, (2,)))
+    vhat, gradn = numerical_fluxes(np.full(2, v_minus), np.full(2, v_plus), np.full(2, d_minus),
+                                   np.full(2, d_plus), _mirrored(fp))
     want_2d = (v_plus, d_minus) if side == 0 else (v_minus, d_plus)
     assert vhat.tolist() == [want_2d[0]] * 2 and gradn.tolist() == [want_2d[1]] * 2
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_fluxes_take_none_for_a_derivative_no_term_reads(side):
+    # the alternating flux without tau reads u_x on one side only, in 1D
+    # and on a 2D face; the other may be None, and on finite inputs the
+    # result equals the full formula of FluxParams, weights 0 and 1 included
+    rng = np.random.default_rng(89 + side)
+    vm, vp, dm, dp_ = rng.standard_normal((4, 30))
+    for beta in (0.0, 0.7):
+        one_d = FluxParams(float(side), 0.0, beta)
+        for fp in (one_d, _mirrored(one_d)):
+            a = fp.alpha
+            want = (a * vp + (1.0 - a) * vm + fp.tau * (dp_ - dm),
+                    (1.0 - a) * dp_ + a * dm + fp.beta * (vp - vm))
+            got = numerical_fluxes(vm, vp, None if a == 0.0 else dm, None if a == 1.0 else dp_, fp)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # against the 2D reference: side 0 reads d_n u- only on a 2D face, side 1 d_n u+ only
+    fp = FluxParams.alternating(side)
+    got = numerical_fluxes(vm, vp, dm if side == 0 else None, dp_ if side == 1 else None,
+                           _mirrored(fp))
+    for g, w in zip(got, fluxes_2d(vm, vp, dm, dp_, fp)):
+        assert np.allclose(g, w, rtol=0.0, atol=1e-15)
 
 
 def _framed(coeffs: np.ndarray) -> np.ndarray:
@@ -115,7 +140,7 @@ def _vertex_jump_acc(f: DGField2D) -> np.ndarray:
     t = scheme2d._tables2d(f.degree, f.degree, float(f.mesh.hx[0]), float(f.mesh.hy[0]),
                            f.degree + 3)
     acc = scheme2d._vertex_jump_acc(framed.reshape(-1, framed.shape[-1]), framed.shape[1],
-                                    f.degree, t, StripWorkspace())
+                                    f.degree, t)
     return acc.reshape(f.mesh.nx, f.mesh.ny + 2, -1)[:, 1:-1]
 
 
@@ -521,7 +546,7 @@ def test_strip_workers_give_the_serial_bytes(monkeypatch, fluxname, penalty, sou
         for cpus, workers in ((1, 1), (2, 2), (3, 3), (8, 4)):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
             with closing(Discretization2D(mesh, cfg)) as disc:
-                assert len(disc.pool.work) == workers
+                assert disc.pool.workers == workers
                 got = disc.rhs((u, v))
                 assert np.array_equal(got[0], du) and np.array_equal(got[1], dv)
         # more workers than strips: the idle ones get no strip
@@ -539,7 +564,7 @@ def test_one_strip_or_one_cpu_starts_no_thread(monkeypatch, cpus, n):
     u, v = _random_state_2d(np.random.default_rng(73), n, 16, 2, 1)
     before = threading.active_count()
     with closing(Discretization2D(mesh, SolverConfig(p=2, q=1, chi=0))) as disc:
-        assert len(disc.pool.work) == 1
+        assert disc.pool.workers == 1
         disc.rhs((u, v))
         assert threading.active_count() == before
 

@@ -12,8 +12,10 @@ and `diff` the two outputs; they match when every artifact is
 byte-identical.
 
 The matrix covers converge on ex1 (also with alternating side 1) and ex6
-(also with the Sommerfeld flux); shock on ex1 (perturbed mesh), ex3 (also
-with the central flux undamped, and without the penalty), ex7 (also at
+(also with the Sommerfeld flux, and with alternating side 1, the one 2D
+run whose faces take the lower cell's v trace); shock on ex1 (perturbed
+mesh), ex3 (also with the central flux undamped, and without the
+penalty), ex7 (also with the central flux, the one 2D run of it, and at
 p = 3 on 14^2: one strip of 196 cells, whose p = 3 source product has a
 row count at which OpenBLAS rounds small products differently) and ex8
 (also at 80^2, the one 2D run that the kernel evaluates in two framed
@@ -66,6 +68,9 @@ RUNS = {
     "converge-ex1-side1": ["converge", "--problem", "ex1", "--ns", "10,20",
                            "--alternating-side", "1"],
     "converge-ex6-s": ["converge", "--problem", "ex6", "--ns", "8,16", "--flux", "s"],
+    "converge-ex6-side1": ["converge", "--problem", "ex6", "--ns", "8,16",
+                           "--alternating-side", "1"],
+    "shock-ex7-central": ["shock", "--problem", "ex7", "--ns", "20", "--flux", "c"],
     "energy-ex2-s": ["energy", "--problem", "ex2", "--ns", "40", "--flux", "s",
                      "--sommerfeld-speed", "2"],
     "shock-custom-1d": ["shock", "--config", "{configs}/custom-1d.cfg"],

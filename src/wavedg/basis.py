@@ -65,6 +65,16 @@ def gauss_rule(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
+def volume_quadrature_points(degree: int) -> int:
+    """Gauss points per direction and cell of the volume integrals over a degree-`degree` field.
+
+    The one rule of the kernels' source and volume terms
+    (`SolverConfig.quad_points`) and of the energy's source integral
+    (`diagnostics.source_integral`); both read it through this module.
+    """
+    return degree + 3
+
+
 def vandermonde(xi, degree: int, order: int = 0) -> np.ndarray:
     """Table V[..., m] = d^order/dxi^order P_m(xi) for m = 0..degree."""
     x = np.asarray(xi, dtype=float)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import basis
 from .field import write_columns_csv
 
 
@@ -46,6 +47,7 @@ SOURCE_BLOCK_CELLS = 8192
 def source_integral(u, source) -> float:
     """integral(G(u)) by per-cell Gauss quadrature, G the source antiderivative.
 
+    The rule is the kernels' volume rule, `basis.volume_quadrature_points`.
     G is evaluated in blocks of whole rows of cells, as for the strips of
     the 2D kernel: balanced, of at most SOURCE_BLOCK_CELLS cells and so at
     least half that, which keeps BLAS's products to the rounding of large
@@ -54,7 +56,7 @@ def source_integral(u, source) -> float:
     q.integrate(G(values)) bit for bit, with one mesh-sized array in place
     of several.
     """
-    nq = u.degree + 3
+    nq = basis.volume_quadrature_points(u.degree)
     q = u.gauss_points(nq)
     coeffs = u.coeffs
     rows = coeffs.shape[0]

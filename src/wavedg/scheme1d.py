@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import basis
 from .basis import (
     derivative_matrix,
     endpoint_values,
@@ -181,7 +182,7 @@ class SolverConfig:
 
     @property
     def quad_points(self) -> int:
-        return self.p + 3
+        return basis.volume_quadrature_points(self.p)
 
 
 def _weighted_sum(c1: float, x1, c2: float, x2):

@@ -12,6 +12,16 @@ The edge penalty is oriented the same dissipative way as in 1D: it adds
 (c/h^2) * (exterior trace - interior trace) tested with the interior test
 trace on every face.
 
+Damping orders.  Level l of the u damping damps u_x - P^(l-1) u_x, and
+u_x has degree p - 1, so only the levels 1..p-1 can act on u, and only on
+the modes of u_x of total degree 1..p-1: the level-p weight would multiply
+only zeros, and no level reaches a mode of degree 0.  So u's vertex jumps
+are taken at orders 1..p-1 only, and the fold of the u damping runs over
+those modes only; at p = 2 that is 2 of u's 6 jump columns and 2 of its
+6 modes.  The dropped terms are zeros, and every right-hand side compared
+kept the bits of the full sums.  v's jumps are taken at every order 0..q, since level l damps
+v - P^(l-1) v (level 0 like level 1) and every level acts.
+
 A `Mesh2D` is uniform and periodic in both directions by construction;
 the in-cell source quotient treatment (chi = 1) is a 1D-only feature.
 
@@ -125,15 +135,15 @@ def _mm(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (arr.reshape(-1, arr.shape[-1]) @ table).reshape(arr.shape[:-1] + table.shape[1:])
 
 
-def _corner_major_tables(degree: int, hx: float, hy: float) -> tuple:
-    """Per corner: derivative tables for all |alpha| <= degree, (nm, n_alpha).
+def _corner_major_tables(degree: int, hx: float, hy: float, orders: range) -> tuple:
+    """Per corner: derivative tables for every alpha with |alpha| in orders, (nm, n_alpha).
 
     Column k of a corner's table holds d^alpha_k phi_a at that corner, in
-    physical scaling.  One matmul per corner then yields contiguous
-    per-corner value arrays.
+    physical scaling, alpha_k the k-th multi-index of `_alphas(orders)`.
+    One matmul per corner then yields contiguous per-corner value arrays.
     """
     modes = total_degree_modes(degree)
-    alphas = _alphas_upto(degree)
+    alphas = _alphas(orders)
     out = []
     for xi, eta in _CORNERS:
         cols = np.empty((len(modes), len(alphas)))
@@ -147,30 +157,29 @@ def _corner_major_tables(degree: int, hx: float, hy: float) -> tuple:
     return tuple(out)
 
 
-def _alphas_upto(degree: int) -> tuple:
-    out = []
-    for l in range(degree + 1):
-        for r1 in range(l + 1):
-            out.append((r1, l - r1))
-    return tuple(out)
+def _alphas(orders: range) -> tuple:
+    """The multi-indices (r1, r2) of every order l in orders, by order, r1 rising."""
+    return tuple((r1, l - r1) for l in orders for r1 in range(l + 1))
 
 
-def _vertex_jump_acc(block: np.ndarray, width: int, degree: int, t: dict) -> np.ndarray:
-    """Per order l: sum over |alpha| = l of sqrt(quarter-sum of corner jumps).
+def _vertex_jump_acc(block: np.ndarray, width: int, orders: range, corners: tuple) -> np.ndarray:
+    """Per order l in orders: sum over |alpha| = l of sqrt(quarter-sum of corner jumps).
 
     The corner jump of d^alpha u at one of the four corners (bottom-left,
     bottom-right, top-left, top-right) sums the squared differences against
     the two edge-neighbors meeting that corner; the diagonal neighbor is not
     compared.  block is a framed strip flattened to (cells, modes), width
-    cells to a row (see `_strip_rhs`), t the cell's `_tables2d`; the result
-    has one row per cell of every row but the first and the last, shape
-    (cells - 2 width, degree + 1).  Each squared jump is taken once per
-    face and read by both of its cells, since (a - b)^2 == (b - a)^2 exactly.
+    cells to a row (see `_strip_rhs`), and corners the four corner tables of
+    the orders in orders (`_corner_major_tables`); the result has one row
+    per cell of every row but the first and the last and one column per
+    order 0..orders.stop - 1, shape (cells - 2 width, orders.stop), and
+    the columns of the orders below orders.start are zero.  Each squared
+    jump is taken once per face and read by both of its cells, since
+    (a - b)^2 == (b - a)^2 exactly.
     """
-    alphas = t["alphas"][degree]
     n, w = len(block), width
     rows = n - 2 * w
-    bl, br, tl, tr = (_mm(block, tab) for tab in t["corners"][degree])
+    bl, br, tl, tr = (_mm(block, tab) for tab in corners)
 
     def sq_jump(a, b):
         jump = a - b
@@ -185,14 +194,14 @@ def _vertex_jump_acc(block: np.ndarray, width: int, degree: int, t: dict) -> np.
         total += x + y
     total *= 0.25
     roots = np.sqrt(total, out=total)
-    out = np.zeros((rows, degree + 1))
-    for k, (r1, r2) in enumerate(alphas):
+    out = np.zeros((rows, orders.stop))
+    for k, (r1, r2) in enumerate(_alphas(orders)):
         out[:, r1 + r2] += roots[:, k]
     return out
 
 
 def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: SolverConfig):
-    """Damping weights (for_u[i,j,l], l=1..p; for_v[i,j,l], l=0..q) of a framed block.
+    """Damping weights (for_u[i,j,l], l=0..p; for_v[i,j,l], l=0..q) of a framed block.
 
     ucoef and vcoef are framed blocks, (rows + 2, cols + 2, modes), whose
     outer ring of cells holds each edge cell's periodic neighbours.  The
@@ -204,19 +213,24 @@ def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config
     for_u at order l sums, over the multi-indices of that order, the root of
     the quarter-sum of squared vertex jumps, scaled by
     2(2l+1)/(2p-1) * h_d^l / l!; for_v uses (2q-1), h_d^(l+1) and (l+1)!.
+    for_u is taken at l = 1..p-1 only, and its columns 0 and p are zero:
+    level l damps u_x - P^(l-1) u_x, and u_x has degree p - 1, so the
+    weights of orders 0 and p would multiply only zeros (see `_strip_rhs`).
+    for_v is taken at every order.
     """
     p, q = config.p, config.q
     t = _tables2d(p, q, float(mesh.hx[0]), float(mesh.hy[0]), config.quad_points)
     h_d = mesh.h
     rows, width = ucoef.shape[0] - 2, ucoef.shape[1]
-    acc_u = _vertex_jump_acc(ucoef.reshape(-1, ucoef.shape[-1]), width, p, t)
-    acc_v = _vertex_jump_acc(vcoef.reshape(-1, vcoef.shape[-1]), width, q, t)
+    (orders_u, corners_u), (orders_v, corners_v) = t["jumps"]["u"], t["jumps"]["v"]
+    acc_u = _vertex_jump_acc(ucoef.reshape(-1, ucoef.shape[-1]), width, orders_u, corners_u)
+    acc_v = _vertex_jump_acc(vcoef.reshape(-1, vcoef.shape[-1]), width, orders_v, corners_v)
     for_u = np.zeros((rows, width, p + 1))
     for_v = np.zeros((rows, width, q + 1))
     acc_u, acc_v = acc_u.reshape(rows, width, -1), acc_v.reshape(rows, width, -1)
-    for l in range(1, p + 1):
+    for l in orders_u:
         for_u[..., l] = (2.0 * (2 * l + 1) / (2 * p - 1)) * h_d**l / math.factorial(l) * acc_u[..., l]
-    for l in range(0, q + 1):
+    for l in orders_v:
         for_v[..., l] = (2.0 * (2 * l + 1) / (2 * q - 1)) * h_d**(l + 1) / math.factorial(l + 1) * acc_v[..., l]
     return for_u, for_v
 
@@ -229,9 +243,14 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
     x, vertical faces; axis 1: y, horizontal faces).  Each face table is the
     normal factor of a mode at the cell's upper (+1) or lower (-1) side
     times its tangential factor at the face's quadrature nodes, shape
-    (nmodes, nquad).  "corners", "alphas" and "degrees" map p and q to their
-    corner tables, multi-indices and modes' total degrees.  The strips'
-    workers only read this cache: `rhs_arrays_2d` fills it before it deals.
+    (nmodes, nquad).  "jumps" maps "u" and "v" to the orders of their
+    vertex jumps and the corner tables of those orders: 1..p-1 for u,
+    0..q for v (see `damping_coeffs_2d`).  "fold" holds the mass and the
+    total degree of the modes of degree 1..p-1, the only modes of u_x that
+    the u damping weighs (see `_strip_rhs`), and each face its rows of the
+    reference derivative map; "degrees_v" holds the total degree of each
+    mode of v.  The strips' workers only read this cache: `rhs_arrays_2d`
+    fills it before it deals.
     """
     modes = total_degree_modes(p)
     nmq = n_modes(q)
@@ -245,6 +264,7 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
     basis_vol = v0[:, m1][:, None, :] * v0[:, m2][None, :, :]  # (g, h, nm)
     w2 = rule.weights[:, None] * rule.weights[None, :]
     faces = []
+    fold = slice(1, n_modes(p - 1))  # the modes sorted by degree: those of degree 1..p-1
     for normal, tangent, h_n, h_t, d_ref in zip((m1, m2), (m2, m1), (hx, hy), (hy, hx),
                                                  _dxy_matrices(p)):
         tang = v0[:, tangent].T
@@ -262,7 +282,8 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
             # testing tables of the penalty and of gradn on either side of a face
             "pen_hi": pen_hi.copy(), "pen_lo": pen_lo.copy(),
             "gn_hi": pen_hi[:, :nmq].copy(), "gn_lo": pen_lo[:, :nmq].copy(),
-            "d_ref": d_ref,
+            # reference derivative rows of the fold's modes, (n_fold, nm)
+            "d_fold": d_ref[fold],
             "aspect": h_t / h_n,
         })
     return {
@@ -273,9 +294,10 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
         "ginv": np.linalg.inv(g[1:, 1:]),
         "jacobian": 0.25 * hx * hy,
         "faces": faces,
-        "corners": {d: _corner_major_tables(d, hx, hy) for d in {p, q}},
-        "alphas": {d: _alphas_upto(d) for d in {p, q}},
-        "degrees": {d: total_degree_modes(d).sum(axis=1) for d in {p, q}},
+        "jumps": {field: (orders, _corner_major_tables(degree, hx, hy, orders))
+                  for field, degree, orders in (("u", p, range(1, p)), ("v", q, range(q + 1)))},
+        "fold": {"mass2": mass2[fold], "degrees": modes[fold].sum(axis=1)},
+        "degrees_v": total_degree_modes(q).sum(axis=1),
         "bv_flat": basis_vol.reshape(nq * nq, -1).T,  # (nm, ngh)
         "bvw_q": (basis_vol * w2[:, :, None]).reshape(nq * nq, -1)[:, :nmq],  # (ngh, nmq)
     }
@@ -422,13 +444,15 @@ def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: Solver
     sig_u = sig_v = None
     if config.damping:
         sig_u, sig_v = damping_coeffs_2d(u3, v3, mesh, config)
-        # a mode of total degree k is damped by every level 1..k
-        wu = sum_by_degree(sig_u.reshape(nb, -1), t["degrees"][config.p], 1)
+        # a mode of u_x of total degree k is damped by every level 1..k; u_x
+        # has no mode of degree p, and its modes of degree 0 are not damped,
+        # so the fold runs over the modes of degree 1..p-1 only
+        wu = sum_by_degree(sig_u.reshape(nb, -1), t["fold"]["degrees"], 1)
         for f in t["faces"]:
-            weighted = _mm(u[band], f["d_ref"].T)
+            weighted = _mm(u[band], f["d_fold"].T)
             weighted *= wu
-            weighted *= t["mass2"]
-            fold = _mm(weighted, f["d_ref"])
+            weighted *= t["fold"]["mass2"]
+            fold = _mm(weighted, f["d_fold"])
             fold *= f["aspect"] / mesh.h
             b -= fold
 
@@ -446,7 +470,7 @@ def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: Solver
     dv_band = np.divide(rhs, t["jacobian"] * t["mass2"][:nmq], out=rhs)
     if sig_v is not None:
         # a mode of v of total degree k >= 1 is damped by every level 0..k
-        wv = sum_by_degree(sig_v.reshape(nb, -1), t["degrees"][config.q], 0)
+        wv = sum_by_degree(sig_v.reshape(nb, -1), t["degrees_v"], 0)
         wv *= v[band]
         wv /= mesh.h
         dv_band -= wv

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from wavedg import diagnostics
+from wavedg import basis, diagnostics
 from wavedg.diagnostics import (
     ConvergenceTable,
     bin_average,
@@ -19,7 +19,7 @@ from wavedg.field import DGField1D, DGField2D, n_modes
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
 from wavedg.reference import make_grid_1d
-from wavedg.scheme1d import SOURCES
+from wavedg.scheme1d import SOURCES, SolverConfig
 
 
 def test_l2_error_exact_polynomial():
@@ -198,3 +198,24 @@ def test_source_integral_in_blocks_is_the_whole_array_sum(monkeypatch, block_cel
         for source in SOURCES.values():
             whole = q.integrate(source.antiderivative_G(q.values(f.coeffs)))
             assert source_integral(f, source) == whole
+
+
+def test_source_integral_and_the_kernels_read_one_volume_rule(monkeypatch):
+    # basis.volume_quadrature_points owns the rule: patched, both readers follow it
+    rng = np.random.default_rng(73)
+    mesh = cartesian_mesh_2d(0.0, 1.0, -1.0, 1.0, 7, 5)
+    fields = [DGField1D(uniform_mesh_1d(0.0, 2.0, 9), 3, rng.standard_normal((9, 4))),
+              DGField2D(mesh, 2, rng.standard_normal((7, 5, n_modes(2))))]
+    source = SOURCES["sine_gordon"]
+
+    def integral(f, nq):
+        q = f.gauss_points(nq)
+        return q.integrate(source.antiderivative_G(q.values(f.coeffs)))
+
+    assert SolverConfig(p=3, q=2).quad_points == 6
+    assert [source_integral(f, source) for f in fields] == [integral(f, f.degree + 3) for f in fields]
+    monkeypatch.setattr(basis, "volume_quadrature_points", lambda degree: degree + 7)
+    assert SolverConfig(p=3, q=2).quad_points == 10
+    for f in fields:
+        assert source_integral(f, source) == integral(f, f.degree + 7)
+        assert source_integral(f, source) != integral(f, f.degree + 3)

@@ -137,10 +137,11 @@ def _framed(coeffs: np.ndarray) -> np.ndarray:
 def _vertex_jump_acc(f: DGField2D) -> np.ndarray:
     """Per order 0..degree: the vertex-jump sums of a field over its whole periodic mesh."""
     framed = _framed(f.coeffs)
-    t = scheme2d._tables2d(f.degree, f.degree, float(f.mesh.hx[0]), float(f.mesh.hy[0]),
-                           f.degree + 3)
+    orders = range(f.degree + 1)
+    corners = scheme2d._corner_major_tables(f.degree, float(f.mesh.hx[0]), float(f.mesh.hy[0]),
+                                            orders)
     acc = scheme2d._vertex_jump_acc(framed.reshape(-1, framed.shape[-1]), framed.shape[1],
-                                    f.degree, t)
+                                    orders, corners)
     return acc.reshape(f.mesh.nx, f.mesh.ny + 2, -1)[:, 1:-1]
 
 
@@ -190,33 +191,38 @@ def test_vertex_jumps_single_cell_bump():
 def test_face_shared_damping_weights_equal_the_per_corner_formula(p, q):
     # each corner's two squared jumps against its edge neighbours, taken with
     # np.roll over the whole periodic mesh and summed corner by corner in the
-    # order BL, BR, TL, TR; the kernel squares each jump once per face
+    # order BL, BR, TL, TR, at every order; the kernel squares each jump once
+    # per face and takes u's orders 1..p-1 only
     rng = np.random.default_rng(17 + p + q)
     m = cartesian_mesh_2d(0.0, 0.7, 0.0, 0.9, 9, 7)
     hx, hy, h_d = float(m.hx[0]), float(m.hy[0]), m.h
 
     def per_corner(coeffs, degree):
+        orders = range(degree + 1)
         bl, br, tl, tr = (coeffs @ tab for tab in
-                          scheme2d._corner_major_tables(degree, hx, hy))
+                          scheme2d._corner_major_tables(degree, hx, hy, orders))
         total = (bl - np.roll(br, 1, 0)) ** 2 + (bl - np.roll(tl, 1, 1)) ** 2
         total += (br - np.roll(bl, -1, 0)) ** 2 + (br - np.roll(tr, 1, 1)) ** 2
         total += (tl - np.roll(tr, 1, 0)) ** 2 + (tl - np.roll(bl, -1, 1)) ** 2
         total += (tr - np.roll(tl, -1, 0)) ** 2 + (tr - np.roll(br, -1, 1)) ** 2
         roots = np.sqrt(0.25 * total)
         acc = np.zeros((9, 7, degree + 1))
-        for k, (r1, r2) in enumerate(scheme2d._alphas_upto(degree)):
+        for k, (r1, r2) in enumerate(scheme2d._alphas(orders)):
             acc[..., r1 + r2] += roots[..., k]
         return acc
 
     u, v = _random_state_2d(rng, 9, 7, p, q)
     acc_u, acc_v = per_corner(u, p), per_corner(v, q)
     want_u, want_v = np.zeros((9, 7, p + 1)), np.zeros((9, 7, q + 1))
-    for l in range(1, p + 1):
+    for l in range(0, p + 1):
         want_u[..., l] = (2.0 * (2 * l + 1) / (2 * p - 1)) * h_d**l / math.factorial(l) * acc_u[..., l]
     for l in range(0, q + 1):
         want_v[..., l] = (2.0 * (2 * l + 1) / (2 * q - 1)) * h_d**(l + 1) / math.factorial(l + 1) * acc_v[..., l]
     sig_u, sig_v = _damping_coeffs(u, v, m, SolverConfig(p=p, q=q))
-    assert np.array_equal(sig_u, want_u)
+    assert np.array_equal(sig_u[..., 1:p], want_u[..., 1:p])
+    # the weights of orders 0 and p would multiply only zeros: they are not taken
+    assert np.all(want_u[..., [0, p]] > 0.0)
+    assert np.array_equal(sig_u[..., [0, p]], np.zeros((9, 7, 2)))
     assert np.array_equal(sig_v, want_v)
 
 
@@ -265,6 +271,8 @@ def test_chi_rejected_in_2d():
 
 @pytest.mark.parametrize("fluxname", ["central", "alternating", "sommerfeld"])
 def test_oracle_equivalence_2d(fluxname):
+    # the oracle takes the damping's vertex jumps at every order and folds
+    # every mode, so p > 2 checks that u's dropped orders 0 and p change nothing
     rng = np.random.default_rng({"central": 4, "alternating": 5, "sommerfeld": 6}[fluxname])
     m = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.5, 3, 3)
     flux = {
@@ -272,15 +280,16 @@ def test_oracle_equivalence_2d(fluxname):
         "alternating": FluxParams.alternating(1),
         "sommerfeld": FluxParams.sommerfeld(1.0),
     }[fluxname]
-    cfg = SolverConfig(p=2, q=1, flux=flux, chi=0, damping=True, penalty=True)
-    for _ in range(3):
-        u, v = _random_state_2d(rng, 3, 3, 2, 1)
-        du, dv = rhs_arrays_2d(u, v, m, cfg)
-        du_o, dv_o = brute_rhs_2d(u, v, m.xnodes, m.ynodes, 2, 1,
-                                  flux.alpha, flux.tau, flux.beta, 1.0, True, True)
-        scale = max(1.0, np.max(np.abs(du_o)), np.max(np.abs(dv_o)))
-        assert np.max(np.abs(du - du_o)) <= 1e-10 * scale
-        assert np.max(np.abs(dv - dv_o)) <= 1e-10 * scale
+    for p, q, states in ((2, 1, 3), (3, 2, 1), (3, 3, 1), (4, 2, 1)):
+        cfg = SolverConfig(p=p, q=q, flux=flux, chi=0, damping=True, penalty=True)
+        for _ in range(states):
+            u, v = _random_state_2d(rng, 3, 3, p, q)
+            du, dv = rhs_arrays_2d(u, v, m, cfg)
+            du_o, dv_o = brute_rhs_2d(u, v, m.xnodes, m.ynodes, p, q,
+                                      flux.alpha, flux.tau, flux.beta, 1.0, True, True)
+            scale = max(1.0, np.max(np.abs(du_o)), np.max(np.abs(dv_o)))
+            assert np.max(np.abs(du - du_o)) <= 1e-10 * scale
+            assert np.max(np.abs(dv - dv_o)) <= 1e-10 * scale
 
 
 def test_oracle_equivalence_2d_with_source():

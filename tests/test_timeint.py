@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import ssp_rk3_out_of_place
-from wavedg import diagnostics, discretization, scheme1d, scheme2d
+from wavedg import diagnostics, discretization, scheme1d, scheme2d, timeint
 from wavedg.field import DGField1D, DGField2D
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
@@ -210,6 +210,43 @@ def test_rk3_derivative_may_alias_its_stage():
     a, b = np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 4)
     got = ssp_rk3_step((a, b), lambda s: (s[1], -s[0]), 0.05)
     want = ssp_rk3_out_of_place((a, b), lambda s: (s[1], -s[0]), 0.05)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def _coupled_rhs(mat):
+    """A derivative whose every row reads every row and both fields of its stage."""
+    def rhs(s):
+        return (np.tanh(np.roll(s[1], 1, axis=0) @ mat), -np.sin(s[0][..., :3]) * s[1][::-1])
+    return rhs
+
+
+@pytest.mark.parametrize("rows, block_values", [(23, 100), (3, None)])
+def test_rk3_blocked_stages_match_out_of_place_bit_for_bit(monkeypatch, rows, block_values):
+    # 23 rows of 36 values in blocks of 2 rows, the last one ragged; and a
+    # state of 3 rows, less than one block of the built-in size
+    if block_values is not None:
+        monkeypatch.setattr(timeint, "STAGE_BLOCK_VALUES", block_values)
+    assert len(timeint._row_blocks((np.empty((rows, 4, 6)), np.empty((rows, 4, 3))))) == \
+        (12 if block_values else 1)
+    rng = np.random.default_rng(rows)
+    rhs = _coupled_rhs(rng.standard_normal((3, 6)))
+    state = (rng.standard_normal((rows, 4, 6)), rng.standard_normal((rows, 4, 3)))
+    want = ssp_rk3_out_of_place(state, rhs, 0.07)
+    got = ssp_rk3_step(state, rhs, 0.07)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    out = ssp_rk3_step(state, rhs, 0.07, out=state, work=rk3_registers(state))
+    assert all(np.array_equal(a, b) for a, b in zip(out, want))
+
+
+def test_rk3_derivative_may_alias_the_other_fields_stage_in_blocks(monkeypatch):
+    # each field's derivative is the other field's stage: every block scales
+    # both derivatives before it writes either register
+    monkeypatch.setattr(timeint, "STAGE_BLOCK_VALUES", 12)
+    rng = np.random.default_rng(29)
+    a, b = rng.standard_normal((11, 3)), rng.standard_normal((11, 3))
+    assert len(timeint._row_blocks((a, b))) == 6
+    got = ssp_rk3_step((a, b), lambda s: (s[1], s[0]), 0.05)
+    want = ssp_rk3_out_of_place((a, b), lambda s: (s[1], s[0]), 0.05)
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 

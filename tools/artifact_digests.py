@@ -15,9 +15,12 @@ The matrix covers converge on ex1 (also with alternating side 1) and ex6
 (also with the Sommerfeld flux, and with alternating side 1, the one 2D
 run whose faces take the lower cell's v trace); shock on ex1 (perturbed
 mesh), ex3 (also with the central flux undamped, and without the
-penalty), ex7 (also with the central flux, the one 2D run of it, and at
+penalty), ex7 (also with the central flux, the one 2D run of it; at
 p = 3 on 14^2: one strip of 196 cells, whose p = 3 source product has a
-row count at which OpenBLAS rounds small products differently) and ex8
+row count at which OpenBLAS rounds small products differently; at
+p = q = 3 on 28^2, where u's and v's vertex jumps take different orders
+of one degree, and at p = 4 on 16^2, whose u jumps take orders 1 to 3;
+both abort at step 2 or 3 on coarser meshes) and ex8
 (also at 80^2, the one 2D run that the kernel evaluates in two framed
 strips, on two strip workers where the process may use two CPUs); energy
 on ex2 (also with the Sommerfeld flux at speed 2), ex3 and ex4;
@@ -54,6 +57,8 @@ RUNS = {
     "shock-ex3": ["shock", "--problem", "ex3", "--ns", "40"],
     "shock-ex7": ["shock", "--problem", "ex7", "--ns", "20"],
     "shock-ex7-p3": ["shock", "--problem", "ex7", "-p", "3", "--ns", "14"],
+    "shock-ex7-p3-q3": ["shock", "--problem", "ex7", "-p", "3", "-q", "3", "--ns", "28"],
+    "shock-ex7-p4": ["shock", "--problem", "ex7", "-p", "4", "--ns", "16"],
     "shock-ex8": ["shock", "--problem", "ex8", "--ns", "40"],
     "shock-ex8-strips": ["shock", "--problem", "ex8", "--ns", "80"],
     "energy-ex2": ["energy", "--problem", "ex2", "--ns", "40", "--chi", "0"],

@@ -5,8 +5,9 @@ grids, used as the reference profile next to the DG runs on problems with
 no closed-form solution.  The first step is seeded with a Taylor expansion
 using the discrete Laplacian so second order is kept from the start.
 
-Both dimensions step through `_leapfrog`; a 1D field is held as n rows of
-one point.  The layout:
+One `FDGrid` holds a 1D or 2D grid, a tuple entry per axis, under one CFL
+guard, and one rule picks its dt and step count.  Both dimensions step
+through `_leapfrog`; a 1D field is held as n rows of one point.  The layout:
 
 - `prev` and `curr` are (nx + 2, ny) arrays allocated once per solve.
   Rows 1..nx hold the field; rows 0 and nx + 1 are periodic ghost copies
@@ -41,67 +42,41 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class FDGrid1D:
-    """Periodic grid with `intervals` cells of spacing dx and time step dt."""
+class FDGrid:
+    """Periodic grid, one entry per axis: n[k] points lo[k] + i * spacing[k]
+    on [lo[k], hi[k]), and the time step dt."""
 
-    a: float
-    b: float
-    intervals: int
+    lo: tuple
+    hi: tuple
+    n: tuple
     dt: float
 
     def __post_init__(self):
-        if self.intervals < 2:
-            raise ValueError("need at least two grid intervals")
-        if not self.a < self.b:
+        if min(self.n) < 2:
+            raise ValueError("need at least two grid intervals per axis")
+        if not all(a < b for a, b in zip(self.lo, self.hi)):
             raise ValueError("degenerate domain")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.dt > self.dx * (1.0 + 1e-12):
-            raise ValueError("CFL violation: dt must not exceed dx")
+        limit = 1.0 / math.sqrt(sum(d**-2 for d in self.spacing))
+        if not 0.0 < self.dt <= limit * (1.0 + 1e-12):
+            raise ValueError("CFL violation: dt must lie in (0, 1/sqrt(sum of spacing^-2)]")
 
     @property
-    def dx(self) -> float:
-        return (self.b - self.a) / self.intervals
+    def spacing(self) -> tuple:
+        return tuple((b - a) / k for a, b, k in zip(self.lo, self.hi, self.n))
+
+    @property
+    def axes(self) -> tuple:
+        return tuple(a + d * np.arange(k) for a, d, k in zip(self.lo, self.spacing, self.n))
 
     @property
     def points(self) -> np.ndarray:
-        return self.a + self.dx * np.arange(self.intervals)
+        return self.axes[0]
 
-
-@dataclass(frozen=True)
-class FDGrid2D:
-    ax: float
-    bx: float
-    ay: float
-    by: float
-    nx: int
-    ny: int
-    dt: float
-
-    def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("need at least two grid intervals per direction")
-        if not (self.ax < self.bx and self.ay < self.by):
-            raise ValueError("degenerate domain")
-        limit = 1.0 / math.sqrt(1.0 / self.dx**2 + 1.0 / self.dy**2)
-        if self.dt <= 0.0 or self.dt > limit * (1.0 + 1e-12):
-            raise ValueError("CFL violation: dt must not exceed 1/sqrt(dx^-2 + dy^-2)")
-
-    @property
-    def dx(self) -> float:
-        return (self.bx - self.ax) / self.nx
-
-    @property
-    def dy(self) -> float:
-        return (self.by - self.ay) / self.ny
-
-    @property
-    def xpoints(self) -> np.ndarray:
-        return self.ax + self.dx * np.arange(self.nx)
+    xpoints = points
 
     @property
     def ypoints(self) -> np.ndarray:
-        return self.ay + self.dy * np.arange(self.ny)
+        return self.axes[1]
 
 
 # Grid points per block of a leapfrog step, in whole x-rows: 32 rows of the
@@ -113,45 +88,43 @@ class FDGrid2D:
 POINTS_PER_BLOCK = 32768
 
 
-def _steps_landing_on(t_final: float, dt_target: float) -> tuple[int, float]:
-    """Uniform leapfrog cannot shorten the last step, so shrink dt globally."""
-    n = max(1, math.ceil(t_final / dt_target - 1e-12))
-    return n, t_final / n
+def _grid_landing_on(lo: tuple, hi: tuple, n: tuple, t_final: float) -> tuple[FDGrid, int]:
+    """The grid and step count landing on t_final, dt at most min(spacing) / (2 sqrt(axes));
+    uniform leapfrog cannot shorten the last step, so dt shrinks globally."""
+    target = 0.5 * min((b - a) / k for a, b, k in zip(lo, hi, n)) / math.sqrt(len(n))
+    steps = max(1, math.ceil(t_final / target - 1e-12))
+    return FDGrid(lo, hi, n, t_final / steps), steps
 
 
-def make_grid_1d(a: float, b: float, intervals: int, t_final: float) -> tuple[FDGrid1D, int]:
-    """The grid and step count landing on t_final with dt at most dx / 2."""
-    steps, dt = _steps_landing_on(t_final, 0.5 * ((b - a) / intervals))
-    return FDGrid1D(a, b, intervals, dt), steps
+def make_grid_1d(a: float, b: float, intervals: int, t_final: float) -> tuple[FDGrid, int]:
+    """The grid of [a, b) and its step count to t_final, dt at most spacing / 2."""
+    return _grid_landing_on((a,), (b,), (intervals,), t_final)
 
 
-def make_grid_2d(ax, bx, ay, by, nx, ny, t_final) -> tuple[FDGrid2D, int]:
-    """The grid and step count landing on t_final with dt at most min(dx, dy) / (2 sqrt 2)."""
-    target = 0.5 * min((bx - ax) / nx, (by - ay) / ny) / math.sqrt(2.0)
-    steps, dt = _steps_landing_on(t_final, target)
-    return FDGrid2D(ax, bx, ay, by, nx, ny, dt), steps
+def make_grid_2d(ax, bx, ay, by, nx, ny, t_final) -> tuple[FDGrid, int]:
+    """The grid of [ax, bx) x [ay, by) and its step count, dt at most min(spacing) / (2 sqrt 2)."""
+    return _grid_landing_on((ax, ay), (bx, by), (nx, ny), t_final)
 
 
-def ctcs_solve_1d(u0, u1, g, grid: FDGrid1D, steps: int) -> tuple[np.ndarray, np.ndarray]:
+def ctcs_solve_1d(u0, u1, g, grid: FDGrid, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Leapfrog solution at t = steps * dt; returns (points, values).
 
     g is None or a pointwise source (see the module docstring).
     """
     x = grid.points
-    return x, _leapfrog(u0(x), u1(x), g, (grid.intervals,), (grid.dx,), grid.dt, steps)
+    return x, _leapfrog(u0(x), u1(x), g, grid.n, grid.spacing, grid.dt, steps)
 
 
-def ctcs_solve_2d(u0, u1, g, grid: FDGrid2D, steps: int):
+def ctcs_solve_2d(u0, u1, g, grid: FDGrid, steps: int):
     """2D leapfrog with the five-point Laplacian; returns (x, y, values).
 
     g is None or a pointwise source (see the module docstring).
     """
-    x = grid.xpoints
-    y = grid.ypoints
+    x, y = grid.axes
     xx, yy = np.meshgrid(x, y, indexing="ij")
     start, vel = u0(xx, yy), u1(xx, yy)
     del xx, yy  # not needed while stepping
-    return x, y, _leapfrog(start, vel, g, (grid.nx, grid.ny), (grid.dx, grid.dy), grid.dt, steps)
+    return x, y, _leapfrog(start, vel, g, grid.n, grid.spacing, grid.dt, steps)
 
 
 def _leapfrog(start, vel, g, shape: tuple, spacing: tuple, dt: float, steps: int) -> np.ndarray:

@@ -252,16 +252,17 @@ def damping_weights(ju: np.ndarray, jv: np.ndarray, widths: np.ndarray,
     """Damping weights (for_u, for_v) from derivative jumps at the two cell ends.
 
     for_u[j, l] = 2(2l+1)/(2p-1) * h_j^l / l! * sqrt(J_l(right)^2 + J_l(left)^2)
-    for l = 1..p, with J_l the jump of the l-th derivative of u; for_v[j, l],
-    l = 0..q, is the analogue with denominator (2q-1), the power h_j^(l+1),
-    and jumps of v.
+    for l = 1..p-1, with J_l the jump of the l-th derivative of u (the first p
+    columns of ju); columns 0 and p are zero, as in 2D, since an order-p weight
+    would only multiply u_x's zero mode p.  for_v[j, l], l = 0..q, is the
+    analogue with denominator (2q-1), the power h_j^(l+1), and jumps of v.
     """
     p, q = config.p, config.q
-    sq_u = np.sqrt(ju[:-1] ** 2 + ju[1:] ** 2)  # (N, p+1), per-cell ends
+    sq_u = np.sqrt(ju[:-1, :p] ** 2 + ju[1:, :p] ** 2)  # (N, p), per-cell ends
     sq_v = np.sqrt(jv[:-1] ** 2 + jv[1:] ** 2)
-    for_u = np.zeros_like(sq_u)
+    for_u = np.zeros((len(widths), p + 1))
     for_v = np.zeros_like(sq_v)
-    for l in range(1, p + 1):
+    for l in range(1, p):
         for_u[:, l] = (2.0 * (2 * l + 1) / (2 * p - 1)) * widths**l / math.factorial(l) * sq_u[:, l]
     for l in range(0, q + 1):
         for_v[:, l] = (2.0 * (2 * l + 1) / (2 * q - 1)) * widths**(l + 1) / math.factorial(l) * sq_v[:, l]
@@ -333,7 +334,7 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
     t = _tables(p, q, config.quad_points)
     h = mesh.widths
     inv_h = 1.0 / h
-    u_minus, u_plus = _traces(ucoef, mesh, endpoint_values(p, p))
+    u_minus, u_plus = _traces(ucoef, mesh, endpoint_values(p, p - 1))
     v_minus, v_plus = _traces(vcoef, mesh, endpoint_values(q, q))
     ju = u_plus - u_minus
     vhat, uxhat = numerical_fluxes(v_minus[:, 0], v_plus[:, 0],

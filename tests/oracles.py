@@ -516,7 +516,7 @@ def _laplacian_2d(u: np.ndarray, dx: float, dy: float) -> np.ndarray:
 def ctcs_roll_reference_1d(u0, u1, g, grid, steps: int):
     """The leapfrog as whole-array expressions over np.roll copies; (points, values)."""
     x = grid.points
-    dt, dx = grid.dt, grid.dx
+    dt, (dx,) = grid.dt, grid.spacing
     source = g if g is not None else (lambda u: 0.0)
     prev = np.asarray(u0(x), dtype=float)
     vel = np.asarray(u1(x), dtype=float)
@@ -534,14 +534,14 @@ def ctcs_roll_reference_2d(u0, u1, g, grid, steps: int):
     x = grid.xpoints
     y = grid.ypoints
     xx, yy = np.meshgrid(x, y, indexing="ij")
-    dt = grid.dt
+    dt, (dx, dy) = grid.dt, grid.spacing
     source = g if g is not None else (lambda u: 0.0)
     prev = np.asarray(u0(xx, yy), dtype=float)
     vel = np.asarray(u1(xx, yy), dtype=float)
     if np.ndim(vel) == 0:
         vel = np.full_like(prev, float(vel))
-    curr = prev + dt * vel + 0.5 * dt**2 * (_laplacian_2d(prev, grid.dx, grid.dy) + source(prev))
+    curr = prev + dt * vel + 0.5 * dt**2 * (_laplacian_2d(prev, dx, dy) + source(prev))
     for _ in range(steps - 1):
-        nxt = 2.0 * curr - prev + dt**2 * (_laplacian_2d(curr, grid.dx, grid.dy) + source(curr))
+        nxt = 2.0 * curr - prev + dt**2 * (_laplacian_2d(curr, dx, dy) + source(curr))
         prev, curr = curr, nxt
     return x, y, curr

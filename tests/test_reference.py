@@ -6,8 +6,7 @@ import pytest
 from oracles import ctcs_roll_reference_1d, ctcs_roll_reference_2d
 from wavedg import reference
 from wavedg.reference import (
-    FDGrid1D,
-    FDGrid2D,
+    FDGrid,
     ctcs_solve_1d,
     ctcs_solve_2d,
     make_grid_1d,
@@ -18,11 +17,38 @@ from wavedg.scheme1d import SOURCES
 
 def test_cfl_guard():
     with pytest.raises(ValueError):
-        FDGrid1D(0.0, 1.0, 10, dt=0.2)  # dx = 0.1 < dt
-    FDGrid1D(0.0, 1.0, 10, dt=0.05)
+        FDGrid((0.0,), (1.0,), (10,), dt=0.2)  # dx = 0.1 < dt
+    FDGrid((0.0,), (1.0,), (10,), dt=0.05)
     with pytest.raises(ValueError):
-        FDGrid2D(0, 1, 0, 1, 10, 10, dt=0.09)  # limit 1/sqrt(200) = 0.0707
-    FDGrid2D(0, 1, 0, 1, 10, 10, dt=0.07)
+        FDGrid((0, 0), (1, 1), (10, 10), dt=0.09)  # limit 1/sqrt(200) = 0.0707
+    FDGrid((0, 0), (1, 1), (10, 10), dt=0.07)
+    # 1D and a 2D grid with dx != dy: dt exactly at the limit passes, 1e-9
+    # above it does not (the guard allows 1e-12); n < 2 and lo >= hi fail
+    # on every axis
+    for lo, hi, n, limit in [((0.0,), (1.0,), (10,), 0.1),
+                             ((0.0, -1.0), (1.0, 2.0), (10, 40), 1.0 / np.hypot(10.0, 40 / 3.0))]:
+        FDGrid(lo, hi, n, dt=limit)
+        for bad_dt in (limit * (1.0 + 1e-9), 0.0, -limit, float("nan")):
+            with pytest.raises(ValueError, match="CFL"):
+                FDGrid(lo, hi, n, dt=bad_dt)
+        for axis in range(len(n)):
+            for count in (1, 0):
+                with pytest.raises(ValueError, match="two grid intervals"):
+                    FDGrid(lo, hi, n[:axis] + (count,) + n[axis + 1:], dt=1e-3)
+            for top in (lo[axis], lo[axis] - 1.0):
+                with pytest.raises(ValueError, match="degenerate"):
+                    FDGrid(lo, hi[:axis] + (top,) + hi[axis + 1:], n, dt=1e-3)
+
+
+def test_comparator_plans_are_pinned():
+    # the step counts and dt of the ex4/ex5 and ex7/ex8 comparator grids, bit for bit
+    grid, steps = make_grid_1d(0, 1, 1000, 0.25)
+    assert (steps, grid.dt) == (500, 0.25 / 500)
+    assert grid.n == (1000,) and grid.points[1] == 1.0 / 1000
+    grid, steps = make_grid_2d(-1, 1, -1, 1, 1000, 1000, 0.25)
+    assert (steps, grid.dt) == (354, 0.25 / 354)
+    assert grid.n == (1000, 1000) and grid.spacing == (2 / 1000, 2 / 1000)
+    assert np.array_equal(grid.xpoints, grid.ypoints) and grid.xpoints[0] == -1.0
 
 
 def test_constant_state_is_preserved():

@@ -99,6 +99,11 @@ def test_damping_coefficient_values():
     expected = (6.0 / 3.0) * 0.1 * np.sqrt(2.0)
     assert for_u[0, 1] == pytest.approx(expected, rel=1e-12)
     assert for_u[1, 1] == pytest.approx(expected, rel=1e-12)
+    # columns 0 and p stay zero under value and u_xx jumps: an order-p weight
+    # would only multiply u_x's mode p, which is zero
+    u.coeffs[0, 2] = 0.3
+    for_u, _ = _damping(u, v, cfg)
+    assert for_u.shape == (2, 3) and np.all(for_u[:, [0, 2]] == 0.0) and np.all(for_u[:, 1] > 0)
 
     # v jump of 2 at a single interface, q=1, l=0, h=0.1
     v2 = DGField1D(m, 1)

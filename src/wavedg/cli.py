@@ -29,7 +29,7 @@ from .diagnostics import FRONT_BAND_FRACTION, FRONT_MATCH_FACTOR, FRONT_MERGE_FA
 from .discretization import DISCRETIZATIONS, usable_cpus
 from .problems import EXAMPLES, make_custom_problem
 from .scheme1d import SOURCES, SolverConfig, flux_from_name
-from .timeint import SolverAbort, dt_rule, integrate
+from .timeint import SolverAbort, dt_rule, integrate, make_time_plan
 
 
 class ConfigError(ValueError):
@@ -339,8 +339,16 @@ def _initial_state(cfg: ExperimentConfig, prob, n: int, comparator: bool = False
     try:
         disc = DISCRETIZATIONS[prob.dim].build(prob, n, solver_config(cfg, prob),
                                                cfg.mesh_perturb, cfg.seed)
-        if comparator and len(empty := diagnostics.empty_bins(
-                *disc.comparator_grid(prob, cfg.resolved_t(prob))[2:])):
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"key 'ns': cannot use {n} cells ({exc})") from None
+    t_final = cfg.resolved_t(prob)
+    try:  # the run's and the comparator's time plans, before any step; errors name the key
+        make_time_plan(t_final, cfg.resolved_dt(disc.mesh.h))
+        bins = disc.comparator_grid(prob, t_final)[2:] if comparator else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    try:
+        if bins and len(empty := diagnostics.empty_bins(*bins)):
             raise ValueError(f"{len(empty)} cells hold no comparator point, first cell {empty[0]}")
         u0 = disc.field.project(prob.u0, disc.mesh, disc.config.p)
         v0 = disc.field.project(prob.u1, disc.mesh, disc.config.q)

@@ -1,11 +1,11 @@
 """One object per dimension for what differs between 1D and 2D runs.
 
 A discretization holds the mesh, the `SolverConfig` and, in 2D, the
-output pair and the strip pool of its right-hand side; `close` releases
-what the run held (the pool's threads).  It gives the field class, the
-defaults of chi and of the energy sampling interval, the right-hand side,
-sampled values (cell midpoints in 1D, centres in 2D), the snapshot CSV,
-and the leapfrog comparator with the DG profile matched against it.
+output pair and the strip executor of its right-hand side; `close` ends
+the executor's threads.  It gives the field class, the defaults of chi
+and of the energy sampling interval, the right-hand side, sampled values
+(cell midpoints in 1D, centres in 2D), the snapshot CSV, and the
+leapfrog comparator with the DG profile matched against it.
 `DISCRETIZATIONS` maps a mesh's `dim` to its class.  The scheme,
 comparator and CSV functions are looked up in this module's globals at
 call time, so a wrapper set on the module sees every call.
@@ -13,15 +13,16 @@ call time, so a wrapper set on the module sees every call.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import diagnostics
-from .field import DGField1D, DGField2D, n_modes, write_columns_csv
+from . import diagnostics, scheme2d
+from .field import DGField1D, DGField2D, n_modes, row_blocks, write_columns_csv
 from .mesh import Mesh1D, Mesh2D, cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
 from .reference import ctcs_solve_1d, ctcs_solve_2d, make_grid_1d, make_grid_2d
 from .scheme1d import rhs_arrays_1d
-from .scheme2d import StripPool, rhs_arrays_2d, strip_bounds
+from .scheme2d import rhs_arrays_2d
 
 
 def usable_cpus() -> int:
@@ -98,9 +99,9 @@ class Discretization2D:
         self.config = config
         cells = (mesh.nx, mesh.ny)
         self.out = (np.empty(cells + (n_modes(config.p),)), np.empty(cells + (n_modes(config.q),)))
-        # one worker per usable CPU, and no more than there are strips
-        workers = min(usable_cpus(), len(strip_bounds(mesh.nx, mesh.ny)))
-        self.pool = StripPool(workers)
+        # one worker per usable CPU, no more than there are strips; one needs no executor
+        self.workers = min(usable_cpus(), len(row_blocks(mesh.nx, mesh.ny, scheme2d.CELLS_PER_STRIP)))
+        self.pool = ThreadPoolExecutor(self.workers, "wavedg-strip") if self.workers > 1 else None
 
     @classmethod
     def build(cls, prob, n, config, perturb=0.0, seed=0):
@@ -113,8 +114,9 @@ class Discretization2D:
                              out=self.out, pool=self.pool)
 
     def close(self):
-        """End the strip pool's threads; the right-hand side is not called after this."""
-        self.pool.close()
+        """End the executor's threads; the right-hand side is not called after this."""
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def samples(self, u):
         return u.center_values().ravel()

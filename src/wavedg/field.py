@@ -218,6 +218,25 @@ class GaussPoints2D:
         return float(np.sum(self.weights() * vals))
 
 
+#: values per block of the SSP-RK3 stages, the leapfrog steps and the source
+#: integral, read at call time.  Two sweeps on one core of a shared 2-vCPU Xeon
+#: (2 MB of L2 per core) both picked it.  60 steps of the stages alone on ex8's
+#: 320^2 state (2,880 values a row), best of five in two to four batches: whole
+#: arrays 0.91-1.29 s, blocks of 4,096 values 1.19 s, 8,192 0.88 s, 16,384
+#: 0.74-0.96 s, 32,768 0.60-0.83 s, 65,536 0.64-0.82 s, 131,072 0.76-0.81 s,
+#: 262,144 0.92 s.  The ex8 1000^2 leapfrog (354 steps): blocks of 16 to 65 rows
+#: 3.7-4.7 s (one run 5.1 s), 8 rows 4.8-5.3 s, 128 rows 4.3-4.8 s, all 1000
+#: rows 5.7-5.9 s, and the whole-array form over np.roll copies 9.1-9.7 s.
+BLOCK_VALUES = 32768
+
+
+def row_blocks(rows: int, row_size: int, limit: int) -> list[slice]:
+    """Balanced slices covering rows 0..rows in order, at most max(1, limit // row_size)
+    rows each, their heights differing by at most one row; rows = 0 gives none."""
+    count = -(-rows // max(1, limit // max(1, row_size)))
+    return [slice(k * rows // count, (k + 1) * rows // count) for k in range(count)]
+
+
 #: rows formatted per write by write_columns_csv; bounds the memory it takes
 CSV_CHUNK_ROWS = 4096
 
@@ -235,6 +254,6 @@ def write_columns_csv(path: str | os.PathLike, columns: dict[str, np.ndarray]) -
     row_format = ",".join(["%.17e"] * len(names)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
-            rows = np.column_stack([c[start:start + CSV_CHUNK_ROWS] for c in cols]).tolist()
+        for part in row_blocks(len(cols[0]), 1, CSV_CHUNK_ROWS):
+            rows = np.column_stack([c[part] for c in cols]).tolist()
             fh.write("".join([row_format % tuple(row) for row in rows]))

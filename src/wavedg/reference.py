@@ -13,10 +13,10 @@ through `_leapfrog`; a 1D field is held as n rows of one point.  The layout:
   Rows 1..nx hold the field; rows 0 and nx + 1 are periodic ghost copies
   of rows nx and 1, wrapped again after every step.  The initial data are
   copied in, so the caller's arrays are never written.
-- A step runs over blocks of whole x-rows, POINTS_PER_BLOCK points at most
-  (at least one row), so that a block and three block-sized buffers stay
-  in cache.  A block reads its own rows of `curr` and one row on each
-  side; the y neighbours wrap within each row.
+- A step runs over `field.row_blocks` of whole x-rows, `field.BLOCK_VALUES`
+  points at most (at least one row), so that a block and three buffers
+  sized by the largest block stay in cache.  A block reads its own rows of
+  `curr` and one row on each side; the y neighbours wrap within each row.
 - The new level is written into `prev`'s rows in place.  Row i of `prev`
   is read only for row i of the new level, so no block reads a row that
   another has overwritten.  The Taylor step fills `curr` the same way.
@@ -39,6 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import field
 
 
 @dataclass(frozen=True)
@@ -79,19 +81,12 @@ class FDGrid:
         return self.axes[1]
 
 
-# Grid points per block of a leapfrog step, in whole x-rows: 32 rows of the
-# 1000^2 comparator grid, and one block for any 1D grid up to this size.
-# Set with the ex8 1000^2 solve (354 steps, one thread, 2 MB of L2 per
-# core), two sweeps: blocks of 16 to 65 rows took 3.7-4.7 s (one run of
-# 5.1 s), 8 rows 4.8-5.3 s, 128 rows 4.3-4.8 s, one block of all 1000 rows
-# 5.7-5.9 s, and the whole-array form over np.roll copies 9.1-9.7 s.
-POINTS_PER_BLOCK = 32768
-
-
 def _grid_landing_on(lo: tuple, hi: tuple, n: tuple, t_final: float) -> tuple[FDGrid, int]:
     """The grid and step count landing on t_final, dt at most min(spacing) / (2 sqrt(axes));
     uniform leapfrog cannot shorten the last step, so dt shrinks globally."""
     target = 0.5 * min((b - a) / k for a, b, k in zip(lo, hi, n)) / math.sqrt(len(n))
+    if not math.isfinite(t_final / target):
+        raise ValueError(f"'t_final' / dt = {t_final} / {target} is not finite: too many steps")
     steps = max(1, math.ceil(t_final / target - 1e-12))
     return FDGrid(lo, hi, n, t_final / steps), steps
 
@@ -141,15 +136,15 @@ def _leapfrog(start, vel, g, shape: tuple, spacing: tuple, dt: float, steps: int
     curr = np.empty((nx + 2, ny))
     prev[1:-1].reshape(shape)[...] = start
     _wrap_ghosts(prev)
-    rows = min(nx, max(1, POINTS_PER_BLOCK // ny))
-    work = tuple(np.empty((rows, ny)) for _ in range(3))
+    blocks = field.row_blocks(nx, ny, field.BLOCK_VALUES)
+    work = tuple(np.empty((max(b.stop - b.start for b in blocks), ny)) for _ in range(3))
     # Taylor start: (prev + dt * vel) + (0.5 * dt**2) * (Laplacian + g)
     body = curr[1:-1].reshape(shape)
     np.multiply(dt, vel, out=body)
     body += prev[1:-1].reshape(shape)
-    _advance(prev, curr, g, 0.5 * dt**2, spacing, False, work)
+    _advance(prev, curr, g, 0.5 * dt**2, spacing, False, work, blocks)
     for _ in range(steps - 1):
-        _advance(curr, prev, g, dt**2, spacing, True, work)
+        _advance(curr, prev, g, dt**2, spacing, True, work, blocks)
         prev, curr = curr, prev
     return curr[1:-1].reshape(shape)
 
@@ -159,18 +154,17 @@ def _wrap_ghosts(a: np.ndarray) -> None:
     a[-1] = a[1]
 
 
-def _advance(u, out, g, coef: float, spacing: tuple, leapfrog: bool, work) -> None:
+def _advance(u, out, g, coef: float, spacing: tuple, leapfrog: bool, work, blocks) -> None:
     """One step from the ghosted level u into out's rows, block by block.
 
     out becomes (2u - out) + coef * (Laplacian(u) + g(u)) when leapfrog is
     set, else out + coef * (Laplacian(u) + g(u)); then its ghosts are wrapped.
+    blocks are `field.row_blocks` of the rows; work holds three buffers of the largest.
     """
-    nx = u.shape[0] - 2
-    rows = work[0].shape[0]
     dx2 = spacing[0] ** 2
     dy2 = spacing[1] ** 2 if len(spacing) > 1 else None
-    for r0 in range(0, nx, rows):
-        r1 = min(r0 + rows, nx)
+    for block in blocks:
+        r0, r1 = block.start, block.stop
         twice, lap, ylap = (w[:r1 - r0] for w in work)
         c = u[r0 + 1:r1 + 1]
         np.multiply(2.0, c, out=twice)

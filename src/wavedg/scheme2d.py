@@ -25,7 +25,7 @@ v - P^(l-1) v (level 0 like level 1) and every level acts.
 A `Mesh2D` is uniform and periodic in both directions by construction;
 the in-cell source quotient treatment (chi = 1) is a 1D-only feature.
 
-Strips.  `rhs_arrays_2d` evaluates the mesh in x-strips of whole rows, at
+Strips.  `rhs_arrays_2d` evaluates the mesh in x-strips (`row_blocks`), at
 most max(1, CELLS_PER_STRIP // ny) rows each, balanced so that their
 heights differ by at most one row.  Every strip, that of a one-strip mesh
 too, is copied out framed: with one ghost cell on all four sides, taken
@@ -53,17 +53,17 @@ input, without the frame, so that a one-strip mesh multiplies exactly its
 own cells: on framed rows, meshes of 100 to 200 cells with a source at
 p >= 3 got other last bits of dv.
 
-Workers.  A `StripPool` deals the strips round-robin to its workers,
-which run on threads; numpy's ufuncs and BLAS release the GIL, so the
-strips' array work overlaps.  `Discretization2D` sizes its pool to the
-CPUs of the process's affinity mask (`discretization.usable_cpus`),
-capped at the number of strips, and `timeint.integrate` ends its threads
-when it returns or aborts.  One worker, or a mesh of one strip, runs the
-strips in the calling thread.  A strip's numbers depend only on the rows
-it reads, never on the worker that computes it or on what the others do,
-and each strip writes only its own rows of the output, so every worker
-count gives the serial bits, provided that BLAS itself is
-deterministic: with BLAS on one thread (OPENBLAS_NUM_THREADS=1) it is.
+Workers.  Given an executor, `rhs_arrays_2d` submits one task per strip;
+on threads, numpy's ufuncs and BLAS release the GIL, so the strips' array
+work overlaps.  `Discretization2D` holds a `ThreadPoolExecutor` of one
+worker per CPU of the affinity mask (`discretization.usable_cpus`), capped
+at the number of strips, and `timeint.integrate` ends its threads when it
+returns or aborts.  One worker, or a mesh of one strip, runs the strips in
+the calling thread.  A strip's numbers depend only on the rows it reads,
+never on the worker that computes it or on what the others do, and each
+strip writes only its own rows of the output, so every worker count gives
+the serial bits, provided that BLAS itself is deterministic: with BLAS on
+one thread (OPENBLAS_NUM_THREADS=1) it is.
 
 Buffers.  The caller owns the output pair `out`; every other array of a
 strip, its framed copies, products, traces and weights, is made fresh for
@@ -93,13 +93,13 @@ cells took 67 to 69 ms, of 2,560 cells 65 to 88 ms, of 10,240 cells 76 to
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Executor, wait
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import derivative_matrix, gauss_rule, mass_diagonal, vandermonde
-from .field import gradient_gram, n_modes, total_degree_modes
+from .field import gradient_gram, n_modes, row_blocks, total_degree_modes
 from .mesh import Mesh2D
 from .scheme1d import FluxParams, SolverConfig, numerical_fluxes, sum_by_degree
 
@@ -250,7 +250,7 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
     the u damping weighs (see `_strip_rhs`), and each face its rows of the
     reference derivative map; "degrees_v" holds the total degree of each
     mode of v.  The strips' workers only read this cache: `rhs_arrays_2d`
-    fills it before it deals.
+    fills it before it submits the strips.
     """
     modes = total_degree_modes(p)
     nmq = n_modes(q)
@@ -327,61 +327,32 @@ def _framed(arr: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def strip_bounds(nx: int, ny: int) -> list[tuple[int, int]]:
-    """(start, stop) rows of each strip of an nx-by-ny mesh; see the module docstring."""
-    strips = -(-nx // max(1, CELLS_PER_STRIP // ny))
-    return [(k * nx // strips, (k + 1) * nx // strips) for k in range(strips)]
-
-
-class StripPool:
-    """The workers that evaluate the strips of `rhs_arrays_2d`.
-
-    Worker k takes strips k, k + workers, k + 2 workers, ...  One worker
-    runs them in the calling thread and starts no thread; more run on a
-    thread pool whose threads start on first use and end at `close`.
-    """
-
-    def __init__(self, workers: int = 1):
-        self.workers = workers
-        self._threads = ThreadPoolExecutor(workers, "wavedg-strip") if workers > 1 else None
-
-    def deal(self, fn, items: list) -> None:
-        """fn(items[k::workers]) for every worker k with items, then wait for all."""
-        if self._threads is None:
-            fn(items)
-            return
-        n = self.workers
-        futures = [self._threads.submit(fn, items[k::n]) for k in range(n) if items[k::n]]
-        wait(futures)
-        for f in futures:
-            f.result()
-
-    def close(self) -> None:
-        """End the threads, if any; the pool takes no more work."""
-        if self._threads is not None:
-            self._threads.shutdown()
-
-
 def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: SolverConfig,
-                  out=None, pool: StripPool | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  out=None, pool: Executor | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (du, dv) of the 2D modal coefficients.
 
     out, if given, is a (du, dv) pair to write into, which must not overlap
-    the inputs; otherwise fresh arrays are returned.  pool runs the strips
-    on its workers; without one, they run in this thread.  A caller that
-    evaluates many right-hand sides passes the same pool each time.
+    the inputs; otherwise fresh arrays are returned.  pool, an executor,
+    runs one task per strip, and the first failing strip's error is raised
+    once every strip has ended; without one, the strips run in this thread.
     """
     if config.source is not None and config.chi == 1:
         raise ValueError("the in-cell source quotient treatment is 1D-only; use chi=0 in 2D")
     du, dv = out if out is not None else (np.empty(ucoef.shape), np.empty(vcoef.shape))
-    pool = pool if pool is not None else StripPool()
     t = _tables2d(config.p, config.q, float(mesh.hx[0]), float(mesh.hy[0]), config.quad_points)
 
-    def run(strips):
-        for start, stop in strips:
-            _strip_rhs(ucoef, vcoef, start, stop, mesh, config, t, du, dv)
+    def run(rows: slice) -> None:
+        _strip_rhs(ucoef, vcoef, rows.start, rows.stop, mesh, config, t, du, dv)
 
-    pool.deal(run, strip_bounds(*ucoef.shape[:2]))
+    strips = row_blocks(ucoef.shape[0], ucoef.shape[1], CELLS_PER_STRIP)
+    if pool is None:
+        for rows in strips:
+            run(rows)
+        return du, dv
+    futures = [pool.submit(run, rows) for rows in strips]
+    wait(futures)
+    for f in futures:
+        f.result()
     return du, dv
 
 

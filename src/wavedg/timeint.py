@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics
+from . import diagnostics, field
 from .discretization import DISCRETIZATIONS
 from .field import write_columns_csv
 # rhs_arrays_1d stays importable from here: perfbench/test_perfbench.py reads it
@@ -65,14 +65,12 @@ class TimePlan:
 def make_time_plan(t_final: float, dt: float) -> TimePlan:
     if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"final time and dt must be positive and finite, "
-                         f"got t_final = {t_final}, dt = {dt}")
+                         f"got 't_final' = {t_final}, 'dt' = {dt}")
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"'t_final' / 'dt' = {t_final} / {dt} is not finite: too many steps")
     steps = max(1, math.ceil(t_final / dt - 1e-12))
     last = t_final - (steps - 1) * dt
     return TimePlan(dt=dt, steps=steps, last_dt=last, t_final=t_final)
-
-
-#: values per block of the stage algebra, summed over the fields of a row; see `ssp_rk3_step`
-STAGE_BLOCK_VALUES = 32768
 
 
 def ssp_rk3_step(state, rhs, dt, out=None, work=None):
@@ -90,21 +88,15 @@ def ssp_rk3_step(state, rhs, dt, out=None, work=None):
     be `state` itself, or to fresh arrays.
 
     Each stage runs block by block over whole rows (the leading axis) of
-    every field, about STAGE_BLOCK_VALUES values to a block, so that a
-    block's derivative, register and temporaries stay in cache through
-    the stage's few operations.  Within a block, every field's derivative
-    is scaled into a block-sized temporary before any register is written,
-    so a derivative may alias its stage, or any field's stage of its own
-    shape, as with rhs = lambda s: (s[1], s[0]).  The arithmetic of every
-    value is that of the whole-array stages, so the bits are too.
-    STAGE_BLOCK_VALUES was set by timing 60 steps of the stages alone, with
-    a derivative that is a fixed pair of arrays, on ex8's 320^2 state
-    (p = 2, q = 1: 2,880 values a row) on one core of a shared 2-vCPU Xeon,
-    best of five repeats in each of two to four batches: whole arrays took
-    0.91 to 1.29 s, blocks of 4,096 values 1.19 s, of 8,192 0.88 s, of
-    16,384 0.74 to 0.96 s, of 32,768 0.60 to 0.83 s, of 65,536 0.64 to
-    0.82 s, of 131,072 0.76 to 0.81 s and of 262,144 0.92 s.  Block
-    temporaries kept between blocks in place of fresh ones saved no time.
+    every field, `field.row_blocks` of at most `field.BLOCK_VALUES` values
+    summed over the fields, so that a block's derivative, register and
+    temporaries stay in cache through the stage's few operations.  Within
+    a block, every field's derivative is scaled into a block-sized
+    temporary before any register is written, so a derivative may alias
+    its stage, or any field's stage of its own shape, as with
+    rhs = lambda s: (s[1], s[0]).  The arithmetic of every value is that of
+    the whole-array stages, so the bits are too.  Block temporaries kept
+    between blocks in place of fresh ones saved no time.
     """
     if isinstance(state, tuple):
         return _ssp_rk3(state, rhs, dt, out, work)
@@ -112,22 +104,13 @@ def ssp_rk3_step(state, rhs, dt, out=None, work=None):
                     None if out is None else (out,), work)[0]
 
 
-def _row_blocks(x: tuple) -> list:
-    """Slices of whole rows of the fields of x, about STAGE_BLOCK_VALUES values each.
-
-    One block, all of every field, when a field has no leading axis.
-    """
-    shapes = [np.shape(a) for a in x]
-    if not all(shapes):
-        return [...]
-    rows = max(1, STAGE_BLOCK_VALUES // max(1, sum(math.prod(s[1:]) for s in shapes)))
-    return [slice(k, k + rows) for k in range(0, max(s[0] for s in shapes), rows)]
-
-
 def _ssp_rk3(x: tuple, rhs, dt, out, work) -> tuple:
     stage = work if work is not None else rk3_registers(x)
     new = out if out is not None else tuple(np.empty(np.shape(a)) for a in x)
-    blocks = _row_blocks(x)
+    shapes = [np.shape(a) for a in x]
+    # one block, all of every field, when a field has no leading axis
+    blocks = (field.row_blocks(max(s[0] for s in shapes), sum(math.prod(s[1:]) for s in shapes),
+                               field.BLOCK_VALUES) if all(shapes) else [...])
 
     def run(s, update):
         derivs = rhs(s)

@@ -218,6 +218,28 @@ def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch,
     assert err.startswith("configuration error:") and key in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    # t_final / dt overflows: a subnormal step, or a final time far beyond the step
+    (["energy", "--problem", "ex1", "--ns", "4", "--dt", "1e-310"], "'dt'"),
+    (["energy", "--problem", "ex1", "--ns", "4", "--t-final", "1e300", "--dt", "1e-10"], "'dt'"),
+    (["converge", "--problem", "ex1", "--ns", "4,8", "--dt", "1e-310"], "'dt'"),
+    # the comparator's own step, fixed by its grid, cannot reach the final time
+    (["compare-ctcs", "--problem", "ex4", "--ns", "4", "--t-final", "1e306"], "'t_final'"),
+    # the degree rule's step underflows to 0.0 on a tiny domain
+    (["energy", "--problem", "custom", "--dim", "1", "--domain", "0,1e-300", "--ns", "4",
+      "-p", "3"], "'dt'"),
+])
+def test_time_plans_that_cannot_be_stepped_exit_2_before_any_step(tmp_path, capsys,
+                                                                   monkeypatch, argv, key):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("integration ran before the time plan was checked")
+
+    monkeypatch.setattr(cli, "integrate", no_compute)
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+
+
 def test_cli_exit_code_solver_abort(tmp_path, capsys):
     # a dt far above the stability limit blows up and aborts
     rc = main(["shock", "--problem", "ex3", "--ns", "40", "--dt", "5.0",

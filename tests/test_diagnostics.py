@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from wavedg import basis, diagnostics
+from wavedg import basis
 from wavedg.diagnostics import (
     ConvergenceTable,
     bin_average,
@@ -183,10 +183,12 @@ def test_bin_average_counts_a_point_on_an_inner_edge_to_its_right():
     assert empty_bins([0.5, 1.5], edges).tolist() == [2]
 
 
-@pytest.mark.parametrize("block_cells", [64, 8192])
-def test_source_integral_in_blocks_is_the_whole_array_sum(monkeypatch, block_cells):
-    # 64 cells a block: 1D meshes in several blocks; 2D blocks of 2 to 4 x-rows
-    monkeypatch.setattr(diagnostics, "SOURCE_BLOCK_CELLS", block_cells)
+@pytest.mark.parametrize("block_values", [64, 8192])
+def test_source_integral_in_blocks_is_the_whole_array_sum(monkeypatch, block_values):
+    # 64 quadrature values a block: 1D blocks of 8 to 10 cells (37 cells:
+    # 9 and 10), 2D blocks of one x-row; 8,192: one block per 1D mesh, 2D
+    # blocks of 3 to 12 x-rows (23 rows: 11 and 12)
+    monkeypatch.setattr("wavedg.field.BLOCK_VALUES", block_values)
     rng = np.random.default_rng(71)
     fields = [DGField1D(uniform_mesh_1d(0.0, 2.0, n), p, rng.standard_normal((n, p + 1)))
               for n, p in ((37, 2), (320, 3), (1000, 4))]

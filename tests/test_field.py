@@ -4,9 +4,12 @@ import pytest
 
 from wavedg import field as dgfield
 from wavedg.basis import endpoint_values
-from wavedg.field import DGField1D, DGField2D, write_columns_csv
+from wavedg.diagnostics import source_integral
+from wavedg.field import DGField1D, DGField2D, row_blocks, write_columns_csv
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
-from wavedg.scheme1d import _traces
+from wavedg.reference import ctcs_solve_1d, make_grid_1d
+from wavedg.scheme1d import SOURCES, _traces
+from wavedg.timeint import ssp_rk3_step
 
 from oracles import eval_1d, eval_2d
 
@@ -134,7 +137,7 @@ def test_2d_tensor_trace_consistency():
 
 
 def test_write_columns_csv_reads_as_per_value_format(tmp_path, monkeypatch):
-    # chunks of 4 rows over 11: two full chunks and a short one
+    # chunks of at most 4 rows over 11: three chunks of 3, 4 and 4 rows
     monkeypatch.setattr(dgfield, "CSV_CHUNK_ROWS", 4)
     a = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308,
                   1.0 / 3.0, 2.2250738585072014e-308, -123456789.125, 1e-300])
@@ -146,3 +149,60 @@ def test_write_columns_csv_reads_as_per_value_format(tmp_path, monkeypatch):
     assert path.read_text() == want
     write_columns_csv(path, {"t": np.array([])})
     assert path.read_text() == "t\n"
+
+
+@pytest.mark.parametrize("rows, row_size, limit", [
+    (23, 16, 96), (11, 5, 20), (1000, 1000, 32768), (81, 64, 5120), (50, 1, 16),
+    (7, 50, 10), (3, 4, 4), (5, 1, 100), (1, 1, 1), (0, 3, 10),
+])
+def test_row_blocks_are_balanced_and_cover_every_row_once(rows, row_size, limit):
+    blocks = row_blocks(rows, row_size, limit)
+    # whole rows, in order, each row once
+    assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
+    assert all(b.step is None for b in blocks)
+    heights = [b.stop - b.start for b in blocks]
+    most = max(1, limit // row_size)
+    assert all(0 < h <= most for h in heights) and len(blocks) == -(-rows // most)
+    assert not heights or max(heights) - min(heights) <= 1
+    if row_size > limit:
+        assert heights == [1] * rows
+    if rows == 0:
+        assert blocks == []
+
+
+def test_row_blocks_of_the_comparator_grid_and_a_strip_mesh():
+    # the 1000^2 leapfrog at the built-in size, and 81 rows of 64 cells in
+    # strips of 40 and 41 rows, not 80 and 1
+    assert len(row_blocks(1000, 1000, dgfield.BLOCK_VALUES)) == 32
+    assert row_blocks(81, 64, 5120) == [slice(0, 40), slice(40, 81)]
+
+
+def test_one_block_size_splits_every_blocked_loop(monkeypatch):
+    # BLOCK_VALUES is read at call time: patched once, it splits the stage
+    # algebra, the leapfrog and the source integral each into several
+    # blocks, and every result keeps its bits
+    rng = np.random.default_rng(83)
+    state = (rng.standard_normal((9, 4)), rng.standard_normal((9, 2)))
+    u = DGField1D(uniform_mesh_1d(0.0, 1.0, 40), 2, rng.standard_normal((40, 3)))
+    grid, steps = make_grid_1d(0.0, 1.0, 30, 0.1)
+    source = SOURCES["cubic_4"]
+
+    def run():
+        return (*ssp_rk3_step(state, lambda s: (s[1][:, :1] * s[0], -s[0][:, :2]), 0.1),
+                ctcs_solve_1d(np.sin, np.cos, source.g, grid, steps)[1],
+                np.float64(source_integral(u, source)))
+
+    whole = run()
+    counts = []
+
+    def counted(rows, row_size, limit, _blocks=row_blocks):
+        counts.append(len(_blocks(rows, row_size, limit)))
+        return _blocks(rows, row_size, limit)
+
+    monkeypatch.setattr("wavedg.field.BLOCK_VALUES", 20)
+    monkeypatch.setattr("wavedg.field.row_blocks", counted)
+    blocked = run()
+    # stages: 9 rows of 6 values, 3 to a block; leapfrog: 30 points, 20 to a
+    # block; source integral: 40 cells of 5 quadrature values, 4 to a block
+    assert counts == [3, 2, 10]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, blocked))

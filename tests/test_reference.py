@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from oracles import ctcs_roll_reference_1d, ctcs_roll_reference_2d
-from wavedg import reference
 from wavedg.reference import (
     FDGrid,
     ctcs_solve_1d,
@@ -13,6 +12,13 @@ from wavedg.reference import (
     make_grid_2d,
 )
 from wavedg.scheme1d import SOURCES
+
+
+def test_comparator_plan_of_too_many_steps_names_t_final():
+    with pytest.raises(ValueError, match="'t_final'"):
+        make_grid_1d(0.0, 1.0, 1000, 1e306)
+    with pytest.raises(ValueError, match="'t_final'"):
+        make_grid_2d(-1.0, 1.0, -1.0, 1.0, 1000, 1000, 1e306)
 
 
 def test_cfl_guard():
@@ -132,10 +138,11 @@ def _u1_1d(x):
 
 
 @pytest.mark.parametrize("source", SOURCE_CASES)
-@pytest.mark.parametrize("points_per_block", [None, 16, 1])
-def test_leapfrog_1d_matches_roll_form_bit_for_bit(monkeypatch, source, points_per_block):
-    if points_per_block is not None:
-        monkeypatch.setattr(reference, "POINTS_PER_BLOCK", points_per_block)
+@pytest.mark.parametrize("block_values", [None, 16, 1])
+def test_leapfrog_1d_matches_roll_form_bit_for_bit(monkeypatch, source, block_values):
+    # 50 points: one block, blocks of 12 and 13 points, or 50 blocks of one
+    if block_values is not None:
+        monkeypatch.setattr("wavedg.field.BLOCK_VALUES", block_values)
     grid, steps = make_grid_1d(0.0, 1.0, 50, 0.3)
     g = SOURCE_CASES[source]
     x, u = ctcs_solve_1d(_u0_1d, _u1_1d, g, grid, steps)
@@ -156,9 +163,10 @@ def _signed_zeros(x, y):
     return -0.0 * x * y
 
 
-# (nx, ny, rows per block): nx below, equal to and not a multiple of the
-# block height, nx = 2 (in one block, and in 1-row blocks whose two ghosts
-# are the same row), and one block at the built-in size
+# (nx, ny, most rows per block): nx below and equal to the block height,
+# and above it in blocks of unequal heights (11 rows: 3, 4, 4), nx = 2 (in
+# one block, and in 1-row blocks whose two ghosts are the same row), and
+# one block at the built-in size
 GRID_CASES = [(3, 5, 4), (4, 5, 4), (11, 5, 4), (2, 3, 4), (2, 3, 1), (9, 14, None)]
 
 
@@ -166,7 +174,7 @@ GRID_CASES = [(3, 5, 4), (4, 5, 4), (11, 5, 4), (2, 3, 4), (2, 3, 1), (9, 14, No
 @pytest.mark.parametrize("nx, ny, rows", GRID_CASES)
 def test_leapfrog_2d_matches_roll_form_bit_for_bit(monkeypatch, nx, ny, rows, source):
     if rows is not None:
-        monkeypatch.setattr(reference, "POINTS_PER_BLOCK", rows * ny)
+        monkeypatch.setattr("wavedg.field.BLOCK_VALUES", rows * ny)
     # nx != ny and dx != dy: a mixed-up axis would show
     grid, steps = make_grid_2d(0.0, 1.0, 0.0, 1.7, nx, ny, 0.4)
     g = SOURCE_CASES[source]
@@ -179,7 +187,7 @@ def test_leapfrog_2d_matches_roll_form_bit_for_bit(monkeypatch, nx, ny, rows, so
 @pytest.mark.parametrize("source", SOURCE_CASES)
 def test_leapfrog_2d_special_data_match_roll_form(monkeypatch, source):
     # signed zeros, and a scalar initial velocity, in 3-row blocks
-    monkeypatch.setattr(reference, "POINTS_PER_BLOCK", 3 * 6)
+    monkeypatch.setattr("wavedg.field.BLOCK_VALUES", 3 * 6)
     grid, steps = make_grid_2d(-1.0, 1.0, -1.0, 0.5, 7, 6, 0.3)
     g = SOURCE_CASES[source]
     for u0, u1 in ((_signed_zeros, _signed_zeros), (_u0_2d, lambda x, y: 0.25)):
@@ -200,7 +208,7 @@ def test_leapfrog_1d_single_step_and_caller_data_kept():
 @pytest.mark.parametrize("rows", [None, 4])
 def test_transposed_data_give_the_transposed_field(monkeypatch, rows):
     if rows is not None:
-        monkeypatch.setattr(reference, "POINTS_PER_BLOCK", rows * 14)
+        monkeypatch.setattr("wavedg.field.BLOCK_VALUES", rows * 14)
     g = SOURCES["cubic_4"].g
     grid, steps = make_grid_2d(0.0, 1.0, 0.0, 1.7, 9, 14, 0.4)
     flipped, steps_f = make_grid_2d(0.0, 1.7, 0.0, 1.0, 14, 9, 0.4)

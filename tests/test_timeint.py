@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import ssp_rk3_out_of_place
-from wavedg import diagnostics, discretization, scheme1d, scheme2d, timeint
+from wavedg import diagnostics, discretization, field, scheme1d, scheme2d
 from wavedg.field import DGField1D, DGField2D
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
@@ -45,6 +45,13 @@ def test_time_plan_lands_on_final_time():
     for t_final, dt in ((math.inf, 0.1), (1.0, math.nan), (math.nan, 0.1), (1.0, math.inf),
                         (0.0, 0.1)):
         with pytest.raises(ValueError, match="final time and dt must be positive and finite"):
+            make_time_plan(t_final, dt)
+
+
+def test_time_plan_of_too_many_steps_names_its_keys():
+    # t_final / dt overflows: a subnormal step, or a final time far beyond it
+    for t_final, dt in ((0.5, 1e-310), (1e300, 1e-10)):
+        with pytest.raises(ValueError, match="'t_final' / 'dt'"):
             make_time_plan(t_final, dt)
 
 
@@ -222,12 +229,11 @@ def _coupled_rhs(mat):
 
 @pytest.mark.parametrize("rows, block_values", [(23, 100), (3, None)])
 def test_rk3_blocked_stages_match_out_of_place_bit_for_bit(monkeypatch, rows, block_values):
-    # 23 rows of 36 values in blocks of 2 rows, the last one ragged; and a
-    # state of 3 rows, less than one block of the built-in size
+    # 23 rows of 36 values in 12 blocks of 1 or 2 rows; and a state of 3
+    # rows, less than one block of the built-in size
     if block_values is not None:
-        monkeypatch.setattr(timeint, "STAGE_BLOCK_VALUES", block_values)
-    assert len(timeint._row_blocks((np.empty((rows, 4, 6)), np.empty((rows, 4, 3))))) == \
-        (12 if block_values else 1)
+        monkeypatch.setattr("wavedg.field.BLOCK_VALUES", block_values)
+    assert len(field.row_blocks(rows, 36, field.BLOCK_VALUES)) == (12 if block_values else 1)
     rng = np.random.default_rng(rows)
     rhs = _coupled_rhs(rng.standard_normal((3, 6)))
     state = (rng.standard_normal((rows, 4, 6)), rng.standard_normal((rows, 4, 3)))
@@ -241,10 +247,10 @@ def test_rk3_blocked_stages_match_out_of_place_bit_for_bit(monkeypatch, rows, bl
 def test_rk3_derivative_may_alias_the_other_fields_stage_in_blocks(monkeypatch):
     # each field's derivative is the other field's stage: every block scales
     # both derivatives before it writes either register
-    monkeypatch.setattr(timeint, "STAGE_BLOCK_VALUES", 12)
+    monkeypatch.setattr("wavedg.field.BLOCK_VALUES", 12)
     rng = np.random.default_rng(29)
     a, b = rng.standard_normal((11, 3)), rng.standard_normal((11, 3))
-    assert len(timeint._row_blocks((a, b))) == 6
+    assert len(field.row_blocks(11, 6, field.BLOCK_VALUES)) == 6
     got = ssp_rk3_step((a, b), lambda s: (s[1], s[0]), 0.05)
     want = ssp_rk3_out_of_place((a, b), lambda s: (s[1], s[0]), 0.05)
     assert all(np.array_equal(x, y) for x, y in zip(got, want))

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__, diagnostics
 from .diagnostics import FRONT_BAND_FRACTION, FRONT_MATCH_FACTOR, FRONT_MERGE_FACTOR
-from .discretization import DISCRETIZATIONS, usable_cpus
+from .discretization import DISCRETIZATIONS
+from .field import usable_cpus
 from .problems import EXAMPLES, make_custom_problem
 from .scheme1d import SOURCES, SolverConfig, flux_from_name
 from .timeint import SolverAbort, dt_rule, integrate, make_time_plan
@@ -335,15 +336,24 @@ def run_convergence(cfg: ExperimentConfig):
 
 def _initial_state(cfg: ExperimentConfig, prob, n: int, comparator: bool = False):
     """The discretization with n cells per direction and the projected (u0, v0); a cell count
-    that cannot be built, or that leaves a cell without a comparator point, is a ConfigError."""
+    that cannot be built, or that leaves a cell without a comparator point, is a ConfigError,
+    and so is a domain whose cells are too wide for the scheme's scales."""
     try:
         disc = DISCRETIZATIONS[prob.dim].build(prob, n, solver_config(cfg, prob),
                                                cfg.mesh_perturb, cfg.seed)
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"key 'ns': cannot use {n} cells ({exc})") from None
+    h = disc.mesh.h
+    try:  # the penalty's h**2 and the dt rule's h**e grow fastest with the cell width
+        fits = math.isfinite(h * h) and math.isfinite(cfg.resolved_dt(h))
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise ConfigError(f"key 'domain': cells {h:g} wide are too wide: h**2 or the time "
+                          "step overflows")
     t_final = cfg.resolved_t(prob)
     try:  # the run's and the comparator's time plans, before any step; errors name the key
-        make_time_plan(t_final, cfg.resolved_dt(disc.mesh.h))
+        make_time_plan(t_final, cfg.resolved_dt(h))
         bins = disc.comparator_grid(prob, t_final)[2:] if comparator else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -12,24 +12,16 @@ call time, so a wrapper set on the module sees every call.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import diagnostics, scheme2d
-from .field import DGField1D, DGField2D, n_modes, row_blocks, write_columns_csv
+from .field import DGField1D, DGField2D, n_modes, row_blocks, usable_cpus, write_columns_csv
 from .mesh import Mesh1D, Mesh2D, cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
 from .reference import ctcs_solve_1d, ctcs_solve_2d, make_grid_1d, make_grid_2d
 from .scheme1d import rhs_arrays_1d
 from .scheme2d import rhs_arrays_2d
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, as taskset or a cgroup set it."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class Discretization1D:

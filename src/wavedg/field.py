@@ -12,6 +12,7 @@ degree is coefficient truncation, and projections are exact and cheap.
 from __future__ import annotations
 
 import os
+from concurrent.futures import Executor, wait
 from functools import lru_cache
 
 import numpy as np
@@ -235,6 +236,27 @@ def row_blocks(rows: int, row_size: int, limit: int) -> list[slice]:
     rows each, their heights differing by at most one row; rows = 0 gives none."""
     count = -(-rows // max(1, limit // max(1, row_size)))
     return [slice(k * rows // count, (k + 1) * rows // count) for k in range(count)]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, as taskset or a cgroup set it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_tasks(pool: Executor | None, task, items) -> None:
+    """task(item) for every item.  pool, an executor, runs one task per item, and the
+    first failing item's error is raised once every task has ended; without one, the
+    items run in order in this thread."""
+    if pool is None:
+        for item in items:
+            task(item)
+        return
+    futures = [pool.submit(task, item) for item in items]
+    wait(futures)
+    for f in futures:
+        f.result()
 
 
 #: rows formatted per write by write_columns_csv; bounds the memory it takes

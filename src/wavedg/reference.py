@@ -14,8 +14,8 @@ through `_leapfrog`; a 1D field is held as n rows of one point.  The layout:
   of rows nx and 1, wrapped again after every step.  The initial data are
   copied in, so the caller's arrays are never written.
 - A step runs over `field.row_blocks` of whole x-rows, `field.BLOCK_VALUES`
-  points at most (at least one row), so that a block and three buffers
-  sized by the largest block stay in cache.  A block reads its own rows of
+  points at most (at least one row), so that a block and the three buffers
+  of its run (see Workers) stay in cache.  A block reads its own rows of
   `curr` and one row on each side; the y neighbours wrap within each row.
 - The new level is written into `prev`'s rows in place.  Row i of `prev`
   is read only for row i of the new level, so no block reads a row that
@@ -29,13 +29,29 @@ through `_leapfrog`; a 1D field is held as n rows of one point.  The layout:
   it is added to, (2u - prev) or (u + dt*vel), is +0.0 or nonzero, so
   the whole-array form's + 0.0 changed no bit of the result.
 
+Workers.  The blocks run on one worker per usable CPU (`field.usable_cpus`),
+never more than there are blocks.  `field.row_blocks` cuts the block list
+into one contiguous run of blocks per worker, and each run gets its own
+three buffers, sized by its largest block and made once per solve.  A step
+submits one task per run through `field.run_tasks` and waits for all of
+them; then the calling thread wraps the new level's ghost rows.  A block
+reads u, which no task writes, and reads and writes only its own rows of
+the new level, a different array, so each value gets the same operations
+in the same order whatever worker computes it: every worker count gives
+the serial bits, as every block size does.  With one worker, as on every
+1D grid of the examples (1000 points are one block), the steps run in the
+calling thread and no thread is started; otherwise the executor lives for
+one solve.
+
 The source g is called once per block, on that block's rows, so it must be
 pointwise: g(u)[k] may depend on u[k] only.  Every `scheme1d.SOURCES` entry
 is.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +101,9 @@ def _grid_landing_on(lo: tuple, hi: tuple, n: tuple, t_final: float) -> tuple[FD
     """The grid and step count landing on t_final, dt at most min(spacing) / (2 sqrt(axes));
     uniform leapfrog cannot shorten the last step, so dt shrinks globally."""
     target = 0.5 * min((b - a) / k for a, b, k in zip(lo, hi, n)) / math.sqrt(len(n))
-    if not math.isfinite(t_final / target):
-        raise ValueError(f"'t_final' / dt = {t_final} / {target} is not finite: too many steps")
+    if t_final + target == t_final:
+        raise ValueError(f"'t_final' / dt = {t_final} / {target} is too many steps: "
+                         "t_final + dt rounds to t_final")
     steps = max(1, math.ceil(t_final / target - 1e-12))
     return FDGrid(lo, hi, n, t_final / steps), steps
 
@@ -137,15 +154,20 @@ def _leapfrog(start, vel, g, shape: tuple, spacing: tuple, dt: float, steps: int
     prev[1:-1].reshape(shape)[...] = start
     _wrap_ghosts(prev)
     blocks = field.row_blocks(nx, ny, field.BLOCK_VALUES)
-    work = tuple(np.empty((max(b.stop - b.start for b in blocks), ny)) for _ in range(3))
-    # Taylor start: (prev + dt * vel) + (0.5 * dt**2) * (Laplacian + g)
-    body = curr[1:-1].reshape(shape)
-    np.multiply(dt, vel, out=body)
-    body += prev[1:-1].reshape(shape)
-    _advance(prev, curr, g, 0.5 * dt**2, spacing, False, work, blocks)
-    for _ in range(steps - 1):
-        _advance(curr, prev, g, dt**2, spacing, True, work, blocks)
-        prev, curr = curr, prev
+    workers = min(field.usable_cpus(), len(blocks))
+    parts = [blocks[p] for p in field.row_blocks(len(blocks), 1, -(-len(blocks) // workers))]
+    runs = [(part, tuple(np.empty((max(b.stop - b.start for b in part), ny)) for _ in range(3)))
+            for part in parts]
+    pool = ThreadPoolExecutor(len(runs), "wavedg-leapfrog") if len(runs) > 1 else None
+    with pool or contextlib.nullcontext():
+        # Taylor start: (prev + dt * vel) + (0.5 * dt**2) * (Laplacian + g)
+        body = curr[1:-1].reshape(shape)
+        np.multiply(dt, vel, out=body)
+        body += prev[1:-1].reshape(shape)
+        _step(prev, curr, g, 0.5 * dt**2, spacing, False, runs, pool)
+        for _ in range(steps - 1):
+            _step(curr, prev, g, dt**2, spacing, True, runs, pool)
+            prev, curr = curr, prev
     return curr[1:-1].reshape(shape)
 
 
@@ -154,11 +176,18 @@ def _wrap_ghosts(a: np.ndarray) -> None:
     a[-1] = a[1]
 
 
-def _advance(u, out, g, coef: float, spacing: tuple, leapfrog: bool, work, blocks) -> None:
-    """One step from the ghosted level u into out's rows, block by block.
+def _step(u, out, g, coef: float, spacing: tuple, leapfrog: bool, runs, pool) -> None:
+    """One step from the ghosted level u into out: one task per run of blocks, on pool's
+    workers if there is a pool; then out's ghosts are wrapped."""
+    field.run_tasks(pool, lambda run: _advance(u, out, g, coef, spacing, leapfrog, *run), runs)
+    _wrap_ghosts(out)
+
+
+def _advance(u, out, g, coef: float, spacing: tuple, leapfrog: bool, blocks, work) -> None:
+    """One step of the rows in blocks, from the ghosted level u into out's rows.
 
     out becomes (2u - out) + coef * (Laplacian(u) + g(u)) when leapfrog is
-    set, else out + coef * (Laplacian(u) + g(u)); then its ghosts are wrapped.
+    set, else out + coef * (Laplacian(u) + g(u)); its ghosts are not touched.
     blocks are `field.row_blocks` of the rows; work holds three buffers of the largest.
     """
     dx2 = spacing[0] ** 2
@@ -185,4 +214,3 @@ def _advance(u, out, g, coef: float, spacing: tuple, leapfrog: bool, work, block
         if leapfrog:
             np.subtract(twice, o, out=o)
         o += lap
-    _wrap_ghosts(out)

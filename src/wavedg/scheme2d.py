@@ -53,11 +53,13 @@ input, without the frame, so that a one-strip mesh multiplies exactly its
 own cells: on framed rows, meshes of 100 to 200 cells with a source at
 p >= 3 got other last bits of dv.
 
-Workers.  Given an executor, `rhs_arrays_2d` submits one task per strip;
-on threads, numpy's ufuncs and BLAS release the GIL, so the strips' array
-work overlaps.  `Discretization2D` holds a `ThreadPoolExecutor` of one
-worker per CPU of the affinity mask (`discretization.usable_cpus`), capped
-at the number of strips, and `timeint.integrate` ends its threads when it
+Workers.  Given an executor, `rhs_arrays_2d` submits one task per strip
+through `field.run_tasks`, so that a free worker takes the next strip:
+strip costs differ once subnormal coefficients appear.  On threads,
+numpy's ufuncs and BLAS release the GIL, so the strips' array work
+overlaps.  `Discretization2D` holds a `ThreadPoolExecutor` of one worker
+per CPU of the affinity mask (`field.usable_cpus`), capped at the number
+of strips, and `timeint.integrate` ends its threads when it
 returns or aborts.  One worker, or a mesh of one strip, runs the strips in
 the calling thread.  A strip's numbers depend only on the rows it reads,
 never on the worker that computes it or on what the others do, and each
@@ -93,13 +95,13 @@ cells took 67 to 69 ms, of 2,560 cells 65 to 88 ms, of 10,240 cells 76 to
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, wait
+from concurrent.futures import Executor
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import derivative_matrix, gauss_rule, mass_diagonal, vandermonde
-from .field import gradient_gram, n_modes, row_blocks, total_degree_modes
+from .field import gradient_gram, n_modes, row_blocks, run_tasks, total_degree_modes
 from .mesh import Mesh2D
 from .scheme1d import FluxParams, SolverConfig, numerical_fluxes, sum_by_degree
 
@@ -344,15 +346,7 @@ def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: So
     def run(rows: slice) -> None:
         _strip_rhs(ucoef, vcoef, rows.start, rows.stop, mesh, config, t, du, dv)
 
-    strips = row_blocks(ucoef.shape[0], ucoef.shape[1], CELLS_PER_STRIP)
-    if pool is None:
-        for rows in strips:
-            run(rows)
-        return du, dv
-    futures = [pool.submit(run, rows) for rows in strips]
-    wait(futures)
-    for f in futures:
-        f.result()
+    run_tasks(pool, run, row_blocks(ucoef.shape[0], ucoef.shape[1], CELLS_PER_STRIP))
     return du, dv
 
 

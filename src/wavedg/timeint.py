@@ -66,8 +66,9 @@ def make_time_plan(t_final: float, dt: float) -> TimePlan:
     if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"final time and dt must be positive and finite, "
                          f"got 't_final' = {t_final}, 'dt' = {dt}")
-    if not math.isfinite(t_final / dt):
-        raise ValueError(f"'t_final' / 'dt' = {t_final} / {dt} is not finite: too many steps")
+    if t_final + dt == t_final:
+        raise ValueError(f"'t_final' / 'dt' = {t_final} / {dt} is too many steps: "
+                         "t_final + dt rounds to t_final")
     steps = max(1, math.ceil(t_final / dt - 1e-12))
     last = t_final - (steps - 1) * dt
     return TimePlan(dt=dt, steps=steps, last_dt=last, t_final=t_final)

@@ -228,6 +228,8 @@ def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch,
     # the degree rule's step underflows to 0.0 on a tiny domain
     (["energy", "--problem", "custom", "--dim", "1", "--domain", "0,1e-300", "--ns", "4",
       "-p", "3"], "'dt'"),
+    # t_final / dt is finite, but a step of dt does not move the clock
+    (["energy", "--problem", "ex1", "--ns", "4", "--dt", "1e-300"], "'dt'"),
 ])
 def test_time_plans_that_cannot_be_stepped_exit_2_before_any_step(tmp_path, capsys,
                                                                    monkeypatch, argv, key):
@@ -238,6 +240,26 @@ def test_time_plans_that_cannot_be_stepped_exit_2_before_any_step(tmp_path, caps
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and key in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the dt rule's h**e overflows at p = 3; the 1D penalty's h**2 at p = 2
+    ["--dim", "1", "--domain", "0,1e300", "-p", "3"],
+    ["--dim", "1", "--domain", "0,1e300"],
+    ["--dim", "1", "--domain", "0,1e300", "--dt", "0.1", "--t-final", "1"],
+    # the cell diagonal itself overflows in 2D
+    ["--dim", "2", "--domain", "0,1e300,0,1"],
+])
+def test_cells_too_wide_for_the_scheme_exit_2_naming_the_domain(tmp_path, capsys, monkeypatch,
+                                                                 argv):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("integration ran before the cell width was checked")
+
+    monkeypatch.setattr(cli, "integrate", no_compute)
+    assert main(["energy", "--problem", "custom", "--ns", "4", *argv,
+                 "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "'domain'" in err
 
 
 def test_cli_exit_code_solver_abort(tmp_path, capsys):

@@ -201,8 +201,10 @@ def test_one_block_size_splits_every_blocked_loop(monkeypatch):
 
     monkeypatch.setattr("wavedg.field.BLOCK_VALUES", 20)
     monkeypatch.setattr("wavedg.field.row_blocks", counted)
+    monkeypatch.setattr("wavedg.field.usable_cpus", lambda: 2)
     blocked = run()
     # stages: 9 rows of 6 values, 3 to a block; leapfrog: 30 points, 20 to a
-    # block; source integral: 40 cells of 5 quadrature values, 4 to a block
-    assert counts == [3, 2, 10]
+    # block, the 2 blocks in one run per worker on 2 CPUs; source integral:
+    # 40 cells of 5 quadrature values, 4 to a block
+    assert counts == [3, 2, 2, 10]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, blocked))

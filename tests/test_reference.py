@@ -1,9 +1,16 @@
 """CTCS comparator: CFL guards, trivial invariance, second-order accuracy,
-and the blocked leapfrog against its whole-array form, bit for bit."""
+and the blocked leapfrog against its whole-array form, bit for bit, on any
+number of workers."""
+import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from oracles import ctcs_roll_reference_1d, ctcs_roll_reference_2d
+from wavedg import reference
 from wavedg.reference import (
     FDGrid,
     ctcs_solve_1d,
@@ -19,6 +26,14 @@ def test_comparator_plan_of_too_many_steps_names_t_final():
         make_grid_1d(0.0, 1.0, 1000, 1e306)
     with pytest.raises(ValueError, match="'t_final'"):
         make_grid_2d(-1.0, 1.0, -1.0, 1.0, 1000, 1000, 1e306)
+
+
+def test_comparator_plan_whose_step_does_not_move_the_clock_names_t_final():
+    # t_final / dt is finite (about 2e303 and 1.4e303 steps), but t_final + dt == t_final
+    with pytest.raises(ValueError, match="'t_final'"):
+        make_grid_1d(0.0, 1.0, 1000, 1e300)
+    with pytest.raises(ValueError, match="'t_final'"):
+        make_grid_2d(-1.0, 1.0, -1.0, 1.0, 1000, 1000, 1e300)
 
 
 def test_cfl_guard():
@@ -122,6 +137,14 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _each_cpu_count(monkeypatch):
+    """Patch the usable CPUs to 1, 2, 3 and 8 in turn, yielding each count.  With ragged
+    blocks the runs come out uneven: 3 blocks make runs of 1 and 2 blocks on 2 CPUs."""
+    for cpus in (1, 2, 3, 8):
+        monkeypatch.setattr("wavedg.field.usable_cpus", lambda n=cpus: n)
+        yield cpus
+
+
 SOURCE_CASES = {
     "none": None,
     "cubic": SOURCES["cubic_4"].g,
@@ -145,9 +168,10 @@ def test_leapfrog_1d_matches_roll_form_bit_for_bit(monkeypatch, source, block_va
         monkeypatch.setattr("wavedg.field.BLOCK_VALUES", block_values)
     grid, steps = make_grid_1d(0.0, 1.0, 50, 0.3)
     g = SOURCE_CASES[source]
-    x, u = ctcs_solve_1d(_u0_1d, _u1_1d, g, grid, steps)
     xo, uo = ctcs_roll_reference_1d(_u0_1d, _u1_1d, g, grid, steps)
-    assert np.array_equal(x, xo) and np.array_equal(u, uo) and _same_bits(u, uo)
+    for _ in _each_cpu_count(monkeypatch):
+        x, u = ctcs_solve_1d(_u0_1d, _u1_1d, g, grid, steps)
+        assert np.array_equal(x, xo) and np.array_equal(u, uo) and _same_bits(u, uo)
 
 
 def _u0_2d(x, y):
@@ -178,10 +202,11 @@ def test_leapfrog_2d_matches_roll_form_bit_for_bit(monkeypatch, nx, ny, rows, so
     # nx != ny and dx != dy: a mixed-up axis would show
     grid, steps = make_grid_2d(0.0, 1.0, 0.0, 1.7, nx, ny, 0.4)
     g = SOURCE_CASES[source]
-    x, y, u = ctcs_solve_2d(_u0_2d, _u1_2d, g, grid, steps)
     xo, yo, uo = ctcs_roll_reference_2d(_u0_2d, _u1_2d, g, grid, steps)
-    assert np.array_equal(x, xo) and np.array_equal(y, yo)
-    assert np.array_equal(u, uo) and _same_bits(u, uo)
+    for _ in _each_cpu_count(monkeypatch):
+        x, y, u = ctcs_solve_2d(_u0_2d, _u1_2d, g, grid, steps)
+        assert np.array_equal(x, xo) and np.array_equal(y, yo)
+        assert np.array_equal(u, uo) and _same_bits(u, uo)
 
 
 @pytest.mark.parametrize("source", SOURCE_CASES)
@@ -191,9 +216,10 @@ def test_leapfrog_2d_special_data_match_roll_form(monkeypatch, source):
     grid, steps = make_grid_2d(-1.0, 1.0, -1.0, 0.5, 7, 6, 0.3)
     g = SOURCE_CASES[source]
     for u0, u1 in ((_signed_zeros, _signed_zeros), (_u0_2d, lambda x, y: 0.25)):
-        _, _, u = ctcs_solve_2d(u0, u1, g, grid, steps)
         _, _, uo = ctcs_roll_reference_2d(u0, u1, g, grid, steps)
-        assert _same_bits(u, uo)
+        for _ in _each_cpu_count(monkeypatch):
+            _, _, u = ctcs_solve_2d(u0, u1, g, grid, steps)
+            assert _same_bits(u, uo)
 
 
 def test_leapfrog_1d_single_step_and_caller_data_kept():
@@ -217,3 +243,94 @@ def test_transposed_data_give_the_transposed_field(monkeypatch, rows):
     _, _, ut = ctcs_solve_2d(lambda x, y: _u0_2d(y, x), lambda x, y: _u1_2d(y, x),
                              g, flipped, steps)
     assert _same_bits(ut, u.T)
+
+
+def test_workers_on_a_grid_of_many_blocks_give_the_serial_bits(monkeypatch):
+    # 200 x 300 points in 25 blocks of 8 rows: blocks long enough that the workers'
+    # array work overlaps, so that work buffers shared between runs would show; up to
+    # 8 workers, switching threads often
+    monkeypatch.setattr("wavedg.field.BLOCK_VALUES", 8 * 300)
+    g = SOURCES["cubic_4"].g
+    grid, steps = make_grid_2d(0.0, 1.0, 0.0, 1.7, 200, 300, 0.1)
+    _, _, uo = ctcs_roll_reference_2d(_u0_2d, _u1_2d, g, grid, steps)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in (2, 3, 8):
+            monkeypatch.setattr("wavedg.field.usable_cpus", lambda n=cpus: n)
+            _, _, u = ctcs_solve_2d(_u0_2d, _u1_2d, g, grid, steps)
+            assert _same_bits(u, uo)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _count_executors(monkeypatch) -> list:
+    """Make the leapfrog's executors record their worker counts in the list returned."""
+    sizes = []
+
+    def counted(workers, prefix):
+        sizes.append(workers)
+        return ThreadPoolExecutor(workers, prefix)
+
+    monkeypatch.setattr(reference, "ThreadPoolExecutor", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("rows, cpus, workers", [
+    (None, 8, 0),    # one block of 11 x 14 points: no executor on any CPU count
+    (1, 1, 0),       # 11 blocks of one row, one CPU: no executor
+    (1, 2, 2),       # 11 blocks in runs of 5 and 6
+    (4, 8, 3),       # blocks of 3, 4 and 4 rows: no more workers than blocks
+])
+def test_leapfrog_workers_follow_cpus_and_blocks(monkeypatch, rows, cpus, workers):
+    if rows is not None:
+        monkeypatch.setattr("wavedg.field.BLOCK_VALUES", rows * 14)
+    monkeypatch.setattr("wavedg.field.usable_cpus", lambda: cpus)
+    sizes = _count_executors(monkeypatch)
+    callers = set()
+
+    def g(u):
+        callers.add(threading.current_thread().name)
+        return SOURCES["cubic_4"].g(u)
+
+    grid, steps = make_grid_2d(0.0, 1.0, 0.0, 1.7, 11, 14, 0.4)
+    before = threading.active_count()
+    _, _, u = ctcs_solve_2d(_u0_2d, _u1_2d, g, grid, steps)
+    assert threading.active_count() == before
+    _, _, uo = ctcs_roll_reference_2d(_u0_2d, _u1_2d, SOURCES["cubic_4"].g, grid, steps)
+    assert _same_bits(u, uo)
+    if workers:
+        assert sizes == [workers]
+        assert all(name.startswith("wavedg-leapfrog") for name in callers)
+    else:
+        assert sizes == []
+        assert callers == {threading.current_thread().name}
+
+
+def test_one_block_1d_grid_starts_no_thread(monkeypatch):
+    # the ex4/ex5 comparator grid: 1000 points are one block, whatever the CPUs
+    monkeypatch.setattr("wavedg.field.usable_cpus", lambda: 8)
+    sizes = _count_executors(monkeypatch)
+    grid, _ = make_grid_1d(0.0, 1.0, 1000, 0.25)
+    ctcs_solve_1d(_u0_1d, _u1_1d, SOURCES["cubic_4"].g, grid, 5)
+    assert sizes == []
+
+
+def test_a_source_failing_in_a_worker_is_raised_in_the_caller(monkeypatch):
+    # 11 blocks of one row in runs of 5 and 6; the fifth call fails, on a worker.
+    # The autouse fixture checks that no worker outlives the solve.
+    monkeypatch.setattr("wavedg.field.BLOCK_VALUES", 14)
+    monkeypatch.setattr("wavedg.field.usable_cpus", lambda: 2)
+    calls = itertools.count()
+    failed_on = []
+
+    def g(u):
+        if next(calls) == 4:
+            failed_on.append(threading.current_thread().name)
+            raise RuntimeError("source failed")
+        return 0.0 * u
+
+    grid, steps = make_grid_2d(0.0, 1.0, 0.0, 1.7, 11, 14, 0.4)
+    with pytest.raises(RuntimeError, match="source failed"):
+        ctcs_solve_2d(_u0_2d, _u1_2d, g, grid, steps)
+    assert failed_on and failed_on[0].startswith("wavedg-leapfrog")

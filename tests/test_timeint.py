@@ -55,6 +55,15 @@ def test_time_plan_of_too_many_steps_names_its_keys():
             make_time_plan(t_final, dt)
 
 
+def test_time_plan_whose_step_does_not_move_the_clock_names_its_keys():
+    # t_final / dt is finite, about 2.5e299 and 9e15 steps, but t_final + dt == t_final
+    for t_final, dt in ((0.25, 1e-300), (1.0, 2.0**-54)):
+        with pytest.raises(ValueError, match="'t_final' / 'dt'"):
+            make_time_plan(t_final, dt)
+    # one ulp of 1.0 still moves the clock
+    assert make_time_plan(1.0, 2.0**-52).steps == 2**52
+
+
 def test_rk3_identity_for_zero_rhs():
     state = np.array([1.0, -2.0, 3.0])
     out = ssp_rk3_step(state, lambda s: 0.0 * s, 0.1)

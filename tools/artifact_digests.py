@@ -30,9 +30,11 @@ OUTDIR/configs: a Neumann box with the cubic source in 1D (shock) and a
 Gaussian on a 1-by-2 rectangle in 2D (energy); only the runs' own
 directories are hashed.  These runs split a `field.row_blocks` partition
 into several blocks: compare-ex7 runs the 1000^2 leapfrog in 32 blocks,
+as two runs of 16 on two leapfrog workers where two CPUs are usable,
 shock-ex8-strips at 80^2 has 2 kernel strips and 2 SSP-RK3 stage
 blocks, and shock-ex8 at 40^2 takes its source integral in 2 blocks.
-It takes about 20 s on one core.  The bits of
+It takes about 20 s on one core.  Running it once under `taskset -c 0`
+and once on two CPUs checks the serial and the threaded paths.  The bits of
 small matrix products may depend on the BLAS thread count, so the script
 sets OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1 before numpy loads,
 unless the caller has set them, as the test suite does.

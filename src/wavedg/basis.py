@@ -69,8 +69,9 @@ def volume_quadrature_points(degree: int) -> int:
     """Gauss points per direction and cell of the volume integrals over a degree-`degree` field.
 
     The one rule of the kernels' source and volume terms
-    (`SolverConfig.quad_points`) and of the energy's source integral
-    (`diagnostics.source_integral`); both read it through this module.
+    (`SolverConfig.quad_points`), of the energy's source integral
+    (`diagnostics.source_integral`) and of the initial data's projections
+    (`DGField1D.project`, `DGField2D.project`); all read it through this module.
     """
     return degree + 3
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, diagnostics
 from .diagnostics import FRONT_BAND_FRACTION, FRONT_MATCH_FACTOR, FRONT_MERGE_FACTOR
 from .discretization import DISCRETIZATIONS
-from .field import usable_cpus
+from .field import worker_count
 from .problems import EXAMPLES, make_custom_problem
 from .scheme1d import SOURCES, SolverConfig, flux_from_name
 from .timeint import SolverAbort, dt_rule, integrate, make_time_plan
@@ -315,7 +315,7 @@ def run_convergence(cfg: ExperimentConfig):
     # every level is built before the first one runs, so a bad cell count stops the sweep early
     levels = [(cfg, n, *_initial_state(cfg, prob, n)[1:]) for n in ns]
     if cfg.parallel and len(ns) > 1:
-        with ProcessPoolExecutor(max_workers=min(len(ns), usable_cpus())) as pool:
+        with ProcessPoolExecutor(max_workers=worker_count(len(ns))) as pool:
             rows = list(pool.map(_one_level, levels))
     else:
         rows = [_one_level(lv) for lv in levels]

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import diagnostics, scheme2d
-from .field import DGField1D, DGField2D, n_modes, row_blocks, usable_cpus, write_columns_csv
+from .field import DGField1D, DGField2D, n_modes, row_blocks, worker_count, write_columns_csv
 from .mesh import Mesh1D, Mesh2D, cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
 from .reference import ctcs_solve_1d, ctcs_solve_2d, make_grid_1d, make_grid_2d
 from .scheme1d import rhs_arrays_1d
@@ -92,7 +92,7 @@ class Discretization2D:
         cells = (mesh.nx, mesh.ny)
         self.out = (np.empty(cells + (n_modes(config.p),)), np.empty(cells + (n_modes(config.q),)))
         # one worker per usable CPU, no more than there are strips; one needs no executor
-        self.workers = min(usable_cpus(), len(row_blocks(mesh.nx, mesh.ny, scheme2d.CELLS_PER_STRIP)))
+        self.workers = worker_count(len(row_blocks(mesh.nx, mesh.ny, scheme2d.CELLS_PER_STRIP)))
         self.pool = ThreadPoolExecutor(self.workers, "wavedg-strip") if self.workers > 1 else None
 
     @classmethod

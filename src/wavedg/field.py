@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import basis
 from .basis import (
     derivative_matrix,
     gauss_rule,
@@ -45,7 +46,7 @@ class DGField1D:
     @classmethod
     def project(cls, f, mesh: Mesh1D, degree: int) -> "DGField1D":
         """Cellwise L2 projection of a scalar function onto degree-k polynomials."""
-        q = GaussPoints1D(mesh, degree, degree + 3)
+        q = GaussPoints1D(mesh, degree, basis.volume_quadrature_points(degree))
         fx = np.broadcast_to(np.asarray(f(q.x), dtype=float), q.x.shape)
         scale = (2.0 * np.arange(degree + 1) + 1.0) / 2.0
         coeffs = (fx * q.rule.weights[None, :]) @ q.basis * scale[None, :]
@@ -148,7 +149,7 @@ class DGField2D:
     @classmethod
     def project(cls, f, mesh: Mesh2D, degree: int) -> "DGField2D":
         """Cellwise L2 projection using a tensor Gauss rule per cell."""
-        nq = degree + 3
+        nq = basis.volume_quadrature_points(degree)
         q = GaussPoints2D(mesh, degree, nq)
         fx = np.broadcast_to(np.asarray(f(*q.points), dtype=float), (mesh.nx, mesh.ny, nq, nq))
         modes = q.modes
@@ -243,6 +244,11 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def worker_count(tasks: int) -> int:
+    """Workers for `tasks` tasks: one per usable CPU, no more than there are tasks."""
+    return min(usable_cpus(), tasks)
 
 
 def run_tasks(pool: Executor | None, task, items) -> None:

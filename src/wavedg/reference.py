@@ -29,8 +29,8 @@ through `_leapfrog`; a 1D field is held as n rows of one point.  The layout:
   it is added to, (2u - prev) or (u + dt*vel), is +0.0 or nonzero, so
   the whole-array form's + 0.0 changed no bit of the result.
 
-Workers.  The blocks run on one worker per usable CPU (`field.usable_cpus`),
-never more than there are blocks.  `field.row_blocks` cuts the block list
+Workers.  The blocks run on one worker per usable CPU, never more than
+there are blocks (`field.worker_count`).  `field.row_blocks` cuts the block list
 into one contiguous run of blocks per worker, and each run gets its own
 three buffers, sized by its largest block and made once per solve.  A step
 submits one task per run through `field.run_tasks` and waits for all of
@@ -154,7 +154,7 @@ def _leapfrog(start, vel, g, shape: tuple, spacing: tuple, dt: float, steps: int
     prev[1:-1].reshape(shape)[...] = start
     _wrap_ghosts(prev)
     blocks = field.row_blocks(nx, ny, field.BLOCK_VALUES)
-    workers = min(field.usable_cpus(), len(blocks))
+    workers = field.worker_count(len(blocks))
     parts = [blocks[p] for p in field.row_blocks(len(blocks), 1, -(-len(blocks) // workers))]
     runs = [(part, tuple(np.empty((max(b.stop - b.start for b in part), ny)) for _ in range(3)))
             for part in parts]

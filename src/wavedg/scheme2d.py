@@ -58,8 +58,8 @@ through `field.run_tasks`, so that a free worker takes the next strip:
 strip costs differ once subnormal coefficients appear.  On threads,
 numpy's ufuncs and BLAS release the GIL, so the strips' array work
 overlaps.  `Discretization2D` holds a `ThreadPoolExecutor` of one worker
-per CPU of the affinity mask (`field.usable_cpus`), capped at the number
-of strips, and `timeint.integrate` ends its threads when it
+per CPU of the affinity mask, capped at the number of strips
+(`field.worker_count`), and `timeint.integrate` ends its threads when it
 returns or aborts.  One worker, or a mesh of one strip, runs the strips in
 the calling thread.  A strip's numbers depend only on the rows it reads,
 never on the worker that computes it or on what the others do, and each

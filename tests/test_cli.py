@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from wavedg import cli, diagnostics
+from wavedg import basis, cli, diagnostics
 from wavedg.cli import (
     ConfigError,
     ExperimentConfig,
@@ -18,7 +18,8 @@ from wavedg.cli import (
     run_energy,
     run_shock,
 )
-from wavedg.mesh import uniform_mesh_1d
+from wavedg.field import DGField1D, DGField2D
+from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.scheme1d import SolverConfig
 
 
@@ -100,6 +101,24 @@ def test_metadata_quadrature_points_follow_their_owners(monkeypatch):
     monkeypatch.setattr(diagnostics, "error_quadrature_points", lambda degree: degree + 9)
     meta = cli._metadata(cfg, prob, mesh, 0.1)
     assert (meta["volume_quadrature_points"], meta["error_quadrature_points"]) == (10, 12)
+
+
+def test_projections_read_the_volume_rule(monkeypatch):
+    # basis.volume_quadrature_points owns the projections' rule: patched, both follow it
+    shapes = []
+
+    def f(*coords):
+        shapes.append(np.broadcast_shapes(*(np.shape(c) for c in coords)))
+        return np.sin(sum(coords))
+
+    mesh1, mesh2 = uniform_mesh_1d(0.0, 1.0, 4), cartesian_mesh_2d(0.0, 1.0, 0.0, 2.0, 3, 5)
+    DGField1D.project(f, mesh1, 2)
+    DGField2D.project(f, mesh2, 2)
+    assert shapes == [(4, 5), (3, 5, 5, 5)]
+    monkeypatch.setattr(basis, "volume_quadrature_points", lambda degree: degree + 7)
+    DGField1D.project(f, mesh1, 2)
+    DGField2D.project(f, mesh2, 2)
+    assert shapes[2:] == [(4, 9), (3, 5, 9, 9)]
 
 
 def test_shock_run_artifacts(tmp_path):

@@ -127,3 +127,67 @@ def test_custom_problem_rejects_bad_arguments_when_made(args, key):
     with pytest.raises(ValueError, match=key):
         make_custom_problem(*args)
 
+
+def test_closed_form_data_start_from_their_solutions():
+    # u0 and (where it is derived) u1 are the closed forms at t = 0, bit for bit
+    x = np.linspace(-1.0, 1.0, 101)
+    for key in ("ex1", "ex2"):
+        prob = EXAMPLES[key]
+        xs = x * prob.domain[1]
+        assert np.array_equal(prob.u0(xs), prob.exact(xs, 0.0))
+    assert np.array_equal(EXAMPLES["ex1"].u1(x), EXAMPLES["ex1"].exact_dt(x, 0.0))
+    ex6 = EXAMPLES["ex6"]
+    xx, yy = np.meshgrid(3.0 * x, np.linspace(-3.0, 3.0, 37), indexing="ij")
+    assert np.array_equal(ex6.u0(xx, yy), ex6.exact(xx, yy, 0.0))
+    assert np.array_equal(ex6.u1(xx, yy), ex6.exact_dt(xx, yy, 0.0))
+
+
+def test_zero_velocities_are_positive_zeros_of_the_broadcast_shape():
+    x, y = np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.0, 1.0, 3)[None, :]
+    # ex2's derivative at t = 0 is -0.0, which is why its problem keeps a zero u1
+    assert np.all(np.signbit(EXAMPLES["ex2"].exact_dt(x[:, 0], 0.0)))
+    for key in ("ex2", "ex3", "ex4", "ex5"):
+        u1 = EXAMPLES[key].u1(x)
+        assert u1.shape == (5, 1) and u1.dtype == float
+        assert np.all(u1 == 0.0) and not np.any(np.signbit(u1))
+    for key in ("ex7", "ex8"):
+        u1 = EXAMPLES[key].u1(x, y)
+        assert u1.shape == (5, 3) and not np.any(u1) and not np.any(np.signbit(u1))
+
+
+def test_box_data_take_closed_boxes():
+    x = np.array([0.2999, 0.3, 0.36, 0.425, 0.4251, 0.5, 0.575, 0.7, 0.7001])
+    assert np.array_equal(EXAMPLES["ex4"].u0(x), [0, 5.0, 5.0, 5.0, 0, 0, 2.5, 2.5, 0])
+    assert np.array_equal(EXAMPLES["ex5"].u0(x), [0, 4.0, 4.0, 4.0, 0, 0, 2.0, 2.0, 0])
+    # 2D: both coordinates inside one box, edges included
+    xs = np.array([0.3, 0.425, 0.6, 0.7, 0.375, 0.625, 0.36])
+    ys = np.array([0.425, 0.3, 0.7, 0.575, 0.625, 0.375, 0.6])
+    assert np.array_equal(EXAMPLES["ex8"].u0(xs, ys), [0.5, 0.5, 0.25, 0.25, 0, 0, 0])
+    assert np.array_equal(EXAMPLES["ex7"].u0(xs, ys), [0, 0, 0, 0, 0.5, 0.5, 0])
+    assert EXAMPLES["ex8"].u0(xs[:, None], ys[None, :]).shape == (7, 7)
+
+
+@pytest.mark.parametrize("dim, domain, point", [
+    (1, (-1.0, 3.0), (0.3,)),
+    (2, (0.0, 1.0, 0.0, 2.0), (0.3, 0.9)),
+])
+@pytest.mark.parametrize("initial", ["sine", "gauss", "box"])
+def test_custom_initial_data_follow_the_docstring(dim, domain, point, initial):
+    prob = make_custom_problem(dim, domain, initial, None, "periodic")
+    lo, hi = domain[::2], domain[1::2]
+    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    width = [b - a for a, b in zip(lo, hi)]
+    expect = {
+        "sine": np.prod([np.sin(2 * np.pi * (x - a) / w) for x, a, w in zip(point, lo, width)]),
+        "gauss": np.exp(-sum(((x - m) / (0.1 * w)) ** 2 for x, m, w in zip(point, mid, width))),
+        "box": float(all(abs(x - m) < w / 4 for x, m, w in zip(point, mid, width))),
+    }[initial]
+    assert prob.u0(*point) == pytest.approx(expect, rel=1e-14, abs=1e-300)
+    # the box is open: a point on its edge (a quarter width from the middle) is outside
+    edge = [m + w / 4 for m, w in zip(mid, width)]
+    inner = [m + w / 8 for m, w in zip(mid, width)]
+    if initial == "box":
+        assert prob.u0(*edge) == 0.0 and prob.u0(*inner) == 1.0
+    assert prob.u1(*point) == 0.0
+    assert (prob.dim, prob.domain, prob.default_n) == (dim, domain, {1: 160, 2: 64}[dim])
+    assert prob.title == f"custom {dim}D ({initial})"

@@ -25,9 +25,13 @@ both abort at step 2 or 3 on coarser meshes) and ex8
 strips, on two strip workers where the process may use two CPUs); energy
 on ex2 (also with the Sommerfeld flux at speed 2), ex3 and ex4;
 compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the 1000^2
-grid); and two custom problems, from config files written to
-OUTDIR/configs: a Neumann box with the cubic source in 1D (shock) and a
-Gaussian on a 1-by-2 rectangle in 2D (energy); only the runs' own
+grid); and six custom problems, one per dimension and initial datum: two
+from config files written to OUTDIR/configs, a Neumann box with the cubic
+source in 1D (shock) and a Gaussian on a 1-by-2 rectangle in 2D (energy),
+and four from flags, a periodic sine in 1D (shock), a Gaussian on (-1, 3)
+with the sine-Gordon source in 1D (energy; `--domain=-1,3` keeps argparse
+from reading the bounds as a flag), and on the 1-by-2 rectangle a sine
+(energy) and a box with the cubic source (shock); only the runs' own
 directories are hashed.  These runs split a `field.row_blocks` partition
 into several blocks: compare-ex7 runs the 1000^2 leapfrog in 32 blocks,
 as two runs of 16 on two leapfrog workers where two CPUs are usable,
@@ -86,6 +90,14 @@ RUNS = {
                      "--sommerfeld-speed", "2"],
     "shock-custom-1d": ["shock", "--config", "{configs}/custom-1d.cfg"],
     "energy-custom-2d": ["energy", "--config", "{configs}/custom-2d.cfg"],
+    "shock-custom-1d-sine": ["shock", "--problem", "custom", "--dim", "1", "--domain", "0,1",
+                             "--initial", "sine", "--ns", "40"],
+    "energy-custom-1d-gauss": ["energy", "--problem", "custom", "--dim", "1", "--domain=-1,3",
+                               "--initial", "gauss", "--ns", "40", "--source", "sine_gordon"],
+    "energy-custom-2d-sine": ["energy", "--problem", "custom", "--dim", "2",
+                              "--domain", "0,1,0,2", "--initial", "sine", "--ns", "12"],
+    "shock-custom-2d-box": ["shock", "--problem", "custom", "--dim", "2", "--domain", "0,1,0,2",
+                            "--initial", "box", "--ns", "12", "--source", "cubic_4"],
 }
 
 #: config files written under OUTDIR/configs for the custom-problem runs

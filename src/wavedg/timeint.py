@@ -74,19 +74,25 @@ def make_time_plan(t_final: float, dt: float) -> TimePlan:
     return TimePlan(dt=dt, steps=steps, last_dt=last, t_final=t_final)
 
 
+#: the Shu-Osher rows (a_i, b_i) of s_i = a_i x + b_i (s_(i-1) + dt f(s_(i-1))), s_0 = x
+SSP_RK3 = ((0.0, 1.0), (0.75, 0.25), (1 / 3, 2 / 3))
+
+
 def ssp_rk3_step(state, rhs, dt, out=None, work=None):
     """One three-stage strong-stability-preserving third-order step.
 
     state may be a single array or a tuple of arrays; rhs maps a state to
-    its time derivative with the same structure.  The Shu-Osher stages
+    its time derivative with the same structure.  One loop runs the rows of
+    `SSP_RK3`, the Shu-Osher stages
 
         s1 = x + dt f(x)
         s2 = 3/4 x + 1/4 (s1 + dt f(s1))
         x' = 1/3 x + 2/3 (s2 + dt f(s2))
 
-    run in place in one register shaped like the state: `work`, as made by
+    in place in one register shaped like the state: `work`, as made by
     `rk3_registers`, or a fresh one.  The new state goes to `out`, which may
-    be `state` itself, or to fresh arrays.
+    be `state` itself, or to fresh arrays.  A stage adds dt f to the previous
+    stage, scales by b_i and adds a_i x, each skipped at b_i = 1 or a_i = 0.
 
     Each stage runs block by block over whole rows (the leading axis) of
     every field, `field.row_blocks` of at most `field.BLOCK_VALUES` values
@@ -112,32 +118,18 @@ def _ssp_rk3(x: tuple, rhs, dt, out, work) -> tuple:
     # one block, all of every field, when a field has no leading axis
     blocks = (field.row_blocks(max(s[0] for s in shapes), sum(math.prod(s[1:]) for s in shapes),
                                field.BLOCK_VALUES) if all(shapes) else [...])
-
-    def run(s, update):
-        derivs = rhs(s)
+    for i, (a, b) in enumerate(SSP_RK3):
+        prev, dest = (stage if i else x), (new if i == len(SSP_RK3) - 1 else stage)
+        derivs = rhs(prev)
         for r in blocks:
             # every field's derivative is scaled before any register is written
             for f, k in enumerate([np.multiply(dt, d[r]) for d in derivs]):
-                update(x[f][r], stage[f][r], k, new[f][r])
-
-    def first(a, s, k, _):
-        np.add(a, k, out=s)
-
-    def second(a, s, k, _):
-        s += k
-        s *= 0.25
-        np.multiply(0.75, a, out=k)
-        np.add(k, s, out=s)
-
-    def third(a, s, k, o):
-        s += k
-        s *= 2.0 / 3.0
-        np.multiply(1.0 / 3.0, a, out=k)
-        np.add(k, s, out=o)
-
-    run(x, first)
-    run(stage, second)
-    run(stage, third)
+                s = stage[f][r] if a else dest[f][r]
+                np.add(prev[f][r], k, out=s)
+                if b != 1.0:
+                    s *= b
+                if a:
+                    np.add(np.multiply(a, x[f][r], out=k), s, out=dest[f][r])
     return new
 
 

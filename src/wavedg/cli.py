@@ -348,8 +348,9 @@ def _initial_state(cfg: ExperimentConfig, prob, n: int, comparator: bool = False
         fits = math.isfinite(h * h) and math.isfinite(cfg.resolved_dt(h))
     except OverflowError:
         fits = False
-    if not fits:
-        raise ConfigError(f"key 'domain': cells {h:g} wide are too wide: h**2 or the time "
+    if not fits:  # the widest side, since a 2D h is the diagonal, which may overflow
+        side = max(v for k, v in disc.mesh.summary().items() if k in ("h_max", "hx", "hy"))
+        raise ConfigError(f"key 'domain': cells {side:g} wide are too wide: h**2 or the time "
                           "step overflows")
     t_final = cfg.resolved_t(prob)
     try:  # the run's and the comparator's time plans, before any step; errors name the key

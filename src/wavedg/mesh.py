@@ -160,8 +160,10 @@ class Mesh2D:
 
     @cached_property
     def h(self) -> float:
-        """The largest cell diagonal sqrt(hx_i^2 + hy_j^2)."""
-        return float(np.sqrt(self.hx[:, None] ** 2 + self.hy[None, :] ** 2).max())
+        """The largest cell diagonal sqrt(hx_i^2 + hy_j^2); inf, silently, once the squares
+        overflow (np.hypot would round some diagonals differently)."""
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(self.hx[:, None] ** 2 + self.hy[None, :] ** 2).max())
 
     def summary(self) -> dict:
         return {

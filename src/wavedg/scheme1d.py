@@ -11,6 +11,19 @@ Sign conventions: at an interface, "minus" is the limit from the left cell
 and "plus" from the right, and jumps read plus - minus.  The penalty adds
 (c/h^2) * jump * (interior test trace) with the orientation that pulls the
 interior trace toward the exterior one, which is the dissipative direction.
+
+Neumann walls: each wall faces a mirrored ghost, every trace of order r the
+interior one times (-1)^r, so the value jumps of u and v vanish there and the
+damping reads mirrored derivative jumps.  The wall's uxhat is not read off
+the ghost but is the boundary datum u_x = 0, whatever the flux's alpha, as
+the energy-based DG form sets boundary fluxes from the boundary data
+(Appelo & Hagstrom, SINUM 53, 2015); vhat is the mirror's, the interior v
+plus the Sommerfeld tau [[u_x]].  A cell's energy rate gains
+2 [(vhat - v) u_x + uxhat v] at its right end and the negative at its left,
+so a wall adds -4 tau u_x^2 <= 0.  With uxhat from the ghost, the alternating
+flux took u_x itself at one wall and -u_x at the other, and their work
+-2 v u_x let the energy grow.  The central and Sommerfeld fluxes' mirrored
+uxhat is 0 already, bit for bit.
 """
 from __future__ import annotations
 
@@ -339,6 +352,8 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
     ju = u_plus - u_minus
     vhat, uxhat = numerical_fluxes(v_minus[:, 0], v_plus[:, 0],
                                    u_minus[:, 1], u_plus[:, 1], config.flux)
+    if mesh.boundary == "neumann":  # a wall's uxhat is its datum u_x = 0 (module docstring)
+        uxhat = np.concatenate([[0.0], uxhat[1:-1], [0.0]])
     if config.damping:
         sigma_u, sigma_v = damping_weights(ju, v_plus - v_minus, h, config)
     if config.source is not None:

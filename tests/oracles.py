@@ -113,6 +113,8 @@ def brute_rhs_1d(ucoef, vcoef, nodes, p, q, alpha, tau, beta, c_penalty,
         up = trace(useries, g, "plus", 1)
         vhat[g] = alpha * vp + (1.0 - alpha) * vm + tau * (up - um)
         uxhat[g] = (1.0 - alpha) * up + alpha * um + beta * (vp - vm)
+        if boundary == "neumann" and g in (0, ncell):
+            uxhat[g] = 0.0  # the wall's datum u_x = 0, not the mirrored side that alpha picks
 
     du = np.zeros_like(np.asarray(ucoef, dtype=float))
     dv = np.zeros_like(np.asarray(vcoef, dtype=float))

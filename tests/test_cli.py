@@ -270,7 +270,7 @@ def test_time_plans_that_cannot_be_stepped_exit_2_before_any_step(tmp_path, caps
     ["--dim", "2", "--domain", "0,1e300,0,1"],
 ])
 def test_cells_too_wide_for_the_scheme_exit_2_naming_the_domain(tmp_path, capsys, monkeypatch,
-                                                                 argv):
+                                                                 recwarn, argv):
     def no_compute(*args, **kwargs):
         raise AssertionError("integration ran before the cell width was checked")
 
@@ -279,6 +279,20 @@ def test_cells_too_wide_for_the_scheme_exit_2_naming_the_domain(tmp_path, capsys
                  "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "'domain'" in err
+    # four cells of 1e300 / 4, not an overflowed diagonal, and no numpy warning on the way
+    assert "cells 2.5e+299 wide" in err and not recwarn.list
+
+
+def test_neumann_walls_keep_the_alternating_flux_energy_from_growing(tmp_path, capsys):
+    # the walls do no work, so without damping and penalty the fully discrete
+    # energy can only fall; a mirrored ghost's u_x at the wall took it 19.8 -> 70.0
+    assert main(["energy", "--problem", "custom", "--dim", "1", "--domain", "0,1",
+                 "--initial", "sine", "--boundary", "neumann", "--ns", "40", "--t-final", "2",
+                 "--damping", "0", "--penalty", "0", "--outdir", str(tmp_path)]) == 0
+    (csv,) = tmp_path.glob("*_energy_*.csv")
+    e = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 1]
+    assert len(e) == 1601 and np.all(np.diff(e) <= 0.0)
+    assert "max step growth -" in capsys.readouterr().out
 
 
 def test_cli_exit_code_solver_abort(tmp_path, capsys):

@@ -7,9 +7,9 @@ import pytest
 
 from oracles import brute_rhs_1d
 from wavedg.diagnostics import energy, gradient_l2_error, l2_error
-from wavedg.basis import endpoint_values
+from wavedg.basis import derivative_matrix, endpoint_values, mass_diagonal
 from wavedg.field import DGField1D, n_modes, total_degree_modes
-from wavedg.mesh import uniform_mesh_1d
+from wavedg.mesh import perturb_mesh_1d, uniform_mesh_1d
 from wavedg.scheme1d import (
     SOURCES,
     FluxParams,
@@ -226,8 +226,6 @@ def test_oracle_equivalence_linear(p, q, fluxname):
 
 def test_oracle_equivalence_variants():
     # damping and penalty toggles, on a modestly nonuniform mesh
-    from wavedg.mesh import perturb_mesh_1d
-
     rng = np.random.default_rng(77)
     m = perturb_mesh_1d(uniform_mesh_1d(0.0, 1.0, 6), 0.2, seed=4)
     for damping in (False, True):
@@ -244,16 +242,18 @@ def test_oracle_equivalence_variants():
 
 
 def test_oracle_equivalence_neumann():
+    # both alternating sides take uxhat = 0 at the walls, as the central flux does
     rng = np.random.default_rng(8)
     m = uniform_mesh_1d(-1.0, 1.0, 5, boundary="neumann")
-    cfg = SolverConfig(p=2, q=1, flux=FluxParams.central())
-    u, v = _random_state(rng, 5, 2, 1)
-    du, dv = rhs_arrays_1d(u, v, m, cfg)
-    du_o, dv_o = brute_rhs_1d(u, v, m.nodes, 2, 1, 0.5, 0.0, 0.0, 1.0, True, True,
-                              boundary="neumann")
-    scale = max(1.0, np.max(np.abs(du_o)), np.max(np.abs(dv_o)))
-    assert np.max(np.abs(du - du_o)) <= 1e-10 * scale
-    assert np.max(np.abs(dv - dv_o)) <= 1e-10 * scale
+    for flux in (FluxParams.central(), FluxParams.alternating(0), FluxParams.alternating(1)):
+        cfg = SolverConfig(p=2, q=1, flux=flux)
+        u, v = _random_state(rng, 5, 2, 1)
+        du, dv = rhs_arrays_1d(u, v, m, cfg)
+        du_o, dv_o = brute_rhs_1d(u, v, m.nodes, 2, 1, flux.alpha, 0.0, 0.0, 1.0, True, True,
+                                  boundary="neumann")
+        scale = max(1.0, np.max(np.abs(du_o)), np.max(np.abs(dv_o)))
+        assert np.max(np.abs(du - du_o)) <= 1e-10 * scale, flux
+        assert np.max(np.abs(dv - dv_o)) <= 1e-10 * scale, flux
 
 
 def test_oracle_equivalence_with_source_quotient():
@@ -397,6 +397,18 @@ def test_solve_vt_weak_laplacian_rate():
     assert errs[0] / errs[1] > 2.0 ** 1 * 0.8
 
 
+def _de_dt(u, v, m, cfg):
+    """d/dt E = 2 integral(u_x (u_t)_x + v v_t) of the RHS at (u, v), and the sum of
+    its terms' magnitudes, the scale of its round-off."""
+    du, dv = rhs_arrays_1d(u, v, m, cfg)
+    d = derivative_matrix(cfg.p)
+    inv = 1.0 / (2.0 * np.arange(cfg.p + 1) + 1.0)
+    term_u = 4.0 / m.widths[:, None] * (u @ d.T) * (du @ d.T) * inv[None, :]
+    term_v = 0.5 * m.widths[:, None] * mass_diagonal(cfg.q)[None, :] * v * dv
+    return (2.0 * (np.sum(term_u) + np.sum(term_v)),
+            2.0 * (np.sum(np.abs(term_u)) + np.sum(np.abs(term_v))))
+
+
 def test_energy_identity_random_states():
     # d/dt E = 2 integral(u_x (u_t)_x + v v_t): conserved for central and
     # alternating fluxes with damping and penalty off; nonpositive once any
@@ -405,17 +417,7 @@ def test_energy_identity_random_states():
     m = uniform_mesh_1d(0, 1, 8)
 
     def de_dt(u, v, cfg):
-        du, dv = rhs_arrays_1d(u, v, m, cfg)
-        from wavedg.basis import derivative_matrix, mass_diagonal
-
-        d = derivative_matrix(cfg.p)
-        inv = 1.0 / (2.0 * np.arange(cfg.p + 1) + 1.0)
-        gu = (u @ d.T) * 1.0
-        gdu = (du @ d.T) * 1.0
-        term_u = np.sum(4.0 / m.widths[:, None] * gu * gdu * inv[None, :])
-        mq = mass_diagonal(cfg.q)
-        term_v = np.sum(0.5 * m.widths[:, None] * mq[None, :] * v * dv)
-        return 2.0 * (term_u + term_v)
+        return _de_dt(u, v, m, cfg)[0]
 
     for trial in range(10):
         u, v = _random_state(rng, 8, 2, 1)
@@ -428,6 +430,24 @@ def test_energy_identity_random_states():
         assert de_dt(u, v, cfg_d) <= 1e-12
         cfg_p = SolverConfig(p=2, q=1, damping=False, penalty=True)
         assert de_dt(u, v, cfg_p) <= 1e-12
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.3])
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 2), (3, 3), (4, 2)])
+def test_energy_identity_random_states_neumann(p, q, perturb):
+    # a Neumann wall does no work: its fluxes take u_x = 0 and the interior v, so
+    # the undamped, penalty-free energy is conserved for the central flux and both
+    # alternating sides, whose mirrored ghost would hand the wall -u_x or u_x
+    rng = np.random.default_rng(10 * p + q)
+    m = uniform_mesh_1d(0.0, 1.0, 17, boundary="neumann")
+    if perturb:
+        m = perturb_mesh_1d(m, perturb, seed=3)
+    for trial in range(5):
+        u, v = _random_state(rng, 17, p, q)
+        for flux in (FluxParams.central(), FluxParams.alternating(0), FluxParams.alternating(1)):
+            cfg = SolverConfig(p=p, q=q, damping=False, penalty=False, flux=flux)
+            rate, scale = _de_dt(u, v, m, cfg)
+            assert abs(rate) <= 1e-14 * scale, (flux, trial)
 
 
 def test_energy_examples():

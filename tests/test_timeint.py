@@ -236,21 +236,39 @@ def _coupled_rhs(mat):
     return rhs
 
 
-@pytest.mark.parametrize("rows, block_values", [(23, 100), (3, None)])
-def test_rk3_blocked_stages_match_out_of_place_bit_for_bit(monkeypatch, rows, block_values):
-    # 23 rows of 36 values in 12 blocks of 1 or 2 rows; and a state of 3
-    # rows, less than one block of the built-in size
+def _signed_zeros_and_subnormals(rng, shape):
+    """Entries of either sign: zeros, subnormals and the smallest normals."""
+    tiny = np.array([0.0, 0.0, 5e-324, 3e-320, 1e-310, np.finfo(float).smallest_normal])
+    return rng.choice(tiny, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+
+@pytest.mark.parametrize("rows, block_values, tiny", [
+    pytest.param(23, 100, False, id="23-100"),
+    pytest.param(3, None, False, id="3-None"),
+    pytest.param(17, 60, True, id="signed-zeros-and-subnormals")])
+def test_rk3_blocked_stages_match_out_of_place_bit_for_bit(monkeypatch, rows, block_values, tiny):
+    # 23 rows of 36 values in 12 blocks of 1 or 2 rows; a state of 3 rows,
+    # less than one block of the built-in size; and 17 rows in 17 blocks of
+    # +-0.0 and subnormals, where the sign of every zero is compared too
     if block_values is not None:
         monkeypatch.setattr("wavedg.field.BLOCK_VALUES", block_values)
-    assert len(field.row_blocks(rows, 36, field.BLOCK_VALUES)) == (12 if block_values else 1)
+    assert len(field.row_blocks(rows, 36, field.BLOCK_VALUES)) == {100: 12, 60: 17}.get(
+        block_values, 1)
     rng = np.random.default_rng(rows)
     rhs = _coupled_rhs(rng.standard_normal((3, 6)))
-    state = (rng.standard_normal((rows, 4, 6)), rng.standard_normal((rows, 4, 3)))
+    draw = _signed_zeros_and_subnormals if tiny else (lambda g, shape: g.standard_normal(shape))
+    state = (draw(rng, (rows, 4, 6)), draw(rng, (rows, 4, 3)))
     want = ssp_rk3_out_of_place(state, rhs, 0.07)
+    if tiny:  # -0.0 in the new state and in both derivatives; subnormals in all but dv,
+        derivs = rhs(state)  # whose products of two subnormals are zeros
+        for arr in (*want, *derivs):
+            assert np.any(np.signbit(arr) & (arr == 0.0))
+        for arr in (*want, derivs[0]):
+            assert np.any((arr != 0.0) & (np.abs(arr) < np.finfo(float).smallest_normal))
     got = ssp_rk3_step(state, rhs, 0.07)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
     out = ssp_rk3_step(state, rhs, 0.07, out=state, work=rk3_registers(state))
-    assert all(np.array_equal(a, b) for a, b in zip(out, want))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(out, want))
 
 
 def test_rk3_derivative_may_alias_the_other_fields_stage_in_blocks(monkeypatch):

@@ -25,20 +25,24 @@ both abort at step 2 or 3 on coarser meshes) and ex8
 strips, on two strip workers where the process may use two CPUs); energy
 on ex2 (also with the Sommerfeld flux at speed 2), ex3 and ex4;
 compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the 1000^2
-grid); and six custom problems, one per dimension and initial datum: two
-from config files written to OUTDIR/configs, a Neumann box with the cubic
-source in 1D (shock) and a Gaussian on a 1-by-2 rectangle in 2D (energy),
-and four from flags, a periodic sine in 1D (shock), a Gaussian on (-1, 3)
-with the sine-Gordon source in 1D (energy; `--domain=-1,3` keeps argparse
-from reading the bounds as a flag), and on the 1-by-2 rectangle a sine
-(energy) and a box with the cubic source (shock); only the runs' own
-directories are hashed.  These runs split a `field.row_blocks` partition
-into several blocks: compare-ex7 runs the 1000^2 leapfrog in 32 blocks,
-as two runs of 16 on two leapfrog workers where two CPUs are usable,
-shock-ex8-strips at 80^2 has 2 kernel strips and 2 SSP-RK3 stage
-blocks, and shock-ex8 at 40^2 takes its source integral in 2 blocks.
-It takes about 20 s on one core.  Running it once under `taskset -c 0`
-and once on two CPUs checks the serial and the threaded paths.  The bits of
+grid); and nine custom problems: two from config files written to
+OUTDIR/configs, a Neumann box with the cubic source in 1D (shock) and a
+Gaussian on a 1-by-2 rectangle in 2D (energy), and seven from flags, a
+periodic sine in 1D (shock), a Gaussian on (-1, 3) with the sine-Gordon
+source in 1D (energy; `--domain=-1,3` keeps argparse from reading the
+bounds as a flag), on the 1-by-2 rectangle a sine (energy) and a box with
+the cubic source (shock), and a sine between Neumann walls in 1D to
+t = 2 under the alternating flux (energy; with the defaults, without
+damping and penalty, and on side 1), the runs in which the walls' fluxes
+act on a state that is not near zero there; only the runs' own
+directories are hashed, 85 artifacts in all.  These runs split a
+`field.row_blocks` partition into several blocks: compare-ex7 runs the
+1000^2 leapfrog in 32 blocks, as two runs of 16 on two leapfrog workers
+where two CPUs are usable, shock-ex8-strips at 80^2 has 2 kernel strips
+and 2 SSP-RK3 stage blocks, and shock-ex8 at 40^2 takes its source
+integral in 2 blocks.  It takes about 25 s on one core.  Running it once
+under `taskset -c 0` and once on two CPUs checks the serial and the
+threaded paths.  The bits of
 small matrix products may depend on the BLAS thread count, so the script
 sets OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1 before numpy loads,
 unless the caller has set them, as the test suite does.
@@ -54,6 +58,9 @@ import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+NEUMANN_SINE = ["energy", "--problem", "custom", "--dim", "1", "--domain", "0,1", "--initial",
+                "sine", "--boundary", "neumann", "--ns", "40", "--t-final", "2"]
 
 RUNS = {
     "converge-ex1-p2": ["converge", "--problem", "ex1", "--ns", "10,20,40"],
@@ -98,6 +105,9 @@ RUNS = {
                               "--domain", "0,1,0,2", "--initial", "sine", "--ns", "12"],
     "shock-custom-2d-box": ["shock", "--problem", "custom", "--dim", "2", "--domain", "0,1,0,2",
                             "--initial", "box", "--ns", "12", "--source", "cubic_4"],
+    "energy-custom-1d-neumann": NEUMANN_SINE,
+    "energy-custom-1d-neumann-undamped": NEUMANN_SINE + ["--damping", "0", "--penalty", "0"],
+    "energy-custom-1d-neumann-side1": NEUMANN_SINE + ["--alternating-side", "1"],
 }
 
 #: config files written under OUTDIR/configs for the custom-problem runs

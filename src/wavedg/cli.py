@@ -339,8 +339,7 @@ def _initial_state(cfg: ExperimentConfig, prob, n: int, comparator: bool = False
     that cannot be built, or that leaves a cell without a comparator point, is a ConfigError,
     and so is a domain whose cells are too wide for the scheme's scales."""
     try:
-        disc = DISCRETIZATIONS[prob.dim].build(prob, n, solver_config(cfg, prob),
-                                               cfg.mesh_perturb, cfg.seed)
+        disc = DISCRETIZATIONS[prob.dim].build(prob, n, cfg.mesh_perturb, cfg.seed)
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"key 'ns': cannot use {n} cells ({exc})") from None
     h = disc.mesh.h
@@ -361,8 +360,8 @@ def _initial_state(cfg: ExperimentConfig, prob, n: int, comparator: bool = False
     try:
         if bins and len(empty := diagnostics.empty_bins(*bins)):
             raise ValueError(f"{len(empty)} cells hold no comparator point, first cell {empty[0]}")
-        u0 = disc.field.project(prob.u0, disc.mesh, disc.config.p)
-        v0 = disc.field.project(prob.u1, disc.mesh, disc.config.q)
+        u0 = disc.field.project(prob.u0, disc.mesh, cfg.p)
+        v0 = disc.field.project(prob.u1, disc.mesh, cfg.resolved_q())
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"key 'ns': cannot use {n} cells ({exc})") from None
     return disc, u0, v0

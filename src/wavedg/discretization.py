@@ -1,11 +1,12 @@
 """One object per dimension for what differs between 1D and 2D runs.
 
-A discretization holds the mesh, the `SolverConfig` and, in 2D, the
-output pair and the strip executor of its right-hand side; `close` ends
-the executor's threads.  It gives the field class, the defaults of chi
-and of the energy sampling interval, the right-hand side, sampled values
-(cell midpoints in 1D, centres in 2D), the snapshot CSV, and the
-leapfrog comparator with the DG profile matched against it.
+A discretization holds only its mesh (in 2D also its strip worker count).
+It gives the field class, the defaults of chi and of the energy sampling
+interval, sampled values (cell midpoints in 1D, centres in 2D), the
+snapshot CSV, and the leapfrog comparator with the DG profile matched
+against it.  `stepping(config)` is a context manager that yields the
+right-hand side of a state (u, v) under a `SolverConfig`; in 2D it owns
+the output pair and the strip executor for the length of its block.
 `DISCRETIZATIONS` maps a mesh's `dim` to its class.  The scheme,
 comparator and CSV functions are looked up in this module's globals at
 call time, so a wrapper set on the module sees every call.
@@ -13,6 +14,7 @@ call time, so a wrapper set on the module sees every call.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -31,23 +33,21 @@ class Discretization1D:
     default_chi = 1            # the source quotient treatment is 1D-only
     default_sample_every = 1
 
-    def __init__(self, mesh, config):
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.config = config
 
     @classmethod
-    def build(cls, prob, n, config, perturb=0.0, seed=0):
+    def build(cls, prob, n, perturb=0.0, seed=0):
         """n cells on the problem's interval, inner nodes moved by up to perturb * h."""
         mesh = uniform_mesh_1d(prob.domain[0], prob.domain[1], n, prob.boundary)
         if perturb > 0.0:
             mesh = perturb_mesh_1d(mesh, perturb, seed)
-        return cls(mesh, config)
+        return cls(mesh)
 
-    def rhs(self, state):
-        return rhs_arrays_1d(state[0], state[1], self.mesh, self.config)
-
-    def close(self):
-        """Nothing to release: the 1D right-hand side keeps no arrays or threads."""
+    @contextmanager
+    def stepping(self, config):
+        """The right-hand side of a state (u, v); it keeps no arrays or threads."""
+        yield lambda state: rhs_arrays_1d(state[0], state[1], self.mesh, config)
 
     def samples(self, u):
         return u.midpoint_values()
@@ -86,29 +86,27 @@ class Discretization2D:
     default_chi = 0
     default_sample_every = 10
 
-    def __init__(self, mesh, config):
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.config = config
-        cells = (mesh.nx, mesh.ny)
-        self.out = (np.empty(cells + (n_modes(config.p),)), np.empty(cells + (n_modes(config.q),)))
-        # one worker per usable CPU, no more than there are strips; one needs no executor
+        # one worker per usable CPU, no more than there are strips
         self.workers = worker_count(len(row_blocks(mesh.nx, mesh.ny, scheme2d.CELLS_PER_STRIP)))
-        self.pool = ThreadPoolExecutor(self.workers, "wavedg-strip") if self.workers > 1 else None
 
     @classmethod
-    def build(cls, prob, n, config, perturb=0.0, seed=0):
+    def build(cls, prob, n, perturb=0.0, seed=0):
         """n-by-n cells on the problem's rectangle; 2D meshes are not perturbed."""
-        return cls(cartesian_mesh_2d(*prob.domain, n, n), config)
+        return cls(cartesian_mesh_2d(*prob.domain, n, n))
 
-    def rhs(self, state):
-        """The derivative pair, written over the one of the previous call."""
-        return rhs_arrays_2d(state[0], state[1], self.mesh, self.config,
-                             out=self.out, pool=self.pool)
-
-    def close(self):
-        """End the executor's threads; the right-hand side is not called after this."""
-        if self.pool is not None:
-            self.pool.shutdown()
+    @contextmanager
+    def stepping(self, config):
+        """The right-hand side of a state (u, v), each call writing over the previous
+        call's output pair; the strip executor, if more than one worker, ends with the block."""
+        mesh = self.mesh
+        out = (np.empty((mesh.nx, mesh.ny, n_modes(config.p))),
+               np.empty((mesh.nx, mesh.ny, n_modes(config.q))))
+        pool = ThreadPoolExecutor(self.workers, "wavedg-strip") if self.workers > 1 else None
+        with pool or nullcontext():
+            yield lambda state: rhs_arrays_2d(state[0], state[1], mesh, config,
+                                              out=out, pool=pool)
 
     def samples(self, u):
         return u.center_values().ravel()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +199,7 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
     recorded alongside the quadratic one.
     """
     mesh = u.mesh
-    disc = DISCRETIZATIONS[mesh.dim](mesh, config)
+    disc = DISCRETIZATIONS[mesh.dim](mesh)
     state = (u.coeffs.copy(), v.coeffs.copy())
     plan = make_time_plan(t_final, dt if dt is not None else dt_rule(config.p, mesh.h))
     registers = rk3_registers(state)
@@ -217,11 +216,11 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
 
     record(state)
     t = 0.0
-    # the discretization's worker threads, started by its first rhs, end with this call
-    with closing(disc):
+    # the right-hand side's worker threads, started by its first call, end with the block
+    with disc.stepping(config) as rhs:
         for n in range(plan.steps):
             step_dt = plan.dt if n < plan.steps - 1 else plan.last_dt
-            ssp_rk3_step(state, disc.rhs, step_dt, out=state, work=registers)
+            ssp_rk3_step(state, rhs, step_dt, out=state, work=registers)
             t += step_dt
             _check_state(state, n + 1, t)
             if (n + 1) % sample_every == 0 or n == plan.steps - 1:

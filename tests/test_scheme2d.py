@@ -4,7 +4,6 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 
 import numpy as np
 import pytest
@@ -12,8 +11,9 @@ import pytest
 from oracles import brute_rhs_2d, fluxes_2d
 from wavedg.field import DGField2D, n_modes, total_degree_modes
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
+from wavedg.problems import EXAMPLES
 from wavedg.scheme1d import SOURCES, FluxParams, SolverConfig, SourceTerm, numerical_fluxes
-from wavedg import scheme2d
+from wavedg import discretization, scheme2d
 from wavedg.discretization import Discretization2D
 from wavedg.scheme2d import damping_coeffs_2d, rhs_arrays_2d
 
@@ -558,9 +558,10 @@ def test_strip_workers_give_the_serial_bytes(monkeypatch, fluxname, penalty, sou
         du, dv = rhs_arrays_2d(u, v, mesh, cfg)
         for cpus, workers in ((1, 1), (2, 2), (3, 3), (8, 4)):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-            with closing(Discretization2D(mesh, cfg)) as disc:
-                assert disc.workers == workers
-                got = disc.rhs((u, v))
+            disc = Discretization2D(mesh)
+            assert disc.workers == workers
+            with disc.stepping(cfg) as rhs:
+                got = rhs((u, v))
                 assert np.array_equal(got[0], du) and np.array_equal(got[1], dv)
         # more workers than strips: the idle ones get no strip
         with ThreadPoolExecutor(6) as pool:
@@ -576,10 +577,32 @@ def test_one_strip_or_one_cpu_starts_no_thread(monkeypatch, cpus, n):
     mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, n, 16)
     u, v = _random_state_2d(np.random.default_rng(73), n, 16, 2, 1)
     before = threading.active_count()
-    with closing(Discretization2D(mesh, SolverConfig(p=2, q=1, chi=0))) as disc:
-        assert disc.workers == 1 and disc.pool is None
-        disc.rhs((u, v))
+    disc = Discretization2D(mesh)
+    assert disc.workers == 1
+    with disc.stepping(SolverConfig(p=2, q=1, chi=0)) as rhs:
+        rhs((u, v))
         assert threading.active_count() == before
+
+
+def test_build_starts_no_executor_and_stepping_one_for_its_block(monkeypatch):
+    # 23 x 23 cells are six strips of at most 4 rows; two CPUs make two workers
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(ThreadPoolExecutor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(discretization, "ThreadPoolExecutor", counted)
+    before = threading.active_count()
+    disc = Discretization2D.build(EXAMPLES["ex8"], 23)
+    assert disc.workers == 2 and made == []
+    u, v = _random_state_2d(np.random.default_rng(79), 23, 23, 2, 1)
+    with disc.stepping(SolverConfig(p=2, q=1, chi=0)) as rhs:
+        rhs((u, v))
+        assert len(made) == 1 and threading.active_count() == before + 2
+    assert len(made) == 1 and threading.active_count() == before
 
 
 def test_a_failing_strip_is_raised_after_every_worker_is_done(monkeypatch):

@@ -1,9 +1,9 @@
 """Error norms, discrete energies, convergence-rate fits, oscillation metrics.
 
-The quadratic energy is the undivided form integral(u_x^2 + v^2) (gradient
-form in 2D).  When a source term is supplied, the reported energy switches
-to the halved quadratic part plus the integral of the source antiderivative;
-run metadata records which normalization was used.
+The quadratic energy `energy` is the undivided form integral(u_x^2 + v^2)
+(gradient form in 2D).  Runs with a source term also report
+`source_energy`, the halved quadratic part plus the integral of the source
+antiderivative; run metadata records which normalization was used.
 """
 from __future__ import annotations
 
@@ -62,19 +62,14 @@ def source_integral(u, source) -> float:
     return float(np.sum(weighted))
 
 
-def energy(u, v, source=None) -> float:
-    """Discrete energy of the pair (u, v).
-
-    Without a source: integral(u_x^2 + v^2) (gradient form in 2D, no 1/2).
-    With a source: 0.5 * integral(v^2 + u_x^2) + integral(G(u)), where G is
-    the source antiderivative supplied by the source descriptor.
-    """
-    quad = u.gradient_energy() + v.l2_squared()
-    return quad if source is None else source_energy(quad, u, source)
+def energy(u, v) -> float:
+    """Quadratic energy integral(u_x^2 + v^2) of the pair (u, v) (gradient form in 2D, no 1/2)."""
+    return u.gradient_energy() + v.l2_squared()
 
 
 def source_energy(quad: float, u, source) -> float:
-    """The source-augmented energy 0.5 * quad + integral(G(u)), quad the quadratic energy."""
+    """The source-augmented energy 0.5 * quad + integral(G(u)), quad the quadratic energy
+    and G the source antiderivative supplied by the source descriptor."""
     return 0.5 * quad + source_integral(u, source)
 
 

@@ -57,15 +57,16 @@ Workers.  Given an executor, `rhs_arrays_2d` submits one task per strip
 through `field.run_tasks`, so that a free worker takes the next strip:
 strip costs differ once subnormal coefficients appear.  On threads,
 numpy's ufuncs and BLAS release the GIL, so the strips' array work
-overlaps.  `Discretization2D` holds a `ThreadPoolExecutor` of one worker
-per CPU of the affinity mask, capped at the number of strips
-(`field.worker_count`), and `timeint.integrate` ends its threads when it
-returns or aborts.  One worker, or a mesh of one strip, runs the strips in
-the calling thread.  A strip's numbers depend only on the rows it reads,
-never on the worker that computes it or on what the others do, and each
-strip writes only its own rows of the output, so every worker count gives
-the serial bits, provided that BLAS itself is deterministic: with BLAS on
-one thread (OPENBLAS_NUM_THREADS=1) it is.
+overlaps.  `Discretization2D.stepping` makes a `ThreadPoolExecutor` of one
+worker per CPU of the affinity mask, capped at the number of strips
+(`field.worker_count`), for one `with` block, which `timeint.integrate`
+steps in, so its threads end when the run returns or aborts.  One worker,
+or a mesh of one strip, runs the strips in the calling thread.  A strip's
+numbers depend only on the rows it reads, never on the worker that
+computes it or on what the others do, and each strip writes only its own
+rows of the output, so every worker count gives the serial bits,
+provided that BLAS itself is deterministic: with BLAS on one thread
+(OPENBLAS_NUM_THREADS=1) it is.
 
 Buffers.  The caller owns the output pair `out`; every other array of a
 strip, its framed copies, products, traces and weights, is made fresh for

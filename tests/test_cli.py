@@ -1,6 +1,7 @@
 """CLI: config parsing, round-trips, artifacts, reruns, exit codes."""
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -142,10 +143,22 @@ def test_energy_run(tmp_path):
 
 
 def test_variant_names(tmp_path):
-    cfg = parse_config(None, {"problem": "ex3", "ns": (20,), "outdir": str(tmp_path),
-                              "damping": False, "penalty": False})
-    _, stem = run_shock(cfg)
-    assert "edg_" in stem or stem.endswith("edg_n20") or "_edg_" in stem
+    # each (damping, penalty) pair names its own variant in the artifact stem
+    for damping, penalty, variant in ((True, True, "ofedg"), (True, False, "edg-damping"),
+                                      (False, True, "edg-penalty"), (False, False, "edg")):
+        cfg = parse_config(None, {"problem": "ex3", "ns": (20,), "outdir": str(tmp_path),
+                                  "damping": damping, "penalty": penalty})
+        _, stem = run_shock(cfg)
+        assert os.path.basename(stem) == f"ex3_shock_{variant}_n20"
+
+
+def test_cli_main_shock(tmp_path, capsys):
+    assert main(["shock", "--problem", "ex3", "--ns", "20", "--outdir", str(tmp_path)]) == 0
+    report, artifacts = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"overshoot \S+, undershoot \S+, total variation \S+", report)
+    stem = os.path.join(tmp_path, "ex3_shock_ofedg_n20")
+    assert artifacts == f"artifacts: {stem}.csv, {stem}_energy.csv, {stem}.json"
+    assert all(os.path.exists(stem + end) for end in (".csv", "_energy.csv", ".json"))
 
 
 def test_cli_main_list_examples(capsys):
@@ -212,6 +225,9 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     # fewer DG cells than comparator intervals, but a perturbed mesh leaves cells without a point
     (["compare-ctcs", "--problem", "ex4", "--ns", "900", "--mesh-perturb", "0.2", "--seed", "3",
       "--t-final", "0.002", "--damping", "0", "--check"], "'ns'"),
+    # non-finite domain bounds, for a built-in problem and a custom one
+    (["energy", "--problem", "ex1", "--ns", "4", "--domain=nan,1"], "'domain'"),
+    (["energy", "--problem", "custom", "--dim", "1", "--domain=0,inf", "--ns", "4"], "'domain'"),
 ])
 def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, argv, key):
     (tmp_path / "broken.json").write_text('{"config": {"p": 3,}}')

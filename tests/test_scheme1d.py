@@ -1,6 +1,7 @@
 """1D semi-discrete assembly: fluxes, damping, penalty, oracle equivalence."""
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -448,6 +449,74 @@ def test_energy_identity_random_states_neumann(p, q, perturb):
             cfg = SolverConfig(p=p, q=q, damping=False, penalty=False, flux=flux)
             rate, scale = _de_dt(u, v, m, cfg)
             assert abs(rate) <= 1e-14 * scale, (flux, trial)
+
+
+def _flux_share(u, v, m, cfg):
+    """-2 sum(tau [[u_x]]^2 + beta [[v]]^2) over the interfaces of a periodic mesh."""
+    ju, jv = _jumps(DGField1D(m, cfg.p, u))[1:, 1], _jumps(DGField1D(m, cfg.q, v))[1:, 0]
+    return -2.0 * np.sum(cfg.flux.tau * ju**2 + cfg.flux.beta * jv**2)
+
+
+def _penalty_share(u, v, m, cfg):
+    """-2 (c/h^2) sum [[u]] [[u - u_bar]] over the interfaces of a periodic mesh, u_bar
+    each cell's mean: the u rows that the penalty enters leave the mean to v."""
+    off_mean = u.copy()
+    off_mean[:, 0] = 0.0
+    ju, jr = (_jumps(DGField1D(m, cfg.p, c))[1:, 0] for c in (u, off_mean))
+    return -2.0 * cfg.penalty_coefficient / m.h**2 * np.sum(ju * jr)
+
+
+def _damping_share(u, v, m, cfg):
+    """-2 sum of (w/h) times each Legendre mode of u_x and of v squared times its mass."""
+    sigma_u, sigma_v = _damping(DGField1D(m, cfg.p, u), DGField1D(m, cfg.q, v), cfg)
+    h = m.widths[:, None]
+    ux = (2.0 / h) * (u @ derivative_matrix(cfg.p).T)
+    total = 0.0
+    for sigma, modes, first in ((sigma_u, ux, 1), (sigma_v, v, 0)):
+        rate = sum_by_degree(sigma, np.arange(modes.shape[1]), first) / h
+        total += np.sum(rate * modes**2 * 0.5 * h * mass_diagonal(modes.shape[1] - 1))
+    return -2.0 * total
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.3])
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 2), (3, 3), (4, 2)])
+def test_energy_identity_closed_forms(p, q, perturb):
+    # without damping and penalty the central flux and both alternating sides conserve
+    # the energy; the Sommerfeld flux, the penalty and the damping each add their closed
+    # form, the share of a mechanism being the rate with it on minus the rate with it off
+    rng = np.random.default_rng(10 * p + q)
+    m = uniform_mesh_1d(0.0, 1.0, 17)
+    if perturb:
+        m = perturb_mesh_1d(m, perturb, seed=3)
+    base = SolverConfig(p=p, q=q, damping=False, penalty=False)
+    for trial in range(5):
+        u, v = _random_state(rng, 17, p, q)
+        for flux in (FluxParams.central(), FluxParams.alternating(0), FluxParams.alternating(1)):
+            rate, scale = _de_dt(u, v, m, replace(base, flux=flux))
+            assert abs(rate) <= 1e-14 * scale, (flux, trial)
+        off, scale_off = _de_dt(u, v, m, base)
+        for cfg, share in ((replace(base, flux=FluxParams.sommerfeld(2.0)), _flux_share),
+                           (replace(base, penalty=True), _penalty_share),
+                           (replace(base, damping=True), _damping_share)):
+            on, scale_on = _de_dt(u, v, m, cfg)
+            assert abs(on - off - share(u, v, m, cfg)) <= 1e-14 * (scale_on + scale_off), \
+                (share.__name__, trial)
+
+
+def test_penalty_energy_share_can_be_positive():
+    # [[u]] [[u - u_bar]] = [[u - u_bar]]^2 + [[u_bar]] [[u - u_bar]], and the second term
+    # has either sign: with the cell means scaled up, 41 of 200 such draws gain energy
+    # from the penalty, the first of them the third draw
+    rng = np.random.default_rng(123)
+    m = uniform_mesh_1d(0.0, 1.0, 8)
+    base = SolverConfig(p=2, q=1, damping=False, penalty=False)
+    cfg = replace(base, penalty=True)
+    for _ in range(3):
+        u, v = _random_state(rng, 8, 2, 1)
+        u[:, 0] *= 5.0
+    (on, scale_on), (off, scale_off) = _de_dt(u, v, m, cfg), _de_dt(u, v, m, base)
+    assert on - off == pytest.approx(1378.52, abs=0.01)
+    assert abs(on - off - _penalty_share(u, v, m, cfg)) <= 1e-14 * (scale_on + scale_off)
 
 
 def test_energy_examples():

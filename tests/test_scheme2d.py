@@ -4,18 +4,21 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import brute_rhs_2d, fluxes_2d
-from wavedg.field import DGField2D, n_modes, total_degree_modes
+from wavedg.basis import gauss_rule, mass_diagonal, vandermonde
+from wavedg.field import DGField2D, gradient_gram, n_modes, total_degree_modes
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
-from wavedg.scheme1d import SOURCES, FluxParams, SolverConfig, SourceTerm, numerical_fluxes
+from wavedg.scheme1d import (SOURCES, FluxParams, SolverConfig, SourceTerm, numerical_fluxes,
+                             sum_by_degree)
 from wavedg import discretization, scheme2d
 from wavedg.discretization import Discretization2D
-from wavedg.scheme2d import damping_coeffs_2d, rhs_arrays_2d
+from wavedg.scheme2d import _dxy_matrices, damping_coeffs_2d, rhs_arrays_2d
 
 
 def _random_state_2d(rng, nx, ny, p, q, scale=1.0):
@@ -325,25 +328,29 @@ def test_oracle_equivalence_2d_on_thin_meshes(nx, ny):
         assert np.max(np.abs(dv - dv_o)) <= 1e-10 * scale
 
 
-def test_energy_dissipation_2d_random_states():
-    from wavedg.diagnostics import energy
+def _mass2(degree):
+    """Reference mass of each mode of the total-degree set."""
+    modes, mass = total_degree_modes(degree), mass_diagonal(degree)
+    return mass[modes[:, 0]] * mass[modes[:, 1]]
 
+
+def _de_dt_2d(u, v, m, cfg):
+    """d/dt E = 2 integral(grad u . grad u_t + v v_t) of the RHS at (u, v), and the sum
+    of its terms' magnitudes, the scale of its round-off."""
+    du, dv = rhs_arrays_2d(u, v, m, cfg)
+    hx, hy = float(m.hx[0]), float(m.hy[0])
+    term_u = u * (du @ gradient_gram(cfg.p, hx, hy))
+    term_v = 0.25 * hx * hy * _mass2(cfg.q) * v * dv
+    return (2.0 * (np.sum(term_u) + np.sum(term_v)),
+            2.0 * (np.sum(np.abs(term_u)) + np.sum(np.abs(term_v))))
+
+
+def test_energy_dissipation_2d_random_states():
     rng = np.random.default_rng(31)
     m = cartesian_mesh_2d(0, 1, 0, 1, 4, 4)
 
     def de_dt(u, v, cfg):
-        du, dv = rhs_arrays_2d(u, v, m, cfg)
-        from wavedg.basis import mass_diagonal
-        from wavedg.scheme2d import gradient_gram
-
-        g = gradient_gram(2, float(m.hx[0]), float(m.hy[0]))
-        term_u = np.einsum("xya,ab,xyb->", u, g, du)
-        modes_q = total_degree_modes(1)
-        mq = mass_diagonal(1)
-        w = mq[modes_q[:, 0]] * mq[modes_q[:, 1]]
-        vol = 0.25 * float(m.hx[0]) * float(m.hy[0])
-        term_v = vol * np.sum(w[None, None, :] * v * dv)
-        return 2.0 * (term_u + term_v)
+        return _de_dt_2d(u, v, m, cfg)[0]
 
     for _ in range(6):
         u, v = _random_state_2d(rng, 4, 4, 2, 1)
@@ -359,6 +366,75 @@ def test_energy_dissipation_2d_random_states():
         assert de_dt(u, v, cfg_p) <= 1e-11
 
 
+def _face_jumps(coeffs, degree, m, axis, order):
+    """[[d_n^order]] of a field, upper minus lower, on every face normal to axis (periodic),
+    at five Gauss nodes of each face, exact for squares of degree 8, and their weights."""
+    modes = total_degree_modes(degree)
+    sides = (float(m.hx[0]), float(m.hy[0]))
+    h_n, h_t = sides[axis], sides[1 - axis]
+    rule = gauss_rule(5)
+    along = vandermonde(rule.nodes, degree)[:, modes[:, 1 - axis]]
+    hi, lo = ((2.0 / h_n) ** order * vandermonde(side, degree, order)[modes[:, axis]] * along
+              for side in (1.0, -1.0))
+    return np.roll(coeffs, -1, axis=axis) @ lo.T - coeffs @ hi.T, 0.5 * h_t * rule.weights
+
+
+def _flux_share_2d(u, v, m, cfg):
+    """-2 times the face integral of tau [[d_n u]]^2 + beta [[v]]^2."""
+    total = 0.0
+    for axis in (0, 1):
+        (ju, w), (jv, _) = _face_jumps(u, cfg.p, m, axis, 1), _face_jumps(v, cfg.q, m, axis, 0)
+        total += np.sum((cfg.flux.tau * ju**2 + cfg.flux.beta * jv**2) * w)
+    return -2.0 * total
+
+
+def _penalty_share_2d(u, v, m, cfg):
+    """-2 (c/h^2) times the face integral of [[u]] [[u - u_bar]], h the cell diagonal and
+    u_bar each cell's mean."""
+    off_mean = u.copy()
+    off_mean[..., 0] = 0.0
+    total = 0.0
+    for axis in (0, 1):
+        (ju, w), (jr, _) = (_face_jumps(c, cfg.p, m, axis, 0) for c in (u, off_mean))
+        total += np.sum(ju * jr * w)
+    return -2.0 * cfg.penalty_coefficient / m.h**2 * total
+
+
+def _damping_share_2d(u, v, m, cfg):
+    """-2 sum of (w/h) times each mode of u_x, u_y and v squared times its mass."""
+    wrap = ((1, 1), (1, 1), (0, 0))
+    sigma_u, sigma_v = (s[:, 1:-1] for s in damping_coeffs_2d(
+        np.pad(u, wrap, mode="wrap"), np.pad(v, wrap, mode="wrap"), m, cfg))
+    hx, hy = float(m.hx[0]), float(m.hy[0])
+    dx, dy = _dxy_matrices(cfg.p)
+    grad2 = ((2.0 / hx) * (u @ dx.T)) ** 2 + ((2.0 / hy) * (u @ dy.T)) ** 2
+    total = 0.0
+    for sigma, squares, degree, first in ((sigma_u, grad2, cfg.p, 1), (sigma_v, v**2, cfg.q, 0)):
+        rate = sum_by_degree(sigma, total_degree_modes(degree).sum(axis=1), first) / m.h
+        total += np.sum(rate * squares * 0.25 * hx * hy * _mass2(degree))
+    return -2.0 * total
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 2), (3, 3), (4, 2)])
+def test_energy_identity_closed_forms_2d(p, q):
+    # as in 1D, on cells with hx != hy: the central flux and both alternating sides
+    # conserve the energy without damping and penalty, and the Sommerfeld flux, the
+    # penalty and the damping each add their closed form, now a face or cell integral
+    rng = np.random.default_rng(10 * p + q)
+    m = cartesian_mesh_2d(0.0, 0.7, 0.0, 0.9, 6, 5)
+    base = SolverConfig(p=p, q=q, chi=0, damping=False, penalty=False)
+    for trial in range(4):
+        u, v = _random_state_2d(rng, 6, 5, p, q)
+        for flux in (FluxParams.central(), FluxParams.alternating(0), FluxParams.alternating(1)):
+            rate, scale = _de_dt_2d(u, v, m, replace(base, flux=flux))
+            assert abs(rate) <= 1e-14 * scale, (flux, trial)
+        off, scale_off = _de_dt_2d(u, v, m, base)
+        for cfg, share in ((replace(base, flux=FluxParams.sommerfeld(2.0)), _flux_share_2d),
+                           (replace(base, penalty=True), _penalty_share_2d),
+                           (replace(base, damping=True), _damping_share_2d)):
+            on, scale_on = _de_dt_2d(u, v, m, cfg)
+            assert abs(on - off - share(u, v, m, cfg)) <= 1e-14 * (scale_on + scale_off), \
+                (share.__name__, trial)
 def test_reduction_to_1d_on_extruded_data():
     # y-constant data on an Ny=1 periodic strip reproduces the 1D update:
     # exact for alpha = 1/2 fluxes with damping off; the penalty coefficient

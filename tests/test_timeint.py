@@ -294,7 +294,7 @@ def _reference_run(u0, v0, config, t_final, dt, rhs):
             state = ssp_rk3_out_of_place(state, rhs, plan.dt if n < plan.steps else plan.last_dt)
         uf, vf = kind(u0.mesh, config.p, state[0]), kind(v0.mesh, config.q, state[1])
         energies.append(diagnostics.energy(uf, vf))
-        nonlinear.append(diagnostics.energy(uf, vf, source=config.source))
+        nonlinear.append(diagnostics.source_energy(energies[-1], uf, config.source))
     return state, energies, nonlinear
 
 

@@ -12,15 +12,16 @@ and `diff` the two outputs; they match when every artifact is
 byte-identical.
 
 The matrix covers converge on ex1 (also with alternating side 1) and ex6
-(also with the Sommerfeld flux, and with alternating side 1, the one 2D
-run whose faces take the lower cell's v trace); shock on ex1 (perturbed
-mesh), ex3 (also with the central flux undamped, and without the
-penalty), ex7 (also with the central flux, the one 2D run of it; at
-p = 3 on 14^2: one strip of 196 cells, whose p = 3 source product has a
-row count at which OpenBLAS rounds small products differently; at
-p = q = 3 on 28^2, where u's and v's vertex jumps take different orders
-of one degree, and at p = 4 on 16^2, whose u jumps take orders 1 to 3;
-both abort at step 2 or 3 on coarser meshes) and ex8
+(also with the Sommerfeld flux, with alternating side 1, the one 2D run
+whose faces take the lower cell's v trace, and with --parallel, whose
+levels run in a process pool and whose CSV matches the serial run's);
+shock on ex1 (perturbed mesh), ex3 (also with the central flux undamped,
+and without the penalty), ex7 (also with the central flux, the one 2D
+run of it; at p = 3 on 14^2: one strip of 196 cells, whose p = 3 source
+product has a row count at which OpenBLAS rounds small products
+differently; at p = q = 3 on 28^2, where u's and v's vertex jumps take
+different orders of one degree, and at p = 4 on 16^2, whose u jumps
+take orders 1 to 3; both abort at step 2 or 3 on coarser meshes) and ex8
 (also at 80^2, the one 2D run that the kernel evaluates in two framed
 strips, on two strip workers where the process may use two CPUs); energy
 on ex2 (also with the Sommerfeld flux at speed 2), ex3 and ex4;
@@ -35,7 +36,7 @@ the cubic source (shock), and a sine between Neumann walls in 1D to
 t = 2 under the alternating flux (energy; with the defaults, without
 damping and penalty, and on side 1), the runs in which the walls' fluxes
 act on a state that is not near zero there; only the runs' own
-directories are hashed, 85 artifacts in all.  These runs split a
+directories are hashed, 87 artifacts in all.  These runs split a
 `field.row_blocks` partition into several blocks: compare-ex7 runs the
 1000^2 leapfrog in 32 blocks, as two runs of 16 on two leapfrog workers
 where two CPUs are usable, shock-ex8-strips at 80^2 has 2 kernel strips
@@ -69,6 +70,7 @@ RUNS = {
     "converge-ex1-p3-s": ["converge", "--problem", "ex1", "-p", "3", "--flux", "s",
                           "--ns", "10,20,40"],
     "converge-ex6": ["converge", "--problem", "ex6", "--ns", "8,16"],
+    "converge-ex6-parallel": ["converge", "--problem", "ex6", "--ns", "8,16", "--parallel"],
     "shock-ex1-perturbed": ["shock", "--problem", "ex1", "--ns", "40", "--mesh-perturb", "0.1",
                             "--seed", "7"],
     "shock-ex3": ["shock", "--problem", "ex3", "--ns", "40"],

@@ -435,6 +435,8 @@ def test_energy_identity_closed_forms_2d(p, q):
             on, scale_on = _de_dt_2d(u, v, m, cfg)
             assert abs(on - off - share(u, v, m, cfg)) <= 1e-14 * (scale_on + scale_off), \
                 (share.__name__, trial)
+
+
 def test_reduction_to_1d_on_extruded_data():
     # y-constant data on an Ny=1 periodic strip reproduces the 1D update:
     # exact for alpha = 1/2 fluxes with damping off; the penalty coefficient

@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics, scheme2d
 from .field import DGField1D, DGField2D, n_modes, row_blocks, worker_count, write_columns_csv
 from .mesh import Mesh1D, Mesh2D, cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
-from .reference import ctcs_solve_1d, ctcs_solve_2d, make_grid_1d, make_grid_2d
+from .reference import ctcs_solve, make_grid_1d, make_grid_2d
 from .scheme1d import rhs_arrays_1d
 from .scheme2d import rhs_arrays_2d
 
@@ -71,7 +71,7 @@ class Discretization1D:
         """Leapfrog to t_final, written to path; returns the grid, the profile's
         x, the leapfrog averaged over each cell, and the h of the front match."""
         grid, steps, _, edges = self.comparator_grid(prob, t_final)
-        x, u = ctcs_solve_1d(prob.u0, prob.u1, g, grid, steps)
+        x, u = ctcs_solve(prob.u0, prob.u1, g, grid, steps)
         write_columns_csv(path, {"x": x, "u": u})
         return grid, self.mesh.centers, diagnostics.bin_average(x, u, edges), self.mesh.h
 
@@ -123,7 +123,7 @@ class Discretization2D:
     def comparator(self, prob, t_final, g, path):
         """As in 1D; x,y,u go to path and the profile is the problem's row."""
         grid, steps, _, edges = self.comparator_grid(prob, t_final)
-        x, y, u = ctcs_solve_2d(prob.u0, prob.u1, g, grid, steps)
+        x, y, u = ctcs_solve(prob.u0, prob.u1, g, grid, steps)
         _write_grid(path, x, y, u)
         ref = diagnostics.bin_average(x, u[:, _nearest(y, prob)], edges)
         return grid, self.mesh.xcenters, ref, float(self.mesh.hx[0])

@@ -6,8 +6,11 @@ no closed-form solution.  The first step is seeded with a Taylor expansion
 using the discrete Laplacian so second order is kept from the start.
 
 One `FDGrid` holds a 1D or 2D grid, a tuple entry per axis, under one CFL
-guard, and one rule picks its dt and step count.  Both dimensions step
-through `_leapfrog`; a 1D field is held as n rows of one point.  The layout:
+guard, and one rule picks its dt and step count.  One solve, `ctcs_solve`
+(also named `ctcs_solve_1d` and `ctcs_solve_2d`), calls the initial data on
+the grid's open axes (`np.ix_`: (nx, 1) and (1, ny) in 2D), which broadcast
+to the grid, and steps through `_leapfrog`; a 1D field is held as n rows of
+one point.  The layout:
 
 - `prev` and `curr` are (nx + 2, ny) arrays allocated once per solve.
   Rows 1..nx hold the field; rows 0 and nx + 1 are periodic ghost copies
@@ -118,37 +121,31 @@ def make_grid_2d(ax, bx, ay, by, nx, ny, t_final) -> tuple[FDGrid, int]:
     return _grid_landing_on((ax, ay), (bx, by), (nx, ny), t_final)
 
 
-def ctcs_solve_1d(u0, u1, g, grid: FDGrid, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leapfrog solution at t = steps * dt; returns (points, values).
+def ctcs_solve(u0, u1, g, grid: FDGrid, steps: int) -> tuple:
+    """Leapfrog solution at t = steps * dt; returns (*grid.axes, values), which is
+    (x, u) in 1D and (x, y, u) in 2D, with the five-point Laplacian in 2D.
 
-    g is None or a pointwise source (see the module docstring).
+    u0 and u1 take one open axis per grid axis and broadcast to the grid (u1 may
+    return a scalar); g is None or a pointwise source (see the module docstring).
     """
-    x = grid.points
-    return x, _leapfrog(u0(x), u1(x), g, grid.n, grid.spacing, grid.dt, steps)
+    axes = grid.axes
+    open_axes = np.ix_(*axes)
+    return (*axes, _leapfrog(u0(*open_axes), u1(*open_axes), g, grid, steps))
 
 
-def ctcs_solve_2d(u0, u1, g, grid: FDGrid, steps: int):
-    """2D leapfrog with the five-point Laplacian; returns (x, y, values).
-
-    g is None or a pointwise source (see the module docstring).
-    """
-    x, y = grid.axes
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    start, vel = u0(xx, yy), u1(xx, yy)
-    del xx, yy  # not needed while stepping
-    return x, y, _leapfrog(start, vel, g, grid.n, grid.spacing, grid.dt, steps)
+ctcs_solve_1d = ctcs_solve_2d = ctcs_solve
 
 
-def _leapfrog(start, vel, g, shape: tuple, spacing: tuple, dt: float, steps: int) -> np.ndarray:
-    """Field of the given grid shape after `steps` leapfrog steps of dt.
+def _leapfrog(start, vel, g, grid: FDGrid, steps: int) -> np.ndarray:
+    """Field of the grid's shape after `steps` leapfrog steps of grid.dt.
 
-    start and vel are u and u_t at t = 0 (vel may be a scalar); spacing is
-    (dx,) or (dx, dy).  The result is a view of the solve's own array.
+    start and vel are u and u_t at t = 0, each broadcasting to the grid.  The
+    result is a view of the solve's own array.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    nx = shape[0]
-    ny = shape[1] if len(shape) > 1 else 1
+    shape, spacing, dt = grid.n, grid.spacing, grid.dt
+    nx, ny = (*shape, 1)[:2]
     prev = np.empty((nx + 2, ny))
     curr = np.empty((nx + 2, ny))
     prev[1:-1].reshape(shape)[...] = start

@@ -18,6 +18,7 @@ from wavedg.reference import (
     make_grid_1d,
     make_grid_2d,
 )
+from wavedg.problems import EXAMPLES, make_custom_problem
 from wavedg.scheme1d import SOURCES
 
 
@@ -220,6 +221,36 @@ def test_leapfrog_2d_special_data_match_roll_form(monkeypatch, source):
         for _ in _each_cpu_count(monkeypatch):
             _, _, u = ctcs_solve_2d(u0, u1, g, grid, steps)
             assert _same_bits(u, uo)
+
+
+def _recording(fn, shapes):
+    """fn, appending the shapes of each call's coordinates to shapes."""
+    def call(*coords):
+        shapes.append(tuple(np.shape(c) for c in coords))
+        return fn(*coords)
+    return call
+
+
+def test_one_solve_takes_the_initial_data_on_the_open_axes():
+    assert ctcs_solve_1d is ctcs_solve_2d is reference.ctcs_solve
+    g = SOURCES["cubic_4"].g
+    grid, steps = make_grid_2d(-1.0, 1.0, -1.0, 1.0, 60, 40, 0.1)
+    cases = [(EXAMPLES[k].u0, EXAMPLES[k].u1) for k in ("ex7", "ex8")]
+    cases += [(make_custom_problem(2, (-1.0, 1.0, -1.0, 1.0), kind, None, "periodic").u0,
+               _u1_2d) for kind in ("sine", "gauss", "box")]
+    for u0, u1 in cases:
+        shapes = []
+        x, y, u = ctcs_solve_2d(_recording(u0, shapes), _recording(u1, shapes), g, grid, steps)
+        assert shapes == [((60, 1), (1, 40))] * 2
+        # the whole-grid form: the initial data evaluated on full coordinate arrays
+        xx, yy = np.meshgrid(x, y, indexing="ij")
+        start, vel = u0(xx, yy), u1(xx, yy)
+        _, _, uo = ctcs_solve_2d(lambda *_: start, lambda *_: vel, g, grid, steps)
+        assert _same_bits(u, uo)
+    shapes = []
+    grid, steps = make_grid_1d(0.0, 1.0, 50, 0.3)
+    x, u = ctcs_solve_1d(_recording(_u0_1d, shapes), _recording(_u1_1d, shapes), g, grid, steps)
+    assert shapes == [((50,),)] * 2 and _same_bits(x, grid.points)
 
 
 def test_leapfrog_1d_single_step_and_caller_data_kept():

@@ -118,10 +118,7 @@ def _coerce(key: str, raw: str):
         if kind is bool:
             return _BOOL_WORDS[raw.lower()]
         if kind is str and raw.startswith('"'):
-            val = json.loads(raw)
-            if not isinstance(val, str):
-                raise ValueError
-            return val
+            return json.loads(raw)  # a JSON text that starts with '"' is a string
         return kind(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"key {key!r}: could not parse {raw!r}") from None
@@ -471,6 +468,16 @@ def _variant_name(cfg: ExperimentConfig) -> str:
     return "edg"
 
 
+class _FlagParser(argparse.ArgumentParser):
+    """argparse, except that a config flag's `=` value of exactly `--` reaches `_coerce`;
+    argparse drops it from the values, giving a flag [] and a bare bool flag its const."""
+
+    def _get_values(self, action, arg_strings):
+        if action.dest in _FIELD_TYPES and arg_strings == ["--"]:
+            return "--"
+        return super()._get_values(action, arg_strings)
+
+
 def _add_common(sub):
     """--config, and a flag per config key, `--key-name` or `-p`; a bare bool flag reads true."""
     sub.add_argument("--config", help="config file (key = value) or metadata JSON")
@@ -499,8 +506,7 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = argparse.ArgumentParser(prog="wavedg",
-                                     description="wave equation DG experiment runner")
+    parser = _FlagParser(prog="wavedg", description="wave equation DG experiment runner")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("converge", "shock", "energy", "compare-ctcs"):

@@ -291,7 +291,6 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
         })
     return {
         "nmq": nmq,
-        "rule": rule,
         "mass2": mass2,
         "g": g,
         "ginv": np.linalg.inv(g[1:, 1:]),

@@ -1,4 +1,5 @@
 """CLI: config parsing, round-trips, artifacts, reruns, exit codes."""
+import dataclasses
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from wavedg import basis, cli, diagnostics
+from wavedg import basis, cli, diagnostics, problems
 from wavedg.cli import (
     ConfigError,
     ExperimentConfig,
@@ -21,7 +22,8 @@ from wavedg.cli import (
 )
 from wavedg.field import DGField1D, DGField2D
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
-from wavedg.scheme1d import SolverConfig
+from wavedg.reference import ctcs_solve_2d, make_grid_2d
+from wavedg.scheme1d import SOURCES, SolverConfig
 
 
 def test_defaults_match_problem_conventions():
@@ -65,6 +67,28 @@ def test_config_file_errors(tmp_path):
     path.write_text("unknown_thing = 2\n")
     with pytest.raises(ConfigError, match="unknown_thing"):
         parse_config(str(path))
+
+
+def test_config_file_blank_and_comment_lines_are_skipped(tmp_path):
+    plain, padded = tmp_path / "plain.cfg", tmp_path / "padded.cfg"
+    plain.write_text("problem = ex3\nns = 40\n")
+    padded.write_text("\nproblem = ex3\n   \n# a comment line\n  # indented\nns = 40\n\n")
+    assert parse_config(str(padded)) == parse_config(str(plain))
+
+
+def test_config_file_line_without_equals_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("problem = ex1\n\nns 40\n")
+    assert main(["shock", "--config", str(path), "--outdir", str(tmp_path)]) == 2
+    assert "line 3: expected 'key = value'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["[]", '"ex1"', "3", "null"])
+def test_metadata_json_config_that_is_not_an_object_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "run.json"
+    path.write_text(f'{{"version": "0.1.0", "config": {config}}}\n')
+    assert main(["shock", "--config", str(path), "--outdir", str(tmp_path)]) == 2
+    assert "'config' must be a JSON object" in capsys.readouterr().err
 
 
 def test_convergence_run_and_artifacts(tmp_path):
@@ -408,6 +432,30 @@ def test_cli_compare_ctcs_check_ex5(tmp_path, capsys):
     assert "fronts agree: reference 4, test 4" in out
     meta = json.loads(open(os.path.join(tmp_path, "ex5_compare_n320.json")).read())
     assert meta["front_comparison"]["matches"]
+
+
+def test_cli_compare_ctcs_2d_writes_the_leapfrog_grid(tmp_path, capsys, monkeypatch):
+    # the 2D path of compare-ctcs, on a copy of ex7 whose comparator grid is 100^2
+    monkeypatch.setitem(problems.EXAMPLES, "ex7", dataclasses.replace(
+        problems.EXAMPLES["ex7"], comparator_intervals=100))
+    rc = main(["compare-ctcs", "--problem", "ex7", "--ns", "20", "--t-final", "0.05",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("fronts agree: reference 2, test 2")
+    path = os.path.join(tmp_path, "ex7_compare_n20_ctcs.csv")
+    with open(path) as fh:
+        assert fh.readline() == "x,y,u\n"
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    prob = problems.EXAMPLES["ex7"]
+    grid, steps = make_grid_2d(-1, 1, -1, 1, 100, 100, 0.05)
+    x, y, u = ctcs_solve_2d(prob.u0, prob.u1, SOURCES[prob.source_name].g, grid, steps)
+    assert table.shape == (10_000, 3)
+    for column, want in zip(table.T, (np.repeat(x, 100), np.tile(y, 100), u.ravel())):
+        assert column.tobytes() == want.tobytes()
+    meta = json.loads(open(os.path.join(tmp_path, "ex7_compare_n20.json")).read())
+    assert meta["comparator"]["intervals"] == 100 and meta["comparator"]["dt"] == grid.dt
+    fronts = meta["front_comparison"]
+    assert fronts["matches"] and len(fronts["reference_fronts"]) == 2
 
 
 def test_cli_compare_ctcs_check_failure_exits_4(tmp_path, capsys):

@@ -1,5 +1,4 @@
 """Property tests of the CLI configuration: round-trips, flags and exit code 2."""
-import argparse
 import json
 import math
 
@@ -132,7 +131,7 @@ def test_quoted_string_values_parse_as_json(tmp_path, value):
     assert parse_config(str(path)).outdir == json.loads(value)
 
 
-FLAG_PARSER = argparse.ArgumentParser()
+FLAG_PARSER = cli._FlagParser()
 cli._add_common(FLAG_PARSER)
 FLAGS = {a.dest: a for a in FLAG_PARSER._actions if a.dest in cli._FIELD_TYPES}
 
@@ -142,7 +141,8 @@ line_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"),
 flag_texts = st.one_of(line_text, st.integers().map(str), st.floats().map(repr),
                        st.lists(st.integers(-3, 10**6), max_size=3).map(
                            lambda ns: ",".join(map(str, ns))),
-                       st.sampled_from(["true", " off ", "YES", '"quoted"', '"a\\u0023b"', "1 2"]))
+                       st.sampled_from(["true", " off ", "YES", '"quoted"', '"a\\u0023b"', "1 2",
+                                        "--"]))
 
 
 def _outcome(make):
@@ -171,3 +171,33 @@ def test_a_flag_gives_the_config_of_the_same_config_file_line(tmp_path, data):
     args = FLAG_PARSER.parse_args([f"--{k}={v}" for k, v in base.items()] + argv)
     from_flag = _outcome(lambda: parse_config(None, cli._overrides(args)))
     assert from_flag == _outcome(lambda: parse_config(str(path)))
+
+
+# argparse drops a "--" from an option's values; the CLI's parser keeps it
+DOUBLE_DASH_KEYS = ["alternating_side", "ns", "damping", "outdir"]
+
+
+@pytest.mark.parametrize("key", DOUBLE_DASH_KEYS)
+def test_a_double_dash_flag_gives_the_config_of_its_config_file_line(tmp_path, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"problem = ex1\n{key} = --\n")
+    args = FLAG_PARSER.parse_args(["--problem=ex1", f"{FLAGS[key].option_strings[0]}=--"])
+    from_flag = _outcome(lambda: parse_config(None, cli._overrides(args)))
+    assert from_flag == _outcome(lambda: parse_config(str(path)))
+    if key == "outdir":
+        assert from_flag.outdir == "--"
+    else:
+        assert from_flag == f"key {key!r}: could not parse '--'"
+
+
+@pytest.mark.parametrize("key", DOUBLE_DASH_KEYS)
+def test_main_reads_a_double_dash_flag_as_its_config_file_line(tmp_path, capsys, monkeypatch,
+                                                                key):
+    monkeypatch.chdir(tmp_path)
+    flag = FLAGS[key].option_strings[0]
+    code = main(["shock", "--problem", "ex1", "--ns", "4", "--outdir", str(tmp_path),
+                 f"{flag}=--"])
+    if key == "outdir":
+        assert code == 0 and (tmp_path / "--" / "ex1_shock_ofedg_n4.csv").is_file()
+    else:
+        assert code == 2 and f"key {key!r}" in capsys.readouterr().err

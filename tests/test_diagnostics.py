@@ -9,6 +9,7 @@ from wavedg.diagnostics import (
     compare_front_positions,
     empty_bins,
     energy,
+    gradient_l2_error,
     l2_error,
     level_crossings,
     merge_close,
@@ -52,6 +53,18 @@ def test_l2_error_2d():
     assert l2_error(f, lambda x, y: x * y) < 1e-12
     g = DGField2D(m, 2)
     assert l2_error(g, lambda x, y: 0 * x + 1.0) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_gradient_error_2d():
+    # x*y + x^2 has total degree 2, so its p = 2 projection is exact; hx != hy
+    mesh = cartesian_mesh_2d(0.0, 0.7, 0.0, 0.9, 6, 5)
+    f = DGField2D.project(lambda x, y: x * y + x**2, mesh, 2)
+    assert gradient_l2_error(f, lambda x, y: y + 2 * x, lambda x, y: x) < 1e-12
+    # a u_y off by one everywhere: the error is the square root of the area
+    off = gradient_l2_error(f, lambda x, y: y + 2 * x, lambda x, y: x + 1.0)
+    assert off == pytest.approx(np.sqrt(0.7 * 0.9), abs=1e-12)
+    with pytest.raises(ValueError, match="exact_dy"):
+        gradient_l2_error(f, lambda x, y: y + 2 * x, exact_dy=None)
 
 
 def test_energy_nonlinear_form():

@@ -67,6 +67,17 @@ def test_ex6_exact_satisfies_wave_equation_2d():
     assert np.allclose(utt, uxx + uyy, atol=1e-5)
 
 
+def test_ex6_derivatives_match_central_differences():
+    prob = EXAMPLES["ex6"]
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    y = np.linspace(-2.5, 2.5, 6)[None, :]
+    t, eps = 0.3, 1e-6
+    for exact_d, (ex, ey, et) in ((prob.exact_dx, (eps, 0, 0)), (prob.exact_dy, (0, eps, 0)),
+                                  (prob.exact_dt, (0, 0, eps))):
+        fd = (prob.exact(x + ex, y + ey, t + et) - prob.exact(x - ex, y - ey, t - et)) / (2 * eps)
+        assert np.allclose(exact_d(x, y, t), fd, atol=1e-7)
+
+
 def test_source_antiderivatives_match():
     # G(u) = -integral of g: check by finite differences
     u = np.linspace(-2.0, 2.0, 21)

@@ -35,8 +35,12 @@ bounds as a flag), on the 1-by-2 rectangle a sine (energy) and a box with
 the cubic source (shock), and a sine between Neumann walls in 1D to
 t = 2 under the alternating flux (energy; with the defaults, without
 damping and penalty, and on side 1), the runs in which the walls' fluxes
-act on a state that is not near zero there; only the runs' own
-directories are hashed, 87 artifacts in all.  These runs split a
+act on a state that is not near zero there.  Four runs replay a run
+above from its metadata JSON alone (`--config` of the JSON; the names end
+in `-replay`): the perturbed ex1 shock, the two-strip ex8 shock, the
+Gaussian with the sine-Gordon source from flags and compare-ctcs on ex4;
+each must give its source's digests, or the script exits 1.  Only the
+runs' own directories are hashed, 98 artifacts in all.  These runs split a
 `field.row_blocks` partition into several blocks: compare-ex7 runs the
 1000^2 leapfrog in 32 blocks, as two runs of 16 on two leapfrog workers
 where two CPUs are usable, shock-ex8-strips at 80^2 has 2 kernel strips
@@ -73,6 +77,8 @@ RUNS = {
     "converge-ex6-parallel": ["converge", "--problem", "ex6", "--ns", "8,16", "--parallel"],
     "shock-ex1-perturbed": ["shock", "--problem", "ex1", "--ns", "40", "--mesh-perturb", "0.1",
                             "--seed", "7"],
+    "shock-ex1-perturbed-replay": ["shock", "--config",
+                                   "{outdir}/shock-ex1-perturbed/ex1_shock_ofedg_n40.json"],
     "shock-ex3": ["shock", "--problem", "ex3", "--ns", "40"],
     "shock-ex7": ["shock", "--problem", "ex7", "--ns", "20"],
     "shock-ex7-p3": ["shock", "--problem", "ex7", "-p", "3", "--ns", "14"],
@@ -80,10 +86,13 @@ RUNS = {
     "shock-ex7-p4": ["shock", "--problem", "ex7", "-p", "4", "--ns", "16"],
     "shock-ex8": ["shock", "--problem", "ex8", "--ns", "40"],
     "shock-ex8-strips": ["shock", "--problem", "ex8", "--ns", "80"],
+    "shock-ex8-strips-replay": ["shock", "--config",
+                                "{outdir}/shock-ex8-strips/ex8_shock_ofedg_n80.json"],
     "energy-ex2": ["energy", "--problem", "ex2", "--ns", "40", "--chi", "0"],
     "energy-ex3": ["energy", "--problem", "ex3", "--ns", "40"],
     "energy-ex4": ["energy", "--problem", "ex4", "--ns", "40"],
     "compare-ex4": ["compare-ctcs", "--problem", "ex4", "--ns", "40"],
+    "compare-ex4-replay": ["compare-ctcs", "--config", "{outdir}/compare-ex4/ex4_compare_n40.json"],
     "compare-ex5": ["compare-ctcs", "--problem", "ex5", "--ns", "40"],
     "compare-ex7": ["compare-ctcs", "--problem", "ex7", "--ns", "40"],
     "shock-ex3-central-undamped": ["shock", "--problem", "ex3", "--ns", "40", "--flux", "c",
@@ -103,6 +112,8 @@ RUNS = {
                              "--initial", "sine", "--ns", "40"],
     "energy-custom-1d-gauss": ["energy", "--problem", "custom", "--dim", "1", "--domain=-1,3",
                                "--initial", "gauss", "--ns", "40", "--source", "sine_gordon"],
+    "energy-custom-1d-gauss-replay": [
+        "energy", "--config", "{outdir}/energy-custom-1d-gauss/custom_energy_ofedg_n40.json"],
     "energy-custom-2d-sine": ["energy", "--problem", "custom", "--dim", "2",
                               "--domain", "0,1,0,2", "--initial", "sine", "--ns", "12"],
     "shock-custom-2d-box": ["shock", "--problem", "custom", "--dim", "2", "--domain", "0,1,0,2",
@@ -111,6 +122,9 @@ RUNS = {
     "energy-custom-1d-neumann-undamped": NEUMANN_SINE + ["--damping", "0", "--penalty", "0"],
     "energy-custom-1d-neumann-side1": NEUMANN_SINE + ["--alternating-side", "1"],
 }
+
+#: replay run -> the run whose metadata JSON it replays
+REPLAYS = {name: name.removesuffix("-replay") for name in RUNS if name.endswith("-replay")}
 
 #: config files written under OUTDIR/configs for the custom-problem runs
 CONFIGS = {
@@ -131,6 +145,13 @@ def digest(path: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def run_digests(outdir: str, name: str) -> dict:
+    """The digest of each artifact of the run, by its path under the run's directory."""
+    top = os.path.join(outdir, name)
+    return {os.path.relpath(os.path.join(root, fname), top): digest(os.path.join(root, fname))
+            for root, _, files in os.walk(top) for fname in files}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir")
@@ -148,17 +169,19 @@ def main(argv=None) -> int:
     failed = 0
     for name, run in RUNS.items():
         rundir = os.path.join(args.outdir, name)
-        argv = [a.format(configs=configs) for a in run]
+        argv = [a.format(configs=configs, outdir=args.outdir) for a in run]
         with contextlib.redirect_stdout(sys.stderr):  # stdout is for the digests
             code = cli.main(argv + ["--outdir", rundir])
         if code != 0:
             print(f"{name}: exit {code}", file=sys.stderr)
             failed += 1
+    for name, source in REPLAYS.items():
+        if run_digests(args.outdir, name) != run_digests(args.outdir, source):
+            print(f"{name}: artifacts differ from those of {source}", file=sys.stderr)
+            failed += 1
     for name in sorted(RUNS):
-        for root, _, files in sorted(os.walk(os.path.join(args.outdir, name))):
-            for fname in sorted(files):
-                path = os.path.join(root, fname)
-                print(f"{digest(path)}  {os.path.relpath(path, args.outdir)}")
+        for rel, sha in sorted(run_digests(args.outdir, name).items()):
+            print(f"{sha}  {os.path.join(name, rel)}")
     return 1 if failed else 0
 
 

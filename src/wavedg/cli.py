@@ -469,8 +469,7 @@ def _variant_name(cfg: ExperimentConfig) -> str:
 
 
 class _FlagParser(argparse.ArgumentParser):
-    """argparse, except that a config flag's `=` value of exactly `--` reaches `_coerce`;
-    argparse drops it from the values, giving a flag [] and a bare bool flag its const."""
+    """argparse, keeping a config flag's `=` value `--`, which argparse drops from its values."""
 
     def _get_values(self, action, arg_strings):
         if action.dest in _FIELD_TYPES and arg_strings == ["--"]:

@@ -63,8 +63,7 @@ class Discretization1D:
 
     def comparator_grid(self, prob, t_final):
         """The leapfrog grid, its steps to t_final, its points and the cell edges that bin them."""
-        grid, steps = make_grid_1d(prob.domain[0], prob.domain[1],
-                                   prob.comparator_intervals, t_final)
+        grid, steps = make_grid_1d(*prob.domain, prob.comparator_intervals, t_final)
         return grid, steps, grid.points, self.mesh.nodes
 
     def comparator(self, prob, t_final, g, path):

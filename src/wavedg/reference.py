@@ -7,10 +7,9 @@ using the discrete Laplacian so second order is kept from the start.
 
 One `FDGrid` holds a 1D or 2D grid, a tuple entry per axis, under one CFL
 guard, and one rule picks its dt and step count.  One solve, `ctcs_solve`
-(also named `ctcs_solve_1d` and `ctcs_solve_2d`), calls the initial data on
-the grid's open axes (`np.ix_`: (nx, 1) and (1, ny) in 2D), which broadcast
-to the grid, and steps through `_leapfrog`; a 1D field is held as n rows of
-one point.  The layout:
+(also `ctcs_solve_1d` and `ctcs_solve_2d`), calls the initial data on the
+grid's open axes (`np.ix_`), which broadcast to the grid, and steps through
+`_leapfrog`; a 1D field is held as n rows of one point.  The layout:
 
 - `prev` and `curr` are (nx + 2, ny) arrays allocated once per solve.
   Rows 1..nx hold the field; rows 0 and nx + 1 are periodic ghost copies
@@ -128,9 +127,8 @@ def ctcs_solve(u0, u1, g, grid: FDGrid, steps: int) -> tuple:
     u0 and u1 take one open axis per grid axis and broadcast to the grid (u1 may
     return a scalar); g is None or a pointwise source (see the module docstring).
     """
-    axes = grid.axes
-    open_axes = np.ix_(*axes)
-    return (*axes, _leapfrog(u0(*open_axes), u1(*open_axes), g, grid, steps))
+    open_axes = np.ix_(*grid.axes)
+    return (*grid.axes, _leapfrog(u0(*open_axes), u1(*open_axes), g, grid, steps))
 
 
 ctcs_solve_1d = ctcs_solve_2d = ctcs_solve

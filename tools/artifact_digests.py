@@ -92,7 +92,8 @@ RUNS = {
     "energy-ex3": ["energy", "--problem", "ex3", "--ns", "40"],
     "energy-ex4": ["energy", "--problem", "ex4", "--ns", "40"],
     "compare-ex4": ["compare-ctcs", "--problem", "ex4", "--ns", "40"],
-    "compare-ex4-replay": ["compare-ctcs", "--config", "{outdir}/compare-ex4/ex4_compare_n40.json"],
+    "compare-ex4-replay": ["compare-ctcs", "--config",
+                           "{outdir}/compare-ex4/ex4_compare_n40.json"],
     "compare-ex5": ["compare-ctcs", "--problem", "ex5", "--ns", "40"],
     "compare-ex7": ["compare-ctcs", "--problem", "ex7", "--ns", "40"],
     "shock-ex3-central-undamped": ["shock", "--problem", "ex3", "--ns", "40", "--flux", "c",

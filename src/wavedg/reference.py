@@ -121,14 +121,14 @@ def make_grid_2d(ax, bx, ay, by, nx, ny, t_final) -> tuple[FDGrid, int]:
 
 
 def ctcs_solve(u0, u1, g, grid: FDGrid, steps: int) -> tuple:
-    """Leapfrog solution at t = steps * dt; returns (*grid.axes, values), which is
-    (x, u) in 1D and (x, y, u) in 2D, with the five-point Laplacian in 2D.
+    """Leapfrog solution at t = steps * dt; returns (*grid.axes, values).
 
-    u0 and u1 take one open axis per grid axis and broadcast to the grid (u1 may
-    return a scalar); g is None or a pointwise source (see the module docstring).
+    u0 and u1 take the grid's open axes and broadcast to the grid (u1 may give a
+    scalar); g is None or a pointwise source (see the module docstring).
     """
-    open_axes = np.ix_(*grid.axes)
-    return (*grid.axes, _leapfrog(u0(*open_axes), u1(*open_axes), g, grid, steps))
+    axes = grid.axes
+    open_axes = np.ix_(*axes)
+    return (*axes, _leapfrog(u0(*open_axes), u1(*open_axes), g, grid, steps))
 
 
 ctcs_solve_1d = ctcs_solve_2d = ctcs_solve
@@ -143,7 +143,8 @@ def _leapfrog(start, vel, g, grid: FDGrid, steps: int) -> np.ndarray:
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     shape, spacing, dt = grid.n, grid.spacing, grid.dt
-    nx, ny = (*shape, 1)[:2]
+    nx = shape[0]
+    ny = shape[1] if len(shape) > 1 else 1
     prev = np.empty((nx + 2, ny))
     curr = np.empty((nx + 2, ny))
     prev[1:-1].reshape(shape)[...] = start

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import ctcs_roll_reference_1d, ctcs_roll_reference_2d
 from wavedg import reference
+from wavedg.problems import EXAMPLES, make_custom_problem
 from wavedg.reference import (
     FDGrid,
     ctcs_solve_1d,
@@ -18,7 +19,6 @@ from wavedg.reference import (
     make_grid_1d,
     make_grid_2d,
 )
-from wavedg.problems import EXAMPLES, make_custom_problem
 from wavedg.scheme1d import SOURCES
 
 

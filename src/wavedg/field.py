@@ -272,16 +272,24 @@ CSV_CHUNK_ROWS = 4096
 def write_columns_csv(path: str | os.PathLike, columns: dict[str, np.ndarray]) -> None:
     """Write named columns in full-precision scientific notation.
 
-    Each value reads as f"{val:.17e}".  Rows are formatted a chunk at a
-    time, one %-operation per row.
+    Each value reads as f"{val:.17e}".  Rows go out a chunk of CSV_CHUNK_ROWS at
+    a time.  In a chunk, "%.17e" formats each distinct bit pattern of a column
+    once, the texts are gathered back by np.unique's inverse, and the chunk is
+    one %-operation.  The patterns are the values' int64 bits: as floats,
+    np.unique would merge 0.0 with -0.0, which print apart, and NaNs of
+    different sign or payload, so each value is still formatted from its own bits.
     """
     names = list(columns)
     cols = [np.asarray(columns[k], dtype=float) for k in names]
     if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
         raise ValueError("columns must be 1-D arrays of one length")
-    row_format = ",".join(["%.17e"] * len(names)) + "\n"
+    row_format = ",".join(["%s"] * len(names)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         for part in row_blocks(len(cols[0]), 1, CSV_CHUNK_ROWS):
-            rows = np.column_stack([c[part] for c in cols]).tolist()
-            fh.write("".join([row_format % tuple(row) for row in rows]))
+            texts = np.empty((part.stop - part.start, len(cols)), dtype=object)
+            for j, c in enumerate(cols):
+                keys, inverse = np.unique(c[part].view(np.int64), return_inverse=True)
+                texts[:, j] = np.array(["%.17e" % v for v in keys.view(float).tolist()],
+                                       dtype=object)[inverse]
+            fh.write((row_format * len(texts)) % tuple(texts.ravel().tolist()))

@@ -1,6 +1,10 @@
 """Projection, evaluation, trace and CSV checks."""
+import builtins
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wavedg import field as dgfield
 from wavedg.basis import endpoint_values
@@ -149,6 +153,82 @@ def test_write_columns_csv_reads_as_per_value_format(tmp_path, monkeypatch):
     assert path.read_text() == want
     write_columns_csv(path, {"t": np.array([])})
     assert path.read_text() == "t\n"
+
+
+# values that repeat within and across chunks: both zeros, NaNs of either sign
+# and of two other payloads, both infinities, the extremes and ordinary values
+CSV_POOL = np.concatenate([
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, np.finfo(float).max,
+     1.0 / 3.0, -2.5, 1e-300, 123456789.125],
+    np.frombuffer(np.array([0x7FF800000000BEEF, 0xFFF8000000000ABC], dtype=np.uint64).tobytes()),
+])
+
+
+def pool_values(**size):
+    return st.lists(st.integers(0, len(CSV_POOL) - 1), **size).map(lambda i: CSV_POOL[i])
+
+
+def _per_value_csv(cols: dict) -> str:
+    rows = len(next(iter(cols.values())))
+    return ",".join(cols) + "\n" + "".join(
+        ",".join(f"{float(cols[k][i]):.17e}" for k in cols) + "\n" for i in range(rows))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chunk=st.integers(1, 9), data=st.data())
+def test_write_columns_csv_of_repeated_values_reads_as_per_value_format(
+        tmp_path, monkeypatch, chunk, data):
+    # a strided column, a column of a 2D array, an integer column, and the
+    # np.repeat/np.tile layout of a grid CSV, in chunks of 1..9 rows
+    monkeypatch.setattr(dgfield, "CSV_CHUNK_ROWS", chunk)
+    base = data.draw(pool_values(max_size=60))
+    rows = len(base[::3])
+    block = data.draw(pool_values(min_size=2 * rows, max_size=2 * rows))
+    ints = np.array(data.draw(st.lists(st.sampled_from([0, 1, -7, 2**53 + 1]),
+                                       min_size=rows, max_size=rows)), dtype=np.int64)
+    cols = {"s": base[::3], "m": block.reshape(rows, 2)[:, 1], "i": ints}
+    path = tmp_path / "cols.csv"
+    write_columns_csv(path, cols)
+    assert path.read_text() == _per_value_csv(cols)
+    x = data.draw(pool_values(min_size=1, max_size=8))
+    y = data.draw(pool_values(min_size=1, max_size=8))
+    u = data.draw(pool_values(min_size=len(x) * len(y), max_size=len(x) * len(y)))
+    grid = {"x": np.repeat(x, len(y)), "y": np.tile(y, len(x)),
+            "u": u.reshape(len(x), len(y)).ravel()}
+    write_columns_csv(path, grid)
+    assert path.read_text() == _per_value_csv(grid)
+
+
+def test_write_columns_csv_writes_at_most_a_chunk_of_rows_at_a_time(tmp_path, monkeypatch):
+    # the chunk bounds the writer's memory: 65,536-row chunks raised the
+    # ex8-ctcs2d benchmark's peak RSS from 102.4 to 120.1 MB, so no write may
+    # carry more than CSV_CHUNK_ROWS rows, at its built-in value
+    writes = []
+
+    class CountedFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            writes.append(text.count("\n"))
+            return self.fh.write(text)
+
+    monkeypatch.setattr(dgfield, "open", lambda *a, **k: CountedFile(builtins.open(*a, **k)),
+                        raising=False)
+    rows = 3 * dgfield.CSV_CHUNK_ROWS + 5
+    x = np.linspace(0.0, 1.0, 7)
+    cols = {"x": np.repeat(x, rows // 7 + 1)[:rows], "u": np.sin(np.arange(rows) * 0.01)}
+    path = tmp_path / "cols.csv"
+    write_columns_csv(path, cols)
+    assert sum(writes) == rows + 1 and max(writes) <= dgfield.CSV_CHUNK_ROWS
+    assert path.read_text() == _per_value_csv(cols)
 
 
 @pytest.mark.parametrize("rows, row_size, limit", [

@@ -275,9 +275,9 @@ def write_columns_csv(path: str | os.PathLike, columns: dict[str, np.ndarray]) -
     Each value reads as f"{val:.17e}".  Rows go out a chunk of CSV_CHUNK_ROWS at
     a time.  In a chunk, "%.17e" formats each distinct bit pattern of a column
     once, the texts are gathered back by np.unique's inverse, and the chunk is
-    one %-operation.  The patterns are the values' int64 bits: as floats,
-    np.unique would merge 0.0 with -0.0, which print apart, and NaNs of
-    different sign or payload, so each value is still formatted from its own bits.
+    one %-operation.  The patterns are the values' int64 bits, so each value is
+    formatted from its own bits: keyed as floats, np.unique would merge 0.0 with
+    -0.0, which print apart, and NaNs of different sign or payload.
     """
     names = list(columns)
     cols = [np.asarray(columns[k], dtype=float) for k in names]

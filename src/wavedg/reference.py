@@ -197,9 +197,13 @@ def _advance(u, out, g, coef: float, spacing: tuple, leapfrog: bool, blocks, wor
         lap += u[r0:r1]
         lap /= dx2
         if dy2 is not None:
-            np.subtract(c[:, 1:], twice[:, :-1], out=ylap[:, :-1])
+            # (c[j+1] - 2c[j]) + c[j-1], y wrapping within each row: on the flat
+            # block, then columns ny - 1 and 0, which read the wrong row there
+            flat, yflat = c.reshape(-1), ylap.reshape(-1)
+            np.subtract(flat[1:], twice.reshape(-1)[:-1], out=yflat[:-1])
             np.subtract(c[:, :1], twice[:, -1:], out=ylap[:, -1:])
-            ylap[:, 1:] += c[:, :-1]
+            yflat[1:] += flat[:-1]
+            np.subtract(c[:, 1:2], twice[:, :1], out=ylap[:, :1])
             ylap[:, :1] += c[:, -1:]
             ylap /= dy2
             lap += ylap

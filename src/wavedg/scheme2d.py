@@ -43,21 +43,35 @@ BL, BR, TL, TR, since (a - b)^2 equals (b - a)^2 exactly.
 
 BLAS computes each row of a product independently of the others, so the
 strips give the whole-mesh numbers bit for bit.  That needs products of
-more than a few hundred rows: OpenBLAS 0.3.31 rounds some small products
-differently.  With p = 3 and a source, the product over 36 quadrature
-values per cell gives other last bits for 200 rows or fewer than for 250
-or more.  Balanced strips keep every block at about half of
+more than a few hundred rows.  On OpenBLAS 0.3.31 (SkylakeX kernels) every
+product of this kernel up to p = 4 gave the same rows when a block of up
+to 20,480 rows was split in two pieces of 3 rows or more, except the
+source's product over the nq^2 quadrature values of a cell, which gave
+other rows in pieces of up to 300 rows at p = 3, q = 1 (150 at q = 2, 50
+at q = 3).  Balanced strips keep every block at about half of
 CELLS_PER_STRIP cells or more, never a sliver of one row.  For the same
 reason the cell-local source products run on the strip's own rows of the
 input, without the frame, so that a one-strip mesh multiplies exactly its
 own cells: on framed rows, meshes of 100 to 200 cells with a source at
-p >= 3 got other last bits of dv.
+p >= 3 got other last bits of dv.  They run in `row_blocks` of at most
+SOURCE_CELLS cells, which bounds their temporaries, two arrays of nq^2
+values per cell (50 doubles at p = 2); balanced too, a block holds about
+half of SOURCE_CELLS cells or more unless its strip is smaller.
 
 Workers.  Given an executor, `rhs_arrays_2d` submits one task per strip
 through `field.run_tasks`, so that a free worker takes the next strip:
 strip costs differ once subnormal coefficients appear.  On threads,
 numpy's ufuncs and BLAS release the GIL, so the strips' array work
-overlaps.  `Discretization2D.stepping` makes a `ThreadPoolExecutor` of one
+overlaps; but each numpy call takes the GIL to start and to end, and a
+worker that finds it held sleeps until the other lets it go.  So a strip
+makes few calls, each on the whole band: the fields' vertex jumps share
+one pass, the order sums go straight to the weights of each order, and
+the constants of every strip are computed once per call.  One
+`ex8-dg2d` round (320^2, 60 steps, two workers, BLAS on one thread,
+2-vCPU Xeon, in-process `getrusage`, three alternated rounds each) took
+7.24-7.38 s with 119k voluntary context switches and 0.42 s of system
+time before, and 5.94-6.16 s with 16-18k and 0.11-0.13 s now, the same
+bytes.  `Discretization2D.stepping` makes a `ThreadPoolExecutor` of one
 worker per CPU of the affinity mask, capped at the number of strips
 (`field.worker_count`), for one `with` block, which `timeint.integrate`
 steps in, so its threads end when the run returns or aborts.  One worker,
@@ -70,28 +84,38 @@ provided that BLAS itself is deterministic: with BLAS on one thread
 
 Buffers.  The caller owns the output pair `out`; every other array of a
 strip, its framed copies, products, traces and weights, is made fresh for
-that strip, 0.2 to 1 MB at CELLS_PER_STRIP cells.  Buffers named and kept
-per worker between calls saved no time: one serial ex8 RHS at 320^2 after
-15 steps took 53.5 ms with them and 52.3 ms with fresh arrays, 38.2 and
-36.5 ms on two workers (BLAS on one thread, 2-vCPU Xeon, medians of six
-alternated batches, the same bytes).  That holds once glibc's malloc keeps
-freed blocks of that size rather than returning them to the system, as it
-does after the process has freed a larger block; a run's projections free
-mesh-sized arrays first.  Before that, each such RHS page-faulted about
-37,000 times and took 120 to 180 ms, against about 90 ms with the buffers.
-Every trace, corner and face product writes a contiguous array of its own,
-since operands sliced by mode cost more than the products they would save:
-`pen += both[..., :6]` on an 18 x 320 block took 43 us against 11 us for a
-contiguous operand, and one (5796, 20) product of four stacked trace
-tables with one subtraction on each trace's columns 409 to 443 us, against
-143 to 149 us for four products and contiguous subtractions.  GEMM cost
-here follows the size of the output, not the number of calls.
-CELLS_PER_STRIP was set by timing one RHS of the ex8 configuration at
-320^2 (p = 2, q = 1, source, damping and penalty on) on one core of a
-shared 2-vCPU Xeon, three sweeps of the framed kernel: strips of 5,120
-cells took 67 to 69 ms, of 2,560 cells 65 to 88 ms, of 10,240 cells 76 to
-97 ms, of 640 cells 107 to 150 ms, and one strip of the whole mesh 124 to
-158 ms.
+that strip, and each step of the strip (`_framed_terms`, `_face_terms`,
+`_damping_terms`, the source blocks) drops its temporaries when it ends.
+The x jumps are written over the corner values they came from, and the
+corner sums over the corner values read no more.  A serial ex8 RHS at
+320^2 peaks at 4.23 MB of temporaries (tracemalloc) in strips of 10,240
+cells, against 4.53 MB in the 5,120-cell strips of the kernel before.
+Buffers named and kept per worker between calls saved no time: one
+serial ex8 RHS at 320^2 after 15 steps took 53.5 ms with them and 52.3 ms
+with fresh arrays, 38.2 and 36.5 ms on two workers (medians of six
+alternated batches, the same bytes).  That holds once glibc's malloc
+keeps freed blocks of that size rather than returning them to the
+system, as it does after the process has freed a larger block; a run's
+projections free mesh-sized arrays first.  Before that, each such RHS
+page-faulted about 37,000 times and took 120 to 180 ms.  The corner
+products write into column slices of one array, which BLAS does as fast
+and with the same bits as into an array of their own.  An elementwise
+operation whose rows are a few interleaved columns, or that broadcasts a
+per-mode vector along the rows, costs several times one on whole rows: a
+(10240, 2) array times a (2,) vector took 61 us against 10 us times a
+(10240, 2) array, and a multiply on 2 of 5 columns 151 us against 15 us
+on one.  So the per-mode factors are repeated along a framed row and
+applied to (rows, w * modes) views, and the orders are summed and scaled
+one column at a time.  GEMM cost here follows the size of the output, not
+the number of calls.
+
+CELLS_PER_STRIP was set by `ex8-dg2d` rounds on two workers, as above,
+alternated three times: strips of 5,120 cells took 6.32-6.60 s with 62-63k
+switches and a peak RSS of 90.7-91.0 MB, of 10,240 cells 5.94-6.16 s with
+16-18k and 94.3-95.0 MB, and of 15,360 cells 6.29-6.60 s with 9.5-10k and
+98.1-99.0 MB, the same bytes; the kernel before took 94.4-94.7 MB.  On one
+worker (`taskset -c 0`) a round took 9.99 and 10.02 s against 10.71 and
+11.04 s before.
 """
 from __future__ import annotations
 
@@ -104,12 +128,14 @@ import numpy as np
 from .basis import derivative_matrix, gauss_rule, mass_diagonal, vandermonde
 from .field import gradient_gram, n_modes, row_blocks, run_tasks, total_degree_modes
 from .mesh import Mesh2D
-from .scheme1d import FluxParams, SolverConfig, numerical_fluxes, sum_by_degree
+from .scheme1d import FluxParams, SolverConfig, numerical_fluxes
 
 _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))  # BL, BR, TL, TR
 
 #: cells per strip of one right-hand side evaluation; see the module docstring
-CELLS_PER_STRIP = 5120
+CELLS_PER_STRIP = 10240
+#: most cells per block of a strip's source quadrature; see the module docstring
+SOURCE_CELLS = 5120
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +169,7 @@ def _corner_major_tables(degree: int, hx: float, hy: float, orders: range) -> tu
 
     Column k of a corner's table holds d^alpha_k phi_a at that corner, in
     physical scaling, alpha_k the k-th multi-index of `_alphas(orders)`.
-    One matmul per corner then yields contiguous per-corner value arrays.
+    One matmul per corner then yields that corner's values of every alpha.
     """
     modes = total_degree_modes(degree)
     alphas = _alphas(orders)
@@ -165,42 +191,76 @@ def _alphas(orders: range) -> tuple:
     return tuple((r1, l - r1) for l in orders for r1 in range(l + 1))
 
 
-def _vertex_jump_acc(block: np.ndarray, width: int, orders: range, corners: tuple) -> np.ndarray:
-    """Per order l in orders: sum over |alpha| = l of sqrt(quarter-sum of corner jumps).
+def _vertex_jump_roots(blocks: tuple, width: int, corners: tuple) -> np.ndarray:
+    """Per cell and per column of the corner tables: sqrt(quarter-sum of its corner jumps).
 
     The corner jump of d^alpha u at one of the four corners (bottom-left,
     bottom-right, top-left, top-right) sums the squared differences against
     the two edge-neighbors meeting that corner; the diagonal neighbor is not
-    compared.  block is a framed strip flattened to (cells, modes), width
-    cells to a row (see `_strip_rhs`), and corners the four corner tables of
-    the orders in orders (`_corner_major_tables`); the result has one row
-    per cell of every row but the first and the last and one column per
-    order 0..orders.stop - 1, shape (cells - 2 width, orders.stop), and
-    the columns of the orders below orders.start are zero.  Each squared
-    jump is taken once per face and read by both of its cells, since
-    (a - b)^2 == (b - a)^2 exactly.
+    compared.  blocks holds one framed strip per field, flattened to (cells,
+    modes), width cells to a row (see `_framed_terms`), and corners per field
+    its four corner tables (`_corner_major_tables`).  The fields' corner
+    values go side by side into one array, so that one pass of elementwise
+    operations serves them all.  The result has one row per cell of every
+    row but the first and the last and the fields' columns in turn, shape
+    (cells - 2 width, columns).  Each squared jump is taken once per face
+    and read by both of its cells, since (a - b)^2 == (b - a)^2 exactly.
     """
-    n, w = len(block), width
+    n, w = len(blocks[0]), width
     rows = n - 2 * w
-    bl, br, tl, tr = (_mm(block, tab) for tab in corners)
-
-    def sq_jump(a, b):
-        jump = a - b
-        return np.square(jump, out=jump)
-
-    # x-face k joins cells k and k + w, y-face k cells w - 1 + k and w + k
-    xb, xt = sq_jump(br[:n - w], bl[w:]), sq_jump(tr[:n - w], tl[w:])
-    yl, yr = sq_jump(tl[w - 1:n - w], bl[w:n - w + 1]), sq_jump(tr[w - 1:n - w], br[w:n - w + 1])
-    # per corner, in the order BL, BR, TL, TR: its x-face jump plus its y-face jump
-    total = xb[:rows] + yl[:rows]
-    for x, y in ((xb[w:], yr[:rows]), (xt[:rows], yl[1:]), (xt[w:], yr[1:])):
-        total += x + y
+    corner = np.empty((4, n, sum(tables[0].shape[1] for tables in corners)))  # BL, BR, TL, TR
+    first = 0
+    for block, tables in zip(blocks, corners):
+        cols = slice(first, first + tables[0].shape[1])
+        for k, table in enumerate(tables):
+            np.matmul(block, table, out=corner[k, :, cols])
+        first = cols.stop
+    # x-face k joins cells k and k + w, y-face k cells w - 1 + k and w + k; per face
+    # the jumps of its two vertices, TL - BL and TR - BR (y), BR - BL and TR - TL (x),
+    # the x jumps written over the BR and TR values that no later step reads
+    yj = np.subtract(corner[2:, w - 1:n - w], corner[:2, w:n - w + 1])
+    xj = np.subtract(corner[1::2, :n - w], corner[0::2, w:], out=corner[1::2, :n - w])
+    np.square(xj, out=xj)
+    np.square(yj, out=yj)
+    # per corner, in the order BL, BR, TL, TR: its x-face jump plus its y-face
+    # jump, summed over the BL and TL values, which are read no more
+    total, scratch = corner[0, :rows], corner[2, :rows]
+    np.add(xj[0, :rows], yj[0, :rows], out=total)
+    for x, y in ((xj[0, w:], yj[1, :rows]), (xj[1, :rows], yj[0, 1:]), (xj[1, w:], yj[1, 1:])):
+        np.add(x, y, out=scratch)
+        total += scratch
     total *= 0.25
-    roots = np.sqrt(total, out=total)
-    out = np.zeros((rows, orders.stop))
-    for k, (r1, r2) in enumerate(_alphas(orders)):
-        out[:, r1 + r2] += roots[:, k]
-    return out
+    return np.sqrt(total, out=total)
+
+
+def _sum_orders(roots: np.ndarray, first: int, orders: range, out: np.ndarray, factors) -> None:
+    """out[:, k] = factors[k] * the sum of roots' columns of order orders[k].
+
+    roots' columns first, first + 1, ... hold the multi-indices
+    `_alphas(orders)`; each order's are summed r1 rising, one column at a
+    time, since an operation on a few interleaved columns costs several
+    times one on a single column.
+    """
+    col = first
+    for k, l in enumerate(orders):
+        o = out[:, k]
+        if l:
+            np.add(roots[:, col], roots[:, col + 1], out=o)
+            for c in range(col + 2, col + l + 1):
+                o += roots[:, c]
+            o *= factors[k]
+        else:
+            np.multiply(roots[:, col], factors[k], out=o)
+        col += l + 1
+
+
+@lru_cache(maxsize=None)
+def _damping_factors(p: int, q: int, h_d: float) -> tuple:
+    """The factors of u's orders 1..p-1 and of v's orders 0..q (see `damping_coeffs_2d`)."""
+    return (tuple((2.0 * (2 * l + 1) / (2 * p - 1)) * h_d**l / math.factorial(l)
+                  for l in range(1, p)),
+            tuple((2.0 * (2 * l + 1) / (2 * q - 1)) * h_d**(l + 1) / math.factorial(l + 1)
+                  for l in range(q + 1)))
 
 
 def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: SolverConfig):
@@ -212,30 +272,28 @@ def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config
     shape (rows, cols + 2, orders); those of the two outer columns are not
     meaningful.  For a whole periodic mesh, frame it with
     np.pad(coeffs, ((1, 1), (1, 1), (0, 0)), mode="wrap") and keep [:, 1:-1].
+    The two are views of one array, which the caller may write.
 
     for_u at order l sums, over the multi-indices of that order, the root of
     the quarter-sum of squared vertex jumps, scaled by
     2(2l+1)/(2p-1) * h_d^l / l!; for_v uses (2q-1), h_d^(l+1) and (l+1)!.
     for_u is taken at l = 1..p-1 only, and its columns 0 and p are zero:
     level l damps u_x - P^(l-1) u_x, and u_x has degree p - 1, so the
-    weights of orders 0 and p would multiply only zeros (see `_strip_rhs`).
+    weights of orders 0 and p would multiply only zeros (see `_damping_terms`).
     for_v is taken at every order.
     """
     p, q = config.p, config.q
     t = _tables2d(p, q, float(mesh.hx[0]), float(mesh.hy[0]), config.quad_points)
-    h_d = mesh.h
     rows, width = ucoef.shape[0] - 2, ucoef.shape[1]
-    (orders_u, corners_u), (orders_v, corners_v) = t["jumps"]["u"], t["jumps"]["v"]
-    acc_u = _vertex_jump_acc(ucoef.reshape(-1, ucoef.shape[-1]), width, orders_u, corners_u)
-    acc_v = _vertex_jump_acc(vcoef.reshape(-1, vcoef.shape[-1]), width, orders_v, corners_v)
-    for_u = np.zeros((rows, width, p + 1))
-    for_v = np.zeros((rows, width, q + 1))
-    acc_u, acc_v = acc_u.reshape(rows, width, -1), acc_v.reshape(rows, width, -1)
-    for l in orders_u:
-        for_u[..., l] = (2.0 * (2 * l + 1) / (2 * p - 1)) * h_d**l / math.factorial(l) * acc_u[..., l]
-    for l in orders_v:
-        for_v[..., l] = (2.0 * (2 * l + 1) / (2 * q - 1)) * h_d**(l + 1) / math.factorial(l + 1) * acc_v[..., l]
-    return for_u, for_v
+    (orders_u, corners_u), (orders_v, corners_v) = t["jumps"]
+    roots = _vertex_jump_roots((ucoef.reshape(-1, ucoef.shape[-1]),
+                                vcoef.reshape(-1, vcoef.shape[-1])), width, (corners_u, corners_v))
+    factors_u, factors_v = _damping_factors(p, q, mesh.h)
+    weights = np.zeros((len(roots), p + q + 2))
+    _sum_orders(roots, 0, orders_u, weights[:, 1:p], factors_u)
+    _sum_orders(roots, corners_u[0].shape[1], orders_v, weights[:, p + 1:], factors_v)
+    return (weights[:, :p + 1].reshape(rows, width, p + 1),
+            weights[:, p + 1:].reshape(rows, width, q + 1))
 
 
 @lru_cache(maxsize=None)
@@ -246,11 +304,11 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
     x, vertical faces; axis 1: y, horizontal faces).  Each face table is the
     normal factor of a mode at the cell's upper (+1) or lower (-1) side
     times its tangential factor at the face's quadrature nodes, shape
-    (nmodes, nquad).  "jumps" maps "u" and "v" to the orders of their
+    (nmodes, nquad).  "jumps" holds for u and for v the orders of their
     vertex jumps and the corner tables of those orders: 1..p-1 for u,
     0..q for v (see `damping_coeffs_2d`).  "fold" holds the mass and the
     total degree of the modes of degree 1..p-1, the only modes of u_x that
-    the u damping weighs (see `_strip_rhs`), and each face its rows of the
+    the u damping weighs (see `_damping_terms`), and each face its rows of the
     reference derivative map; "degrees_v" holds the total degree of each
     mode of v.  The strips' workers only read this cache: `rhs_arrays_2d`
     fills it before it submits the strips.
@@ -296,8 +354,8 @@ def _tables2d(p: int, q: int, hx: float, hy: float, nq: int):
         "ginv": np.linalg.inv(g[1:, 1:]),
         "jacobian": 0.25 * hx * hy,
         "faces": faces,
-        "jumps": {field: (orders, _corner_major_tables(degree, hx, hy, orders))
-                  for field, degree, orders in (("u", p, range(1, p)), ("v", q, range(q + 1)))},
+        "jumps": tuple((orders, _corner_major_tables(degree, hx, hy, orders))
+                       for degree, orders in ((p, range(1, p)), (q, range(q + 1)))),
         "fold": {"mass2": mass2[fold], "degrees": modes[fold].sum(axis=1)},
         "degrees_v": total_degree_modes(q).sum(axis=1),
         "bv_flat": basis_vol.reshape(nq * nq, -1).T,  # (nm, ngh)
@@ -314,8 +372,8 @@ def _two_sided_faces(faces, hi, lo, shift: int, out) -> None:
     its lower-side traces (lo).  The penalty fits this form because the
     upper cell sees exactly the negated jump.
     """
-    out += _mm(faces[shift:], hi)
-    out -= _mm(faces[:len(out)], lo)
+    out += faces[shift:] @ hi
+    out -= faces[:len(out)] @ lo
 
 
 def _framed(arr: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -342,101 +400,153 @@ def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: So
         raise ValueError("the in-cell source quotient treatment is 1D-only; use chi=0 in 2D")
     du, dv = out if out is not None else (np.empty(ucoef.shape), np.empty(vcoef.shape))
     t = _tables2d(config.p, config.q, float(mesh.hx[0]), float(mesh.hy[0]), config.quad_points)
+    fp = config.flux
+    # the constants of every strip; a 2D face weighs its sides mirrored against 1D's: see FluxParams
+    k = {
+        "flux": FluxParams(1.0 - fp.alpha, fp.tau, fp.beta),
+        # a one-sided vhat (alternating flux) is that side's own v trace, so the
+        # face correction vhat - v on that side vanishes and is skipped
+        "takes_minus": fp.zeta == 0.5 and not fp.tau,
+        "takes_plus": fp.zeta == -0.5 and not fp.tau,
+        # the alternating flux reads the normal derivative on one side only
+        "reads_minus": fp.zeta != 0.5 or fp.tau,
+        "reads_plus": fp.zeta != -0.5 or fp.tau,
+        "penalty": config.penalty_coefficient / mesh.h**2
+        if config.penalty and config.penalty_coefficient > 0.0 else None,
+        "fold": [f["aspect"] / mesh.h for f in t["faces"]],
+        # per-mode factors repeated along a framed row of w cells: on a band
+        # viewed as (rows, w * modes) they broadcast along whole rows
+        "fold_mass": np.tile(t["fold"]["mass2"], ucoef.shape[1] + 2),
+        "mass": np.tile(t["jacobian"] * t["mass2"][:t["nmq"]], ucoef.shape[1] + 2),
+    }
 
     def run(rows: slice) -> None:
-        _strip_rhs(ucoef, vcoef, rows.start, rows.stop, mesh, config, t, du, dv)
+        _strip_rhs(ucoef, vcoef, rows, mesh, config, t, k, du, dv)
 
     run_tasks(pool, run, row_blocks(ucoef.shape[0], ucoef.shape[1], CELLS_PER_STRIP))
     return du, dv
 
 
-def _strip_rhs(ucoef, vcoef, start: int, stop: int, mesh: Mesh2D, config: SolverConfig,
-               t: dict, du, dv) -> None:
-    """Write the right-hand side of rows start..stop-1 to the same rows of du, dv.
+def _strip_rhs(ucoef, vcoef, rows: slice, mesh: Mesh2D, config: SolverConfig, t: dict, k: dict,
+               du, dv) -> None:
+    """Write the right-hand side of the rows to the same rows of du, dv.
 
-    t holds the `_tables2d` of the mesh's cell.  The rows are framed (see
-    the module docstring) and flattened, so that the cells w apart are
-    x-neighbours and consecutive cells y-neighbours.  The accumulators hold
-    the band of the strip's own rows, ghost columns included, and their
-    inner columns go to du, dv at the end.
+    t holds the `_tables2d` of the mesh's cell and k the constants that
+    `rhs_arrays_2d` computes once.  `_framed_terms` writes du and returns
+    the terms of dv that read neighbours; then the source, cell-local, is
+    added in `row_blocks` of at most SOURCE_CELLS cells, on the input's own
+    rows (see the module docstring).  Each step's temporaries end with it.
     """
+    rhs, wv = _framed_terms(ucoef, vcoef, rows, mesh, config, t, k, du)
+    start, height, nmq = rows.start, rows.stop - rows.start, t["nmq"]
+    rhs_own = rhs.reshape(height, -1, nmq)[:, 1:-1]
+    if config.source is not None:
+        for block in row_blocks(height, ucoef.shape[1], SOURCE_CELLS):
+            cells = ucoef[start + block.start:start + block.stop]
+            fold = _mm(config.source.g(_mm(cells, t["bv_flat"])), t["bvw_q"])
+            fold *= t["jacobian"]
+            rhs_own[block] += fold
+    band = rhs.reshape(height, -1)
+    np.divide(band, k["mass"], out=band)
+    if wv is None:
+        dv[rows] = rhs_own
+    else:
+        np.subtract(rhs_own, wv.reshape(height, -1, nmq)[:, 1:-1], out=dv[rows])
+
+
+def _framed_terms(ucoef, vcoef, rows: slice, mesh: Mesh2D, config: SolverConfig,
+                  t: dict, k: dict, du) -> tuple:
+    """Write du of the rows; return the band's v terms before the source and its v damping.
+
+    The rows are framed (see the module docstring) and flattened, so that
+    the cells w apart are x-neighbours and consecutive cells y-neighbours.
+    The accumulators hold the band of the strip's own rows, ghost columns
+    included, and their inner columns go to du at the end.  The v damping,
+    weight * v / h per mode, is None without damping.
+    """
+    start, stop = rows.start, rows.stop
     nm, nmq = ucoef.shape[-1], t["nmq"]
-    rows, w = stop - start, ucoef.shape[1] + 2
+    w = ucoef.shape[1] + 2
     u3, v3 = _framed(ucoef, start, stop), _framed(vcoef, start, stop)
     u, v = u3.reshape(-1, nm), v3.reshape(-1, nmq)
     n = len(u)
-    nb, band = n - 2 * w, slice(w, n - w)
-    fp = config.flux
-    # a 2D face weighs its sides mirrored against 1D's: see FluxParams
-    face_flux = FluxParams(1.0 - fp.alpha, fp.tau, fp.beta)
 
     # v's modes are the degree-q prefix of u's, so its tables are row prefixes
-    b = _mm(v[band], t["g"][:nmq])  # integral of grad v . grad phi_a
-    rhs = _mm(u[band], t["g"][:, :nmq])
+    b = v[w:n - w] @ t["g"][:nmq]  # integral of grad v . grad phi_a
+    rhs = u[w:n - w] @ t["g"][:, :nmq]
     np.negative(rhs, out=rhs)
 
-    # a one-sided vhat (alternating flux) is that side's own v trace, so the
-    # face correction vhat - v on that side vanishes and is skipped
-    takes_minus = fp.zeta == 0.5 and not fp.tau
-    takes_plus = fp.zeta == -0.5 and not fp.tau
-    penalty = config.penalty and config.penalty_coefficient > 0.0
-    if penalty:
-        pen = np.zeros((nb, nm))
-
-    # axis 0: vertical faces, shift w, normal +x; axis 1: horizontal faces,
-    # shift 1, normal +y.  Face k lies between cells w - s + k and w + k,
-    # from the lower face of the band's first cell to the upper face of its last.
+    pen = np.zeros((n - 2 * w, nm)) if k["penalty"] is not None else None
+    # axis 0: vertical faces, shift w, normal +x; axis 1: horizontal faces, shift 1, normal +y
     for f, s in zip(t["faces"], (w, 1)):
-        lower, upper = u[w - s:n - w], u[w:n - w + s]
-        # the alternating flux reads the normal derivative on one side only
-        dnu_m = _mm(lower, f["d_hi"]) if fp.zeta != 0.5 or fp.tau else None
-        dnu_p = _mm(upper, f["d_lo"]) if fp.zeta != -0.5 or fp.tau else None
-        v_m, v_p = _mm(v[w - s:n - w], f["v_hi"]), _mm(v[w:n - w + s], f["v_lo"])
-        vhat, gn = numerical_fluxes(v_m, v_p, dnu_m, dnu_p, face_flux)
-        if not takes_minus:
-            b += _mm(vhat[s:] - v_m[s:], f["hi_w"])
-        if not takes_plus:
-            b -= _mm(vhat[:nb] - v_p[:nb], f["lo_w"])
-        if penalty:
-            jump = _mm(upper, f["lo"]) - _mm(lower, f["hi"])
-            _two_sided_faces(jump, f["pen_hi"], f["pen_lo"], s, pen)
-        _two_sided_faces(gn, f["gn_hi"], f["gn_lo"], s, rhs)
-
-    if penalty:
-        pen *= config.penalty_coefficient / mesh.h**2
+        _face_terms(u, v, w, s, f, k, b, rhs, pen)
+    if pen is not None:
+        pen *= k["penalty"]
         b += pen
+        del pen  # before the damping pass, the strip's largest
 
-    sig_u = sig_v = None
-    if config.damping:
-        sig_u, sig_v = damping_coeffs_2d(u3, v3, mesh, config)
-        # a mode of u_x of total degree k is damped by every level 1..k; u_x
-        # has no mode of degree p, and its modes of degree 0 are not damped,
-        # so the fold runs over the modes of degree 1..p-1 only
-        wu = sum_by_degree(sig_u.reshape(nb, -1), t["fold"]["degrees"], 1)
-        for f in t["faces"]:
-            weighted = _mm(u[band], f["d_fold"].T)
-            weighted *= wu
-            weighted *= t["fold"]["mass2"]
-            fold = _mm(weighted, f["d_fold"])
-            fold *= f["aspect"] / mesh.h
-            b -= fold
+    wv = _damping_terms(u3, v3, mesh, config, t, k, b) if config.damping else None
 
     own = slice(None), slice(1, -1)  # the strip's own cells of a (rows, w, .) band
-    du[start:stop, :, 0] = vcoef[start:stop, :, 0]
-    du[start:stop, :, 1:] = _mm(b[:, 1:], t["ginv"]).reshape(rows, w, nm - 1)[own]
+    du[rows, :, 0] = vcoef[rows, :, 0]
+    du[rows, :, 1:] = (b[:, 1:] @ t["ginv"]).reshape(stop - start, w, nm - 1)[own]
+    return rhs, wv
 
-    if config.source is not None:
-        # cell-local, on the strip's own rows of the input: see the module docstring
-        g_at = config.source.g(_mm(ucoef[start:stop], t["bv_flat"]))
-        fold = _mm(g_at, t["bvw_q"])
-        fold *= t["jacobian"]
-        rhs.reshape(rows, w, nmq)[own] += fold
 
-    dv_band = np.divide(rhs, t["jacobian"] * t["mass2"][:nmq], out=rhs)
-    if sig_v is not None:
-        # a mode of v of total degree k >= 1 is damped by every level 0..k
-        wv = sum_by_degree(sig_v.reshape(nb, -1), t["degrees_v"], 0)
-        wv *= v[band]
-        wv /= mesh.h
-        dv_band -= wv
-    dv[start:stop] = dv_band.reshape(rows, w, nmq)[own]
+def _face_terms(u, v, w: int, s: int, f: dict, k: dict, b, rhs, pen) -> None:
+    """Add the terms of the faces of one axis, shift s, into b, rhs and pen (if not None).
+
+    u and v are framed strips, w cells to a row, and b, rhs and pen hold
+    their band.  Face k lies between cells w - s + k and w + k, from the
+    lower face of the band's first cell to the upper face of its last.
+    """
+    n, nb = len(u), len(b)
+    lower, upper = u[w - s:n - w], u[w:n - w + s]
+    if pen is not None:
+        jump = upper @ f["lo"]
+        jump -= lower @ f["hi"]
+        _two_sided_faces(jump, f["pen_hi"], f["pen_lo"], s, pen)
+        del jump  # before the traces of the flux
+    dnu_m = lower @ f["d_hi"] if k["reads_minus"] else None
+    dnu_p = upper @ f["d_lo"] if k["reads_plus"] else None
+    v_m, v_p = v[w - s:n - w] @ f["v_hi"], v[w:n - w + s] @ f["v_lo"]
+    vhat, gn = numerical_fluxes(v_m, v_p, dnu_m, dnu_p, k["flux"])
+    if not k["takes_minus"]:
+        b += (vhat[s:] - v_m[s:]) @ f["hi_w"]
+    if not k["takes_plus"]:
+        b -= (vhat[:nb] - v_p[:nb]) @ f["lo_w"]
+    _two_sided_faces(gn, f["gn_hi"], f["gn_lo"], s, rhs)
+
+
+def _damping_terms(u3, v3, mesh: Mesh2D, config: SolverConfig, t: dict, k: dict, b):
+    """Subtract the u damping's fold from b; return the v damping, weight * v / h per mode.
+
+    u3 and v3 are framed strips, and b holds their band.
+    """
+    rows = len(u3) - 2
+    ub = u3[1:-1].reshape(-1, u3.shape[-1])
+    sig_u, sig_v = damping_coeffs_2d(u3, v3, mesh, config)
+    # a mode of total degree l is damped by every level 1..l of u's
+    # weights (0..l of v's): the running sums over the orders, in turn
+    sig_u, sig_v = sig_u.reshape(len(b), -1), sig_v.reshape(len(b), -1)
+    for l in range(2, config.p):
+        sig_u[:, l] += sig_u[:, l - 1]
+    for l in range(1, config.q + 1):
+        sig_v[:, l] += sig_v[:, l - 1]
+    # u_x has no mode of degree p, and its modes of degree 0 are not damped,
+    # so the fold runs over the modes of degree 1..p-1 only
+    wu = sig_u[:, t["fold"]["degrees"]]
+    for f, scale in zip(t["faces"], k["fold"]):
+        weighted = ub @ f["d_fold"].T
+        weighted *= wu
+        by_row = weighted.reshape(rows, -1)
+        np.multiply(by_row, k["fold_mass"], out=by_row)
+        fold = weighted @ f["d_fold"]
+        fold *= scale
+        b -= fold
+    # v's mode of degree 0 is not damped
+    wv = sig_v[:, t["degrees_v"]]
+    wv[:, 0] = 0.0
+    wv *= v3[1:-1].reshape(-1, v3.shape[-1])
+    wv /= mesh.h
+    return wv

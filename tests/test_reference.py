@@ -190,9 +190,10 @@ def _signed_zeros(x, y):
 
 # (nx, ny, most rows per block): nx below and equal to the block height,
 # and above it in blocks of unequal heights (11 rows: 3, 4, 4), nx = 2 (in
-# one block, and in 1-row blocks whose two ghosts are the same row), and
-# one block at the built-in size
-GRID_CASES = [(3, 5, 4), (4, 5, 4), (11, 5, 4), (2, 3, 4), (2, 3, 1), (9, 14, None)]
+# one block, and in 1-row blocks whose two ghosts are the same row), ny = 2
+# (each point's two y neighbours are the same point), and one block at the
+# built-in size
+GRID_CASES = [(3, 5, 4), (4, 5, 4), (11, 5, 4), (2, 3, 4), (2, 3, 1), (7, 2, 3), (9, 14, None)]
 
 
 @pytest.mark.parametrize("source", SOURCE_CASES)

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import brute_rhs_2d, fluxes_2d
 from wavedg.basis import gauss_rule, mass_diagonal, vandermonde
-from wavedg.field import DGField2D, gradient_gram, n_modes, total_degree_modes
+from wavedg.field import DGField2D, gradient_gram, n_modes, row_blocks, total_degree_modes
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
 from wavedg.scheme1d import (SOURCES, FluxParams, SolverConfig, SourceTerm, numerical_fluxes,
@@ -144,8 +144,10 @@ def _vertex_jump_acc(f: DGField2D) -> np.ndarray:
     orders = range(f.degree + 1)
     corners = scheme2d._corner_major_tables(f.degree, float(f.mesh.hx[0]), float(f.mesh.hy[0]),
                                             orders)
-    acc = scheme2d._vertex_jump_acc(framed.reshape(-1, framed.shape[-1]), framed.shape[1],
-                                    orders, corners)
+    roots = scheme2d._vertex_jump_roots((framed.reshape(-1, framed.shape[-1]),),
+                                        framed.shape[1], (corners,))
+    acc = np.empty((len(roots), f.degree + 1))
+    scheme2d._sum_orders(roots, 0, orders, acc, [1.0] * len(orders))
     return acc.reshape(f.mesh.nx, f.mesh.ny + 2, -1)[:, 1:-1]
 
 
@@ -545,18 +547,55 @@ def test_strips_match_whole_mesh_bit_for_bit(monkeypatch, fluxname, penalty, sou
 
 @pytest.mark.parametrize("fluxname", ["alternating1", "generic"])
 def test_strips_match_whole_mesh_at_the_built_in_strip_size(monkeypatch, fluxname):
+    # one row of 64 more than a strip holds: the mesh is cut into 2 strips.
     # p = 3 with a source contracts 36 quadrature values per cell, a product
-    # that BLAS rounds differently below a few hundred rows.  81 rows of 64
-    # are cut into strips of 40 and 41 rows, not 80 and 1; with the 1-row
-    # strip about half of these states differ in the last bit.
+    # that BLAS rounds differently below a few hundred rows.  On unit cells
+    # the source outweighs the face terms, and a last bit of it shows in dv.
     rng = np.random.default_rng(43)
-    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, 81, 64)
+    nx = scheme2d.CELLS_PER_STRIP // 64 + 1
+    assert len(row_blocks(nx, 64, scheme2d.CELLS_PER_STRIP)) >= 2
+    mesh = cartesian_mesh_2d(0.0, nx, 0.0, 64.0, nx, 64)
     cfg = SolverConfig(p=3, q=1, chi=0, flux=FLUX_CASES[fluxname], source=SOURCES["cubic_4"])
     for _ in range(6):
-        u, v = _random_state_2d(rng, 81, 64, 3, 1, scale=2.0)
+        u, v = _random_state_2d(rng, nx, 64, 3, 1, scale=2.0)
         (du, dv), (du_s, dv_s) = _whole_and_strips(monkeypatch, u, v, mesh, cfg,
                                                    scheme2d.CELLS_PER_STRIP)
         assert np.array_equal(du, du_s) and np.array_equal(dv, dv_s)
+
+
+def test_strip_workers_at_the_built_in_strip_size_give_the_one_strip_bytes(monkeypatch):
+    # p = q = 3: u's vertex jumps take orders 1..2 and v's 0..3, side by side
+    # in one pass.  2 * (CELLS_PER_STRIP // 64) + 1 rows of 64 are 3 strips
+    # on 2 workers, against one strip in this thread; on cells of about unit
+    # size the source's last bits show, as in the test above.
+    rng = np.random.default_rng(83)
+    nx = 2 * (scheme2d.CELLS_PER_STRIP // 64) + 1
+    assert len(row_blocks(nx, 64, scheme2d.CELLS_PER_STRIP)) >= 3
+    mesh = cartesian_mesh_2d(0.0, nx, 0.0, 0.8 * 64, nx, 64)
+    cfg = SolverConfig(p=3, q=3, chi=0, flux=FLUX_CASES["generic"], source=SOURCES["cubic_4"])
+    u, v = _random_state_2d(rng, nx, 64, 3, 3, scale=2.0)
+    with ThreadPoolExecutor(2) as pool:
+        got = rhs_arrays_2d(u, v, mesh, cfg, pool=pool)
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 10**9)
+    want = rhs_arrays_2d(u, v, mesh, cfg)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_a_strip_takes_its_source_in_blocks_of_at_most_source_cells():
+    # 64 rows of 320 cells: strips of 32 rows, each taking its source in two
+    # blocks of 16 rows, 5,120 cells
+    calls = []
+
+    def g(x):
+        calls.append(x.shape[:2])
+        return SOURCES["cubic_4"].g(x)
+
+    mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, 64, 320)
+    cfg = SolverConfig(p=2, q=1, chi=0, source=SourceTerm("recorded", g, g, 0.0))
+    u, v = _random_state_2d(np.random.default_rng(89), 64, 320, 2, 1)
+    rhs_arrays_2d(u, v, mesh, cfg)
+    assert len(row_blocks(64, 320, scheme2d.CELLS_PER_STRIP)) == 2
+    assert calls == [(16, 320)] * 4 and 16 * 320 <= scheme2d.SOURCE_CELLS
 
 
 def test_rhs_commutes_with_periodic_shift_along_x(monkeypatch):

@@ -22,8 +22,9 @@ product has a row count at which OpenBLAS rounds small products
 differently; at p = q = 3 on 28^2, where u's and v's vertex jumps take
 different orders of one degree, and at p = 4 on 16^2, whose u jumps
 take orders 1 to 3; both abort at step 2 or 3 on coarser meshes) and ex8
-(also at 80^2, the one 2D run that the kernel evaluates in two framed
-strips, on two strip workers where the process may use two CPUs); energy
+(also at 128^2, the one 2D run that the kernel evaluates in two framed
+strips, each of two source blocks, on two strip workers where the process
+may use two CPUs); energy
 on ex2 (also with the Sommerfeld flux at speed 2), ex3 and ex4;
 compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the 1000^2
 grid); and nine custom problems: two from config files written to
@@ -43,9 +44,9 @@ each must give its source's digests, or the script exits 1.  Only the
 runs' own directories are hashed, 98 artifacts in all.  These runs split a
 `field.row_blocks` partition into several blocks: compare-ex7 runs the
 1000^2 leapfrog in 32 blocks, as two runs of 16 on two leapfrog workers
-where two CPUs are usable, shock-ex8-strips at 80^2 has 2 kernel strips
-and 2 SSP-RK3 stage blocks, and shock-ex8 at 40^2 takes its source
-integral in 2 blocks.  It takes about 25 s on one core.  Running it once
+where two CPUs are usable, shock-ex8-strips at 128^2 has 2 kernel strips
+of 2 source blocks each and 5 SSP-RK3 stage blocks, and shock-ex8 at 40^2
+takes its source integral in 2 blocks.  It takes about 30 s on one core.  Running it once
 under `taskset -c 0` and once on two CPUs checks the serial and the
 threaded paths.  The bits of
 small matrix products may depend on the BLAS thread count, so the script
@@ -85,9 +86,9 @@ RUNS = {
     "shock-ex7-p3-q3": ["shock", "--problem", "ex7", "-p", "3", "-q", "3", "--ns", "28"],
     "shock-ex7-p4": ["shock", "--problem", "ex7", "-p", "4", "--ns", "16"],
     "shock-ex8": ["shock", "--problem", "ex8", "--ns", "40"],
-    "shock-ex8-strips": ["shock", "--problem", "ex8", "--ns", "80"],
+    "shock-ex8-strips": ["shock", "--problem", "ex8", "--ns", "128"],
     "shock-ex8-strips-replay": ["shock", "--config",
-                                "{outdir}/shock-ex8-strips/ex8_shock_ofedg_n80.json"],
+                                "{outdir}/shock-ex8-strips/ex8_shock_ofedg_n128.json"],
     "energy-ex2": ["energy", "--problem", "ex2", "--ns", "40", "--chi", "0"],
     "energy-ex3": ["energy", "--problem", "ex3", "--ns", "40"],
     "energy-ex4": ["energy", "--problem", "ex4", "--ns", "40"],

@@ -413,7 +413,7 @@ def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: So
         "reads_plus": fp.zeta != -0.5 or fp.tau,
         "penalty": config.penalty_coefficient / mesh.h**2
         if config.penalty and config.penalty_coefficient > 0.0 else None,
-        "fold": [f["aspect"] / mesh.h for f in t["faces"]],
+        "fold_scale": [f["aspect"] / mesh.h for f in t["faces"]],
         # per-mode factors repeated along a framed row of w cells: on a band
         # viewed as (rows, w * modes) they broadcast along whole rows
         "fold_mass": np.tile(t["fold"]["mass2"], ucoef.shape[1] + 2),
@@ -536,7 +536,7 @@ def _damping_terms(u3, v3, mesh: Mesh2D, config: SolverConfig, t: dict, k: dict,
     # u_x has no mode of degree p, and its modes of degree 0 are not damped,
     # so the fold runs over the modes of degree 1..p-1 only
     wu = sig_u[:, t["fold"]["degrees"]]
-    for f, scale in zip(t["faces"], k["fold"]):
+    for f, scale in zip(t["faces"], k["fold_scale"]):
         weighted = ub @ f["d_fold"].T
         weighted *= wu
         by_row = weighted.reshape(rows, -1)

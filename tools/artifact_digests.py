@@ -24,15 +24,14 @@ different orders of one degree, and at p = 4 on 16^2, whose u jumps
 take orders 1 to 3; both abort at step 2 or 3 on coarser meshes) and ex8
 (also at 128^2, the one 2D run that the kernel evaluates in two framed
 strips, each of two source blocks, on two strip workers where the process
-may use two CPUs); energy
-on ex2 (also with the Sommerfeld flux at speed 2), ex3 and ex4;
-compare-ctcs on ex4, ex5 and ex7 (its leapfrog comparator is the 1000^2
-grid); and nine custom problems: two from config files written to
-OUTDIR/configs, a Neumann box with the cubic source in 1D (shock) and a
-Gaussian on a 1-by-2 rectangle in 2D (energy), and seven from flags, a
-periodic sine in 1D (shock), a Gaussian on (-1, 3) with the sine-Gordon
-source in 1D (energy; `--domain=-1,3` keeps argparse from reading the
-bounds as a flag), on the 1-by-2 rectangle a sine (energy) and a box with
+may use two CPUs); energy on ex2 (also with the Sommerfeld flux at speed
+2), ex3 and ex4; compare-ctcs on ex4, ex5 and ex7 (its leapfrog
+comparator is the 1000^2 grid); and nine custom problems: two from
+config files written to OUTDIR/configs, a Neumann box with the cubic
+source in 1D (shock) and a Gaussian on a 1-by-2 rectangle in 2D (energy),
+and seven from flags, a periodic sine in 1D (shock), a Gaussian on
+(-1, 3) with the sine-Gordon source in 1D (energy; `--domain=-1,3` keeps
+argparse from reading the bounds as a flag), on the 1-by-2 rectangle a sine (energy) and a box with
 the cubic source (shock), and a sine between Neumann walls in 1D to
 t = 2 under the alternating flux (energy; with the defaults, without
 damping and penalty, and on side 1), the runs in which the walls' fluxes
@@ -46,12 +45,12 @@ runs' own directories are hashed, 98 artifacts in all.  These runs split a
 1000^2 leapfrog in 32 blocks, as two runs of 16 on two leapfrog workers
 where two CPUs are usable, shock-ex8-strips at 128^2 has 2 kernel strips
 of 2 source blocks each and 5 SSP-RK3 stage blocks, and shock-ex8 at 40^2
-takes its source integral in 2 blocks.  It takes about 30 s on one core.  Running it once
-under `taskset -c 0` and once on two CPUs checks the serial and the
-threaded paths.  The bits of
-small matrix products may depend on the BLAS thread count, so the script
-sets OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1 before numpy loads,
-unless the caller has set them, as the test suite does.
+takes its source integral in 2 blocks.  It takes about 30 s on one core.
+Running it once under `taskset -c 0` and once on two CPUs checks the
+serial and the threaded paths.  The bits of small matrix products may
+depend on the BLAS thread count, so the script sets OPENBLAS_NUM_THREADS
+and OMP_NUM_THREADS to 1 before numpy loads, unless the caller has set
+them, as the test suite does.
 """
 from __future__ import annotations
 

@@ -123,7 +123,8 @@ class Mesh2D:
             widths = np.diff(nodes)
             if np.any(widths <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
-            if not widths.max() - widths.min() <= 1e-12 * widths.max():
+            spread = widths.max() - widths.min()  # linspace rounds to ulps of the largest |node|
+            if not (spread <= 1e-12 * widths.max() or spread <= 4 * np.spacing(abs(nodes).max())):
                 raise ValueError(f"{name} must be uniformly spaced")
 
     @property

@@ -260,44 +260,46 @@ def _tables(p: int, q: int, nq: int):
     }
 
 
+def damping_factors(p: int, q: int, h, v_shift: int) -> tuple[list, list]:
+    """The damping factors of u's orders l = 1..p-1 and of v's orders l = 0..q.
+
+    u's: 2(2l+1)/(2p-1) * h^l / l!; v's: 2(2l+1)/(2q-1) * h^(l+1) / (l + v_shift)!.
+    h is the cell widths in 1D and the mesh size `Mesh2D.h` in 2D.  v_shift is
+    fixed per kernel, 0 in 1D and 1 in 2D, and is the one place where the two
+    kernels' damping differs; the README's known-red gates 1/2/4 trace their
+    excess to this v term.  A weight is its factor times the root of the
+    order's squared jumps, multiplied in that order.
+    """
+    return ([(2.0 * (2 * l + 1) / (2 * p - 1)) * h**l / math.factorial(l) for l in range(1, p)],
+            [(2.0 * (2 * l + 1) / (2 * q - 1)) * h**(l + 1) / math.factorial(l + v_shift)
+             for l in range(q + 1)])
+
+
+def accumulate_orders(weights: np.ndarray, first: int, last: int) -> None:
+    """Running sums over the orders on the last axis, in place: order l gets the sum of
+    orders first..l, for l = first + 1..last, as a mode of degree l is damped by every
+    order first..l of its cell's weights."""
+    for l in range(first + 1, last + 1):
+        weights[..., l] += weights[..., l - 1]
+
+
 def damping_weights(ju: np.ndarray, jv: np.ndarray, widths: np.ndarray,
                     config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Damping weights (for_u, for_v) from derivative jumps at the two cell ends.
 
-    for_u[j, l] = 2(2l+1)/(2p-1) * h_j^l / l! * sqrt(J_l(right)^2 + J_l(left)^2)
-    for l = 1..p-1, with J_l the jump of the l-th derivative of u (the first p
-    columns of ju); columns 0 and p are zero, as in 2D, since an order-p weight
-    would only multiply u_x's zero mode p.  for_v[j, l], l = 0..q, is the
-    analogue with denominator (2q-1), the power h_j^(l+1), and jumps of v.
+    for_u[j, l] = `damping_factors`' u factor * sqrt(J_l(right)^2 + J_l(left)^2)
+    for l = 1..p-1, with J_l the jump of the l-th derivative of u (a column of
+    ju); columns 0 and p are zero, as in 2D, since an order-p weight would
+    only multiply u_x's zero mode p.  for_v[j, l], l = 0..q, is the analogue
+    with v's factor (v_shift 0) and the jumps of v.
     """
     p, q = config.p, config.q
-    sq_u = np.sqrt(ju[:-1, :p] ** 2 + ju[1:, :p] ** 2)  # (N, p), per-cell ends
+    sq_u = np.sqrt(ju[:-1, 1:p] ** 2 + ju[1:, 1:p] ** 2)  # (N, p - 1), per-cell ends
     sq_v = np.sqrt(jv[:-1] ** 2 + jv[1:] ** 2)
+    factors_u, factors_v = damping_factors(p, q, widths, 0)
     for_u = np.zeros((len(widths), p + 1))
-    for_v = np.zeros_like(sq_v)
-    for l in range(1, p):
-        for_u[:, l] = (2.0 * (2 * l + 1) / (2 * p - 1)) * widths**l / math.factorial(l) * sq_u[:, l]
-    for l in range(0, q + 1):
-        for_v[:, l] = (2.0 * (2 * l + 1) / (2 * q - 1)) * widths**(l + 1) / math.factorial(l) * sq_v[:, l]
-    return for_u, for_v
-
-
-def sum_by_degree(weights: np.ndarray, degrees: np.ndarray, first: int) -> np.ndarray:
-    """Per mode a: weights[..., first] + ... + weights[..., degrees[a]], 0 where degrees[a] = 0.
-
-    weights holds one damping weight per derivative order on its last axis,
-    and a mode of degree k is damped by every order first..k of its cell.
-    The modes come sorted by degree, and the sums run in np.cumsum's order.
-    """
-    out = np.empty(weights.shape[:-1] + degrees.shape)
-    ends = np.searchsorted(degrees, np.arange(1, degrees[-1] + 2)).tolist()  # modes of degree <= l
-    out[..., :ends[0]] = 0.0
-    acc = weights[..., first]
-    for l in range(1, len(ends)):
-        if l > first:
-            acc = acc + weights[..., l]
-        out[..., ends[l - 1]:ends[l]] = acc[..., None]
-    return out
+    for_u[:, 1:p] = np.column_stack(factors_u) * sq_u
+    return for_u, np.column_stack(factors_v) * sq_v
 
 
 def _traces(coeffs: np.ndarray, mesh: Mesh1D, ends) -> tuple[np.ndarray, np.ndarray]:
@@ -356,6 +358,9 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
         uxhat = np.concatenate([[0.0], uxhat[1:-1], [0.0]])
     if config.damping:
         sigma_u, sigma_v = damping_weights(ju, v_plus - v_minus, h, config)
+        accumulate_orders(sigma_u, 1, p)  # order p holds 0 and becomes the sum to p - 1
+        accumulate_orders(sigma_v, 0, q)
+        sigma_v[:, 0] = 0.0  # v's mode of degree 0 is not damped
     if config.source is not None:
         u_at = ucoef @ t["vp_tab"].T
 
@@ -369,8 +374,7 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
         pen = ju[1:, 0, None] * t["p_right"][None, :] - ju[:-1, 0, None] * t["p_left"][None, :]
         b += (config.penalty_coefficient / mesh.h**2) * pen
     if config.damping:
-        wu = sum_by_degree(sigma_u, np.arange(p + 1), 1)
-        weighted = wu * (ucoef @ t["dp"].T) * t["inv2kp1_p"][None, :]
+        weighted = sigma_u * (ucoef @ t["dp"].T) * t["inv2kp1_p"][None, :]
         b -= 4.0 * inv_h[:, None] ** 2 * (weighted @ t["dp"])
     if config.chi == 1 and config.source is not None:
         du = _solve_with_quotient(b, vcoef, u_at, h, inv_h, t, config.source)
@@ -388,5 +392,5 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
         rhs += np.einsum("jg,gm->jm", g_w, t["vq_tab"]) * (0.5 * h[:, None])
     dv = rhs * t["two_m_q"][None, :] * inv_h[:, None]
     if config.damping:
-        dv -= sum_by_degree(sigma_v, np.arange(q + 1), 0) * vcoef * inv_h[:, None]
+        dv -= sigma_v * vcoef * inv_h[:, None]
     return du, dv

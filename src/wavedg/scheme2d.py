@@ -119,7 +119,6 @@ worker (`taskset -c 0`) a round took 9.99 and 10.02 s against 10.71 and
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import Executor
 from functools import lru_cache
 
@@ -128,7 +127,8 @@ import numpy as np
 from .basis import derivative_matrix, gauss_rule, mass_diagonal, vandermonde
 from .field import gradient_gram, n_modes, row_blocks, run_tasks, total_degree_modes
 from .mesh import Mesh2D
-from .scheme1d import FluxParams, SolverConfig, numerical_fluxes
+from .scheme1d import (FluxParams, SolverConfig, accumulate_orders, damping_factors,
+                       numerical_fluxes)
 
 _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))  # BL, BR, TL, TR
 
@@ -254,15 +254,6 @@ def _sum_orders(roots: np.ndarray, first: int, orders: range, out: np.ndarray, f
         col += l + 1
 
 
-@lru_cache(maxsize=None)
-def _damping_factors(p: int, q: int, h_d: float) -> tuple:
-    """The factors of u's orders 1..p-1 and of v's orders 0..q (see `damping_coeffs_2d`)."""
-    return (tuple((2.0 * (2 * l + 1) / (2 * p - 1)) * h_d**l / math.factorial(l)
-                  for l in range(1, p)),
-            tuple((2.0 * (2 * l + 1) / (2 * q - 1)) * h_d**(l + 1) / math.factorial(l + 1)
-                  for l in range(q + 1)))
-
-
 def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: SolverConfig):
     """Damping weights (for_u[i,j,l], l=0..p; for_v[i,j,l], l=0..q) of a framed block.
 
@@ -275,8 +266,8 @@ def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config
     The two are views of one array, which the caller may write.
 
     for_u at order l sums, over the multi-indices of that order, the root of
-    the quarter-sum of squared vertex jumps, scaled by
-    2(2l+1)/(2p-1) * h_d^l / l!; for_v uses (2q-1), h_d^(l+1) and (l+1)!.
+    the quarter-sum of squared vertex jumps, scaled by the order's
+    `damping_factors` at h = mesh.h and v_shift 1: for_v divides by (l+1)!.
     for_u is taken at l = 1..p-1 only, and its columns 0 and p are zero:
     level l damps u_x - P^(l-1) u_x, and u_x has degree p - 1, so the
     weights of orders 0 and p would multiply only zeros (see `_damping_terms`).
@@ -288,7 +279,7 @@ def damping_coeffs_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config
     (orders_u, corners_u), (orders_v, corners_v) = t["jumps"]
     roots = _vertex_jump_roots((ucoef.reshape(-1, ucoef.shape[-1]),
                                 vcoef.reshape(-1, vcoef.shape[-1])), width, (corners_u, corners_v))
-    factors_u, factors_v = _damping_factors(p, q, mesh.h)
+    factors_u, factors_v = damping_factors(p, q, mesh.h, 1)
     weights = np.zeros((len(roots), p + q + 2))
     _sum_orders(roots, 0, orders_u, weights[:, 1:p], factors_u)
     _sum_orders(roots, corners_u[0].shape[1], orders_v, weights[:, p + 1:], factors_v)
@@ -526,13 +517,9 @@ def _damping_terms(u3, v3, mesh: Mesh2D, config: SolverConfig, t: dict, k: dict,
     rows = len(u3) - 2
     ub = u3[1:-1].reshape(-1, u3.shape[-1])
     sig_u, sig_v = damping_coeffs_2d(u3, v3, mesh, config)
-    # a mode of total degree l is damped by every level 1..l of u's
-    # weights (0..l of v's): the running sums over the orders, in turn
     sig_u, sig_v = sig_u.reshape(len(b), -1), sig_v.reshape(len(b), -1)
-    for l in range(2, config.p):
-        sig_u[:, l] += sig_u[:, l - 1]
-    for l in range(1, config.q + 1):
-        sig_v[:, l] += sig_v[:, l - 1]
+    accumulate_orders(sig_u, 1, config.p - 1)
+    accumulate_orders(sig_v, 0, config.q)
     # u_x has no mode of degree p, and its modes of degree 0 are not damped,
     # so the fold runs over the modes of degree 1..p-1 only
     wu = sig_u[:, t["fold"]["degrees"]]

@@ -12,7 +12,9 @@ companion property tests document the behavior):
     changes nothing.  Whether the v weights are right is not settled here:
     they scale as h^(l+1)/l! in 1D but h^(l+1)/(l+1)! in 2D, the oracles copy
     each formula, and neither factorial puts every cell in its window (1D
-    with (l+1)! gives A p = 3 at 4.428).
+    with (l+1)! gives A p = 3 at 4.428).  Both kernels take their factors
+    from scheme1d.damping_factors, whose v_shift (0 in 1D, 1 in 2D) is the
+    one place where the two factorials differ.
   * criterion 6, first clause: the penalty-only variant oscillates (clear
     total-variation excess) but its midpoint overshoot above the exact
     range measures 0.0025, not > 0.02 (0.0028 at 20 points per cell, 0.011

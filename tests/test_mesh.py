@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from wavedg.cli import main
 from wavedg.mesh import Mesh1D, Mesh2D, cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
 
 
@@ -91,6 +92,28 @@ def test_2d_mesh_rejects_non_uniform_nodes(axis):
     nodes[axis] = np.array([0.0, 1.0, 2.0, 3.0 + 2e-12])
     with pytest.raises(ValueError, match=f"{axis} must be uniformly spaced"):
         Mesh2D(**nodes)
+
+
+@pytest.mark.parametrize("domain, nx, ny", [((0.0, 1.0, 0.0, 1.1), 2, 4050),
+                                             ((0.0, 1.0, 0.0, 1.0), 2, 6850)])
+def test_2d_mesh_accepts_its_own_linspace_nodes(domain, nx, ny):
+    # linspace's widths here spread by more than 1e-12 of a width, but by only a few
+    # ulps of the largest node; widths that differ by 1e-9 are still rejected
+    nodes = np.linspace(domain[2], domain[3], ny + 1)
+    widths = np.diff(nodes)
+    assert widths.max() - widths.min() > 1e-12 * widths.max()
+    m = cartesian_mesh_2d(*domain, nx, ny)
+    assert m.ny == ny and m.ynodes.tobytes() == nodes.tobytes()
+    nodes[ny // 2] += 1e-9
+    with pytest.raises(ValueError, match="ynodes must be uniformly spaced"):
+        Mesh2D(m.xnodes, nodes)
+
+
+def test_2d_mesh_far_from_the_origin_runs_from_the_cli(tmp_path):
+    # x in [100, 101]: linspace's widths spread by about an ulp of 101, 1.1e-12 of a width
+    argv = ["energy", "--problem", "custom", "--dim", "2", "--domain", "100,101,0,1",
+            "--ns", "80", "--t-final", "0.01", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
 
 
 def test_periodic_interface_count_1d():

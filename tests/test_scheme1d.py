@@ -17,11 +17,12 @@ from wavedg.scheme1d import (
     SolverConfig,
     SourceTerm,
     _traces,
+    accumulate_orders,
+    damping_factors,
     damping_weights,
     flux_from_name,
     numerical_fluxes,
     rhs_arrays_1d,
-    sum_by_degree,
 )
 
 
@@ -329,20 +330,24 @@ def test_cubic_source_keeps_the_bytes_of_its_closed_form():
     assert src.g(1.5) == 13.5 and src.antiderivative_G(-2.0) == -16.0
 
 
-def _old_sum_by_degree(sig, first, out):
-    """The 2D kernel's former per-mode sum over the degree blocks of total_degree_modes."""
-    out[..., 0] = 0.0
-    acc = sig[..., first]
-    for l in range(1, sig.shape[-1]):
+def _former_sum_by_degree(weights, degrees, first):
+    """The kernels' former per-mode sum: weights[..., first] + ... + weights[..., degrees[a]]
+    per mode a, 0 where degrees[a] = 0, left to right over the orders."""
+    out = np.empty(weights.shape[:-1] + degrees.shape)
+    ends = np.searchsorted(degrees, np.arange(1, degrees[-1] + 2)).tolist()  # modes of degree <= l
+    out[..., :ends[0]] = 0.0
+    acc = weights[..., first]
+    for l in range(1, len(ends)):
         if l > first:
-            acc = acc + sig[..., l]
-        out[..., n_modes(l - 1):n_modes(l)] = acc[..., None]
+            acc = acc + weights[..., l]
+        out[..., ends[l - 1]:ends[l]] = acc[..., None]
     return out
 
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_sum_by_degree_equals_the_former_sums_of_both_kernels(first):
-    # weights from subnormal to 1e4, and zeros, as damping weights come
+    # accumulate_orders as each kernel reads it per mode, against the former per-mode
+    # sum; weights from subnormal to 1e4, and zeros, as damping weights come
     rng = np.random.default_rng(71 + first)
 
     def weights(orders):
@@ -350,21 +355,37 @@ def test_sum_by_degree_equals_the_former_sums_of_both_kernels(first):
         w[rng.random(w.shape) < 0.1] = 0.0
         return w
 
-    for p in range(first, 7):  # the former loop reads order `first`, so p >= first
-        sig = weights(p + 1)
-        degrees = total_degree_modes(p).sum(axis=1)
-        want = _old_sum_by_degree(sig, first, np.empty((40, n_modes(p))))
-        got = sum_by_degree(sig, degrees, first)
-        assert got.tobytes() == want.tobytes()
     for p in range(2, 7):
         sig = weights(p + 1)
-        if first == 1:  # the former u block of rhs_arrays_1d
-            want = np.zeros((40, p + 1))
-            want[:, 1:] = np.cumsum(sig[:, 1:], axis=1)
-        else:  # its v block
-            want = np.cumsum(sig, axis=1)
-            want[:, 0] = 0.0
-        assert sum_by_degree(sig, np.arange(p + 1), first).tobytes() == want.tobytes()
+        if first == 1:  # u's orders 0 and p are zero, as both kernels fill them
+            sig[:, [0, p]] = 0.0
+        # 1D: one mode per degree, u summed through order p, v through q with mode 0 zeroed
+        got = sig.copy()
+        accumulate_orders(got, first, p)
+        if first == 0:
+            got[:, 0] = 0.0
+        assert got.tobytes() == _former_sum_by_degree(sig, np.arange(p + 1), first).tobytes()
+        # 2D: u's fold reads the modes of total degree 1..p-1, v every mode, mode 0 zeroed
+        degrees = total_degree_modes(p).sum(axis=1)
+        read = slice(first, n_modes(p - first))
+        got = sig.copy()
+        accumulate_orders(got, first, p - first)
+        got = got[:, degrees[read]]
+        if first == 0:
+            got[:, 0] = 0.0
+        want = _former_sum_by_degree(sig, degrees, first)[:, read]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_damping_factors_are_pinned_to_the_formula():
+    # p = 3, q = 2, h = 0.5, written out by hand: u's orders 1, 2 take 2(2l+1)/5 h^l / l!,
+    # v's orders 0..2 take 2(2l+1)/3 h^(l+1) / (l + v_shift)!
+    u, v = damping_factors(3, 2, 0.5, 0)
+    assert u == pytest.approx([0.6, 0.25], rel=1e-15)
+    assert v == pytest.approx([1.0 / 3.0, 0.5, 5.0 / 24.0], rel=1e-15)
+    u, v = damping_factors(3, 2, 0.5, 1)
+    assert u == pytest.approx([0.6, 0.25], rel=1e-15)
+    assert v == pytest.approx([1.0 / 3.0, 0.25, 5.0 / 72.0], rel=1e-15)
 
 
 def test_solve_ut_consistency_refinement():
@@ -473,7 +494,8 @@ def _damping_share(u, v, m, cfg):
     ux = (2.0 / h) * (u @ derivative_matrix(cfg.p).T)
     total = 0.0
     for sigma, modes, first in ((sigma_u, ux, 1), (sigma_v, v, 0)):
-        rate = sum_by_degree(sigma, np.arange(modes.shape[1]), first) / h
+        rate = np.stack([sigma[:, first:k + 1].sum(axis=1) * (k > 0)
+                         for k in range(modes.shape[1])], axis=1) / h
         total += np.sum(rate * modes**2 * 0.5 * h * mass_diagonal(modes.shape[1] - 1))
     return -2.0 * total
 

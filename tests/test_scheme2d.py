@@ -14,8 +14,7 @@ from wavedg.basis import gauss_rule, mass_diagonal, vandermonde
 from wavedg.field import DGField2D, gradient_gram, n_modes, row_blocks, total_degree_modes
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
-from wavedg.scheme1d import (SOURCES, FluxParams, SolverConfig, SourceTerm, numerical_fluxes,
-                             sum_by_degree)
+from wavedg.scheme1d import SOURCES, FluxParams, SolverConfig, SourceTerm, numerical_fluxes
 from wavedg import discretization, scheme2d
 from wavedg.discretization import Discretization2D
 from wavedg.scheme2d import _dxy_matrices, damping_coeffs_2d, rhs_arrays_2d
@@ -412,7 +411,8 @@ def _damping_share_2d(u, v, m, cfg):
     grad2 = ((2.0 / hx) * (u @ dx.T)) ** 2 + ((2.0 / hy) * (u @ dy.T)) ** 2
     total = 0.0
     for sigma, squares, degree, first in ((sigma_u, grad2, cfg.p, 1), (sigma_v, v**2, cfg.q, 0)):
-        rate = sum_by_degree(sigma, total_degree_modes(degree).sum(axis=1), first) / m.h
+        rate = np.stack([sigma[..., first:k + 1].sum(axis=-1) * (k > 0)
+                         for k in total_degree_modes(degree).sum(axis=1)], axis=-1) / m.h
         total += np.sum(rate * squares * 0.25 * hx * hy * _mass2(degree))
     return -2.0 * total
 

@@ -16,12 +16,14 @@ The matrix covers converge on ex1 (also with alternating side 1) and ex6
 whose faces take the lower cell's v trace, and with --parallel, whose
 levels run in a process pool and whose CSV matches the serial run's);
 shock on ex1 (perturbed mesh), ex3 (also with the central flux undamped,
-and without the penalty), ex7 (also with the central flux, the one 2D
-run of it; at p = 3 on 14^2: one strip of 196 cells, whose p = 3 source
-product has a row count at which OpenBLAS rounds small products
-differently; at p = q = 3 on 28^2, where u's and v's vertex jumps take
-different orders of one degree, and at p = 4 on 16^2, whose u jumps
-take orders 1 to 3; both abort at step 2 or 3 on coarser meshes) and ex8
+without the penalty, and at p = q = 4, the one 1D run whose damping sums
+u's weights over three nonzero orders, 1 to 3, and v's over five), ex7
+(also with the central flux, the one 2D run of it; at p = 3 on 14^2:
+one strip of 196 cells, whose p = 3 source product has a row count at
+which OpenBLAS rounds small products differently; at p = q = 3 on 28^2,
+where u's and v's vertex jumps take different orders of one degree, and
+at p = 4 on 16^2, whose u jumps take orders 1 to 3; both abort at step 2
+or 3 on coarser meshes) and ex8
 (also at 128^2, the one 2D run that the kernel evaluates in two framed
 strips, each of two source blocks, on two strip workers where the process
 may use two CPUs); energy on ex2 (also with the Sommerfeld flux at speed
@@ -40,7 +42,7 @@ above from its metadata JSON alone (`--config` of the JSON; the names end
 in `-replay`): the perturbed ex1 shock, the two-strip ex8 shock, the
 Gaussian with the sine-Gordon source from flags and compare-ctcs on ex4;
 each must give its source's digests, or the script exits 1.  Only the
-runs' own directories are hashed, 98 artifacts in all.  These runs split a
+runs' own directories are hashed, 101 artifacts in all.  These runs split a
 `field.row_blocks` partition into several blocks: compare-ex7 runs the
 1000^2 leapfrog in 32 blocks, as two runs of 16 on two leapfrog workers
 where two CPUs are usable, shock-ex8-strips at 128^2 has 2 kernel strips
@@ -80,6 +82,7 @@ RUNS = {
     "shock-ex1-perturbed-replay": ["shock", "--config",
                                    "{outdir}/shock-ex1-perturbed/ex1_shock_ofedg_n40.json"],
     "shock-ex3": ["shock", "--problem", "ex3", "--ns", "40"],
+    "shock-ex3-p4-q4": ["shock", "--problem", "ex3", "-p", "4", "-q", "4", "--ns", "40"],
     "shock-ex7": ["shock", "--problem", "ex7", "--ns", "20"],
     "shock-ex7-p3": ["shock", "--problem", "ex7", "-p", "3", "--ns", "14"],
     "shock-ex7-p3-q3": ["shock", "--problem", "ex7", "-p", "3", "-q", "3", "--ns", "28"],

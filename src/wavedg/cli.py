@@ -372,18 +372,21 @@ def _integrate(cfg: ExperimentConfig, prob, u0, v0):
     return u, v, trace, dt
 
 
-def _single_run(cfg: ExperimentConfig, comparator: bool = False):
+def _single_run(cfg: ExperimentConfig, name: str, comparator: bool = False):
+    """Make the outdir and run the first cell count; returns the artifacts' stem,
+    outdir/<problem>_<name>_n<cells>, and the run (prob, disc, u0, u, v, trace, dt)."""
+    _make_outdir(cfg.outdir)
     prob = cfg.resolved_problem()
-    disc, u0, v0 = _initial_state(cfg, prob, cfg.resolved_ns(prob)[0], comparator)
-    return (prob, disc, u0, *_integrate(cfg, prob, u0, v0))
+    n = cfg.resolved_ns(prob)[0]
+    disc, u0, v0 = _initial_state(cfg, prob, n, comparator)
+    stem = os.path.join(cfg.outdir, f"{prob.key}_{name}_n{n}")
+    return stem, (prob, disc, u0, *_integrate(cfg, prob, u0, v0))
 
 
 def run_shock(cfg: ExperimentConfig):
     """Single run emitting snapshots, energy trace and oscillation metrics."""
-    _make_outdir(cfg.outdir)
-    prob, disc, u0, u, v, trace, dt = _single_run(cfg)
     variant = _variant_name(cfg)
-    stem = os.path.join(cfg.outdir, f"{prob.key}_shock_{variant}_n{cfg.resolved_ns(prob)[0]}")
+    stem, (prob, disc, u0, u, v, trace, dt) = _single_run(cfg, f"shock_{variant}")
     t_final = cfg.resolved_t(prob)
     exact = (lambda *x: prob.exact(*x, t_final)) if prob.exact is not None else None
     disc.write_snapshot(stem + ".csv", u, u0, exact)
@@ -407,10 +410,7 @@ def run_shock(cfg: ExperimentConfig):
 
 def run_energy(cfg: ExperimentConfig):
     """Single run emitting the energy trace and its monotonicity summary."""
-    _make_outdir(cfg.outdir)
-    prob, disc, u0, u, v, trace, dt = _single_run(cfg)
-    stem = os.path.join(cfg.outdir,
-                        f"{prob.key}_energy_{_variant_name(cfg)}_n{cfg.resolved_ns(prob)[0]}")
+    stem, (prob, disc, u0, u, v, trace, dt) = _single_run(cfg, f"energy_{_variant_name(cfg)}")
     trace.write_csv(stem + ".csv")
     meta = _metadata(cfg, prob, disc.mesh, dt, {
         "subcommand": "energy",
@@ -427,9 +427,7 @@ def run_compare(cfg: ExperimentConfig, check: bool = False):
     prob = cfg.resolved_problem()
     if prob.comparator_intervals is None:
         raise ConfigError(f"problem {cfg.problem!r} has no comparator resolution configured")
-    _make_outdir(cfg.outdir)
-    prob, disc, u0, u, v, trace, dt = _single_run(cfg, comparator=True)
-    stem = os.path.join(cfg.outdir, f"{prob.key}_compare_n{cfg.resolved_ns(prob)[0]}")
+    stem, (prob, disc, u0, u, v, trace, dt) = _single_run(cfg, "compare", comparator=True)
     disc.write_snapshot(stem + "_dg.csv", u)
     source = SOURCES[prob.source_name].g if prob.source_name else None
     grid, x, ref, coarse_h = disc.comparator(prob, cfg.resolved_t(prob), source,

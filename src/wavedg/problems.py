@@ -131,10 +131,9 @@ def make_custom_problem(dim: int, domain: tuple, initial: str, source: str | Non
         raise ValueError(f"'dim' must be 1 or 2, got {dim}")
     if len(domain) != 2 * dim:
         raise ValueError(f"'domain' must be a,b (1D) or ax,bx,ay,by (2D), got {list(domain)}")
-    if not all(math.isfinite(a) and math.isfinite(b) and a < b
-               for a, b in zip(domain[::2], domain[1::2])):
+    if not all(math.isfinite(b - a) and a < b for a, b in zip(domain[::2], domain[1::2])):
         raise ValueError(f"'domain' bounds must be finite, each lower bound below its upper "
-                         f"bound, got {list(domain)}")
+                         f"bound and each width finite, got {list(domain)}")
     if initial not in ("sine", "gauss", "box"):
         raise ValueError(f"'initial': unknown initial data {initial!r} "
                          "(choose from sine, gauss, box)")

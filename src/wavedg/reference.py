@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import field
+from . import field, timeint
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,11 @@ class FDGrid:
 
 
 def _grid_landing_on(lo: tuple, hi: tuple, n: tuple, t_final: float) -> tuple[FDGrid, int]:
-    """The grid and step count landing on t_final, dt at most min(spacing) / (2 sqrt(axes));
-    uniform leapfrog cannot shorten the last step, so dt shrinks globally."""
+    """The grid and `timeint.make_time_plan`'s step count landing on t_final, dt at most
+    min(spacing) / (2 sqrt(axes)); uniform leapfrog cannot shorten the last step, so dt
+    shrinks globally."""
     target = 0.5 * min((b - a) / k for a, b, k in zip(lo, hi, n)) / math.sqrt(len(n))
-    if t_final + target == t_final:
-        raise ValueError(f"'t_final' / dt = {t_final} / {target} is too many steps: "
-                         "t_final + dt rounds to t_final")
-    steps = max(1, math.ceil(t_final / target - 1e-12))
+    steps = timeint.make_time_plan(t_final, target).steps
     return FDGrid(lo, hi, n, t_final / steps), steps
 
 

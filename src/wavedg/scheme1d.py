@@ -275,12 +275,16 @@ def damping_factors(p: int, q: int, h, v_shift: int) -> tuple[list, list]:
              for l in range(q + 1)])
 
 
-def accumulate_orders(weights: np.ndarray, first: int, last: int) -> None:
-    """Running sums over the orders on the last axis, in place: order l gets the sum of
-    orders first..l, for l = first + 1..last, as a mode of degree l is damped by every
-    order first..l of its cell's weights."""
-    for l in range(first + 1, last + 1):
-        weights[..., l] += weights[..., l - 1]
+def damping_sums(for_u: np.ndarray, for_v: np.ndarray, last_u: int) -> None:
+    """Both kernels' weights per degree from those per order, in place: a mode of degree l
+    is damped by every order up to l, so u's column l = 2..last_u (p in 1D, p - 1 in 2D)
+    gets the sum of orders 1..l, v's that of orders 0..l, and v's column 0, its undamped
+    mode of degree 0, is zeroed.  Divided by h, they are the modes' damping rates."""
+    for l in range(2, last_u + 1):
+        for_u[..., l] += for_u[..., l - 1]
+    for l in range(1, for_v.shape[-1]):
+        for_v[..., l] += for_v[..., l - 1]
+    for_v[..., 0] = 0.0
 
 
 def damping_weights(ju: np.ndarray, jv: np.ndarray, widths: np.ndarray,
@@ -358,9 +362,7 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
         uxhat = np.concatenate([[0.0], uxhat[1:-1], [0.0]])
     if config.damping:
         sigma_u, sigma_v = damping_weights(ju, v_plus - v_minus, h, config)
-        accumulate_orders(sigma_u, 1, p)  # order p holds 0 and becomes the sum to p - 1
-        accumulate_orders(sigma_v, 0, q)
-        sigma_v[:, 0] = 0.0  # v's mode of degree 0 is not damped
+        damping_sums(sigma_u, sigma_v, p)
     if config.source is not None:
         u_at = ucoef @ t["vp_tab"].T
 

@@ -127,8 +127,7 @@ import numpy as np
 from .basis import derivative_matrix, gauss_rule, mass_diagonal, vandermonde
 from .field import gradient_gram, n_modes, row_blocks, run_tasks, total_degree_modes
 from .mesh import Mesh2D
-from .scheme1d import (FluxParams, SolverConfig, accumulate_orders, damping_factors,
-                       numerical_fluxes)
+from .scheme1d import FluxParams, SolverConfig, damping_factors, damping_sums, numerical_fluxes
 
 _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))  # BL, BR, TL, TR
 
@@ -395,10 +394,6 @@ def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: So
     # the constants of every strip; a 2D face weighs its sides mirrored against 1D's: see FluxParams
     k = {
         "flux": FluxParams(1.0 - fp.alpha, fp.tau, fp.beta),
-        # a one-sided vhat (alternating flux) is that side's own v trace, so the
-        # face correction vhat - v on that side vanishes and is skipped
-        "takes_minus": fp.zeta == 0.5 and not fp.tau,
-        "takes_plus": fp.zeta == -0.5 and not fp.tau,
         # the alternating flux reads the normal derivative on one side only
         "reads_minus": fp.zeta != 0.5 or fp.tau,
         "reads_plus": fp.zeta != -0.5 or fp.tau,
@@ -489,7 +484,9 @@ def _face_terms(u, v, w: int, s: int, f: dict, k: dict, b, rhs, pen) -> None:
 
     u and v are framed strips, w cells to a row, and b, rhs and pen hold
     their band.  Face k lies between cells w - s + k and w + k, from the
-    lower face of the band's first cell to the upper face of its last.
+    lower face of the band's first cell to the upper face of its last.  A
+    side's correction vhat - v is skipped where `numerical_fluxes` returns
+    that side's trace itself as vhat (the alternating flux without tau).
     """
     n, nb = len(u), len(b)
     lower, upper = u[w - s:n - w], u[w:n - w + s]
@@ -502,9 +499,9 @@ def _face_terms(u, v, w: int, s: int, f: dict, k: dict, b, rhs, pen) -> None:
     dnu_p = upper @ f["d_lo"] if k["reads_plus"] else None
     v_m, v_p = v[w - s:n - w] @ f["v_hi"], v[w:n - w + s] @ f["v_lo"]
     vhat, gn = numerical_fluxes(v_m, v_p, dnu_m, dnu_p, k["flux"])
-    if not k["takes_minus"]:
+    if vhat is not v_m:
         b += (vhat[s:] - v_m[s:]) @ f["hi_w"]
-    if not k["takes_plus"]:
+    if vhat is not v_p:
         b -= (vhat[:nb] - v_p[:nb]) @ f["lo_w"]
     _two_sided_faces(gn, f["gn_hi"], f["gn_lo"], s, rhs)
 
@@ -512,14 +509,15 @@ def _face_terms(u, v, w: int, s: int, f: dict, k: dict, b, rhs, pen) -> None:
 def _damping_terms(u3, v3, mesh: Mesh2D, config: SolverConfig, t: dict, k: dict, b):
     """Subtract the u damping's fold from b; return the v damping, weight * v / h per mode.
 
-    u3 and v3 are framed strips, and b holds their band.
+    u3 and v3 are framed strips, and b holds their band.  `damping_sums`
+    turns the weights per order into the weights per degree, v's degree 0
+    zeroed, which are gathered per mode.
     """
     rows = len(u3) - 2
     ub = u3[1:-1].reshape(-1, u3.shape[-1])
     sig_u, sig_v = damping_coeffs_2d(u3, v3, mesh, config)
     sig_u, sig_v = sig_u.reshape(len(b), -1), sig_v.reshape(len(b), -1)
-    accumulate_orders(sig_u, 1, config.p - 1)
-    accumulate_orders(sig_v, 0, config.q)
+    damping_sums(sig_u, sig_v, config.p - 1)
     # u_x has no mode of degree p, and its modes of degree 0 are not damped,
     # so the fold runs over the modes of degree 1..p-1 only
     wu = sig_u[:, t["fold"]["degrees"]]
@@ -531,9 +529,7 @@ def _damping_terms(u3, v3, mesh: Mesh2D, config: SolverConfig, t: dict, k: dict,
         fold = weighted @ f["d_fold"]
         fold *= scale
         b -= fold
-    # v's mode of degree 0 is not damped
     wv = sig_v[:, t["degrees_v"]]
-    wv[:, 0] = 0.0
     wv *= v3[1:-1].reshape(-1, v3.shape[-1])
     wv /= mesh.h
     return wv

@@ -112,7 +112,7 @@ def ssp_rk3_step(state, rhs, dt, out=None, work=None):
 
 def _ssp_rk3(x: tuple, rhs, dt, out, work) -> tuple:
     stage = work if work is not None else rk3_registers(x)
-    new = out if out is not None else tuple(np.empty(np.shape(a)) for a in x)
+    new = out if out is not None else rk3_registers(x)
     shapes = [np.shape(a) for a in x]
     # one block, all of every field, when a field has no leading axis
     blocks = (field.row_blocks(max(s[0] for s in shapes), sum(math.prod(s[1:]) for s in shapes),

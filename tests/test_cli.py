@@ -252,6 +252,11 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     # non-finite domain bounds, for a built-in problem and a custom one
     (["energy", "--problem", "ex1", "--ns", "4", "--domain=nan,1"], "'domain'"),
     (["energy", "--problem", "custom", "--dim", "1", "--domain=0,inf", "--ns", "4"], "'domain'"),
+    # finite bounds whose width overflows
+    (["energy", "--problem", "custom", "--dim", "1", "--domain=-1e308,1e308", "--ns", "4"],
+     "'domain'"),
+    (["energy", "--problem", "custom", "--dim", "2", "--domain=-1e308,1e308,0,1", "--ns", "4"],
+     "'domain'"),
 ])
 def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, argv, key):
     (tmp_path / "broken.json").write_text('{"config": {"p": 3,}}')

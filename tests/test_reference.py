@@ -37,6 +37,14 @@ def test_comparator_plan_whose_step_does_not_move_the_clock_names_t_final():
         make_grid_2d(-1.0, 1.0, -1.0, 1.0, 1000, 1000, 1e300)
 
 
+def test_comparator_plan_of_no_time_names_t_final():
+    # the step count is make_time_plan's, so its check of t_final applies
+    with pytest.raises(ValueError, match="'t_final'"):
+        make_grid_1d(0, 1, 1000, 0.0)
+    with pytest.raises(ValueError, match="'t_final'"):
+        make_grid_2d(-1.0, 1.0, -1.0, 1.0, 1000, 1000, 0.0)
+
+
 def test_cfl_guard():
     with pytest.raises(ValueError):
         FDGrid((0.0,), (1.0,), (10,), dt=0.2)  # dx = 0.1 < dt

@@ -17,8 +17,8 @@ from wavedg.scheme1d import (
     SolverConfig,
     SourceTerm,
     _traces,
-    accumulate_orders,
     damping_factors,
+    damping_sums,
     damping_weights,
     flux_from_name,
     numerical_fluxes,
@@ -50,6 +50,27 @@ def test_flux_examples():
     assert vhat == pytest.approx(0.5) and uxhat == pytest.approx(0.0)
     vhat, uxhat = numerical_fluxes(0.0, 1.0, 0.0, 0.0, FluxParams.sommerfeld(1.0))
     assert vhat == pytest.approx(0.5) and uxhat == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_a_one_sided_vhat_is_that_side_itself(mirrored):
+    # the 2D kernel skips a face's correction vhat - v where vhat is that side's own
+    # trace; it calls the flux with the weighting mirrored, FluxParams(1 - alpha, tau, beta)
+    rng = np.random.default_rng(3)
+    v_m, v_p, ux_m, ux_p = rng.standard_normal((4, 9))
+
+    def vhat_of(fp):
+        if mirrored:
+            fp = FluxParams(1.0 - fp.alpha, fp.tau, fp.beta)
+        return numerical_fluxes(v_m, v_p, ux_m, ux_p, fp)[0], fp.alpha
+
+    for side in (0, 1):
+        vhat, alpha = vhat_of(FluxParams.alternating(side))
+        assert vhat is (v_p if alpha == 1.0 else v_m)
+    for fp in (FluxParams.central(), FluxParams.sommerfeld(2.0), FluxParams(0.0, tau=0.3),
+               FluxParams(1.0, tau=0.3)):
+        vhat, _ = vhat_of(fp)
+        assert not (np.shares_memory(vhat, v_m) or np.shares_memory(vhat, v_p)), fp
 
 
 def test_flux_parameter_validation():
@@ -346,8 +367,9 @@ def _former_sum_by_degree(weights, degrees, first):
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_sum_by_degree_equals_the_former_sums_of_both_kernels(first):
-    # accumulate_orders as each kernel reads it per mode, against the former per-mode
-    # sum; weights from subnormal to 1e4, and zeros, as damping weights come
+    # damping_sums as each kernel reads it per mode, against the former per-mode sum,
+    # which is 0 at degree 0; weights from subnormal to 1e4, and zeros, as damping
+    # weights come; first 1 passes them as u's, first 0 as v's, whose column 0 is zeroed
     rng = np.random.default_rng(71 + first)
 
     def weights(orders):
@@ -359,22 +381,20 @@ def test_sum_by_degree_equals_the_former_sums_of_both_kernels(first):
         sig = weights(p + 1)
         if first == 1:  # u's orders 0 and p are zero, as both kernels fill them
             sig[:, [0, p]] = 0.0
-        # 1D: one mode per degree, u summed through order p, v through q with mode 0 zeroed
-        got = sig.copy()
-        accumulate_orders(got, first, p)
+        sums = []
+        for last_u in (p, p - 1):  # u's sums run through order p in 1D, p - 1 in 2D
+            got, other = sig.copy(), np.zeros_like(sig)
+            damping_sums(*((got, other) if first else (other, got)), last_u)
+            sums.append(got)
         if first == 0:
-            got[:, 0] = 0.0
-        assert got.tobytes() == _former_sum_by_degree(sig, np.arange(p + 1), first).tobytes()
-        # 2D: u's fold reads the modes of total degree 1..p-1, v every mode, mode 0 zeroed
+            assert not sums[0][:, 0].any() and sig[:, 0].any()
+        # 1D: one mode per degree
+        assert sums[0].tobytes() == _former_sum_by_degree(sig, np.arange(p + 1), first).tobytes()
+        # 2D: u's fold reads the modes of total degree 1..p-1, v every mode
         degrees = total_degree_modes(p).sum(axis=1)
         read = slice(first, n_modes(p - first))
-        got = sig.copy()
-        accumulate_orders(got, first, p - first)
-        got = got[:, degrees[read]]
-        if first == 0:
-            got[:, 0] = 0.0
         want = _former_sum_by_degree(sig, degrees, first)[:, read]
-        assert got.tobytes() == want.tobytes()
+        assert sums[1][:, degrees[read]].tobytes() == want.tobytes()
 
 
 def test_damping_factors_are_pinned_to_the_formula():
@@ -433,8 +453,9 @@ def _de_dt(u, v, m, cfg):
 
 def test_energy_identity_random_states():
     # d/dt E = 2 integral(u_x (u_t)_x + v v_t): conserved for central and
-    # alternating fluxes with damping and penalty off; nonpositive once any
-    # dissipative mechanism is active
+    # alternating fluxes with damping and penalty off; nonpositive with the
+    # Sommerfeld flux or the damping; the penalty adds its closed form, which
+    # has either sign (test_penalty_energy_share_can_be_positive)
     rng = np.random.default_rng(123)
     m = uniform_mesh_1d(0, 1, 8)
 
@@ -451,7 +472,9 @@ def test_energy_identity_random_states():
         cfg_d = SolverConfig(p=2, q=1, damping=True, penalty=False)
         assert de_dt(u, v, cfg_d) <= 1e-12
         cfg_p = SolverConfig(p=2, q=1, damping=False, penalty=True)
-        assert de_dt(u, v, cfg_p) <= 1e-12
+        (on, scale_on), (off, scale_off) = (_de_dt(u, v, m, c)
+                                            for c in (cfg_p, replace(cfg_p, penalty=False)))
+        assert abs(on - off - _penalty_share(u, v, m, cfg_p)) <= 1e-14 * (scale_on + scale_off)
 
 
 @pytest.mark.parametrize("perturb", [0.0, 0.3])

@@ -363,8 +363,11 @@ def test_energy_dissipation_2d_random_states():
         assert de_dt(u, v, cfg_s) <= 1e-11
         cfg_d = SolverConfig(p=2, q=1, chi=0, damping=True, penalty=False)
         assert de_dt(u, v, cfg_d) <= 1e-11
+        # the penalty's share has either sign; it is its closed form
         cfg_p = SolverConfig(p=2, q=1, chi=0, damping=False, penalty=True)
-        assert de_dt(u, v, cfg_p) <= 1e-11
+        (on, scale_on), (off, scale_off) = (_de_dt_2d(u, v, m, c)
+                                            for c in (cfg_p, replace(cfg_p, penalty=False)))
+        assert abs(on - off - _penalty_share_2d(u, v, m, cfg_p)) <= 1e-14 * (scale_on + scale_off)
 
 
 def _face_jumps(coeffs, degree, m, axis, order):

@@ -1,29 +1,23 @@
 """One object per dimension for what differs between 1D and 2D runs.
 
-A discretization holds only its mesh (in 2D also its strip worker count).
-It gives the field class, the defaults of chi and of the energy sampling
-interval, sampled values (cell midpoints in 1D, centres in 2D), the
-snapshot CSV, and the leapfrog comparator with the DG profile matched
-against it.  `stepping(config)` is a context manager that yields the
-right-hand side of a state (u, v) under a `SolverConfig`; in 2D it owns
-the output pair and the strip executor for the length of its block.
-`DISCRETIZATIONS` maps a mesh's `dim` to its class.  The scheme,
+A discretization holds only its mesh.  It gives the field class, the
+defaults of chi and of the energy sampling interval, sampled values (cell
+midpoints in 1D, centres in 2D), the snapshot CSV, and the leapfrog
+comparator with the DG profile matched against it.  The right-hand side
+and its stepping belong to the kernels (`scheme1d.stepping`,
+`scheme2d.stepping`), which `timeint.integrate` reaches without this
+module.  `DISCRETIZATIONS` maps a mesh's `dim` to its class.  The
 comparator and CSV functions are looked up in this module's globals at
 call time, so a wrapper set on the module sees every call.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
-
 import numpy as np
 
-from . import diagnostics, scheme2d
-from .field import DGField1D, DGField2D, n_modes, row_blocks, worker_count, write_columns_csv
+from . import diagnostics
+from .field import DGField1D, DGField2D, write_columns_csv
 from .mesh import Mesh1D, Mesh2D, cartesian_mesh_2d, perturb_mesh_1d, uniform_mesh_1d
 from .reference import ctcs_solve, make_grid_1d, make_grid_2d
-from .scheme1d import rhs_arrays_1d
-from .scheme2d import rhs_arrays_2d
 
 
 class Discretization1D:
@@ -43,11 +37,6 @@ class Discretization1D:
         if perturb > 0.0:
             mesh = perturb_mesh_1d(mesh, perturb, seed)
         return cls(mesh)
-
-    @contextmanager
-    def stepping(self, config):
-        """The right-hand side of a state (u, v); it keeps no arrays or threads."""
-        yield lambda state: rhs_arrays_1d(state[0], state[1], self.mesh, config)
 
     def samples(self, u):
         return u.midpoint_values()
@@ -87,25 +76,11 @@ class Discretization2D:
 
     def __init__(self, mesh):
         self.mesh = mesh
-        # one worker per usable CPU, no more than there are strips
-        self.workers = worker_count(len(row_blocks(mesh.nx, mesh.ny, scheme2d.CELLS_PER_STRIP)))
 
     @classmethod
     def build(cls, prob, n, perturb=0.0, seed=0):
         """n-by-n cells on the problem's rectangle; 2D meshes are not perturbed."""
         return cls(cartesian_mesh_2d(*prob.domain, n, n))
-
-    @contextmanager
-    def stepping(self, config):
-        """The right-hand side of a state (u, v), each call writing over the previous
-        call's output pair; the strip executor, if more than one worker, ends with the block."""
-        mesh = self.mesh
-        out = (np.empty((mesh.nx, mesh.ny, n_modes(config.p))),
-               np.empty((mesh.nx, mesh.ny, n_modes(config.q))))
-        pool = ThreadPoolExecutor(self.workers, "wavedg-strip") if self.workers > 1 else None
-        with pool or nullcontext():
-            yield lambda state: rhs_arrays_2d(state[0], state[1], mesh, config,
-                                              out=out, pool=pool)
 
     def samples(self, u):
         return u.center_values().ravel()

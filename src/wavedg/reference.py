@@ -104,7 +104,11 @@ def _grid_landing_on(lo: tuple, hi: tuple, n: tuple, t_final: float) -> tuple[FD
     min(spacing) / (2 sqrt(axes)); uniform leapfrog cannot shorten the last step, so dt
     shrinks globally."""
     target = 0.5 * min((b - a) / k for a, b, k in zip(lo, hi, n)) / math.sqrt(len(n))
-    steps = timeint.make_time_plan(t_final, target).steps
+    try:
+        steps = timeint.make_time_plan(t_final, target).steps
+    except ValueError:  # its message names the config key 'dt', which this step is not
+        raise ValueError(f"the comparator's step {target} cannot land on 't_final' = {t_final}: "
+                         "both must be positive and finite, t_final + step > t_final") from None
     return FDGrid(lo, hi, n, t_final / steps), steps
 
 

@@ -28,6 +28,7 @@ uxhat is 0 already, bit for bit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -396,3 +397,9 @@ def rhs_arrays_1d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh1D,
     if config.damping:
         dv -= sigma_v * vcoef * inv_h[:, None]
     return du, dv
+
+
+@contextmanager
+def stepping(mesh: Mesh1D, config: SolverConfig):
+    """The right-hand side of a state (u, v); it keeps no arrays or threads."""
+    yield lambda state: rhs_arrays_1d(state[0], state[1], mesh, config)

@@ -66,13 +66,10 @@ overlaps; but each numpy call takes the GIL to start and to end, and a
 worker that finds it held sleeps until the other lets it go.  So a strip
 makes few calls, each on the whole band: the fields' vertex jumps share
 one pass, the order sums go straight to the weights of each order, and
-the constants of every strip are computed once per call.  One
-`ex8-dg2d` round (320^2, 60 steps, two workers, BLAS on one thread,
-2-vCPU Xeon, in-process `getrusage`, three alternated rounds each) took
-7.24-7.38 s with 119k voluntary context switches and 0.42 s of system
-time before, and 5.94-6.16 s with 16-18k and 0.11-0.13 s now, the same
-bytes.  `Discretization2D.stepping` makes a `ThreadPoolExecutor` of one
-worker per CPU of the affinity mask, capped at the number of strips
+the constants of every strip are computed once per call (CHANGES.md,
+PR 25, has the time and the context switches that this saves).
+`stepping(mesh, config)` makes a `ThreadPoolExecutor` of one worker per
+CPU of the affinity mask, capped at the number of strips
 (`field.worker_count`), for one `with` block, which `timeint.integrate`
 steps in, so its threads end when the run returns or aborts.  One worker,
 or a mesh of one strip, runs the strips in the calling thread.  A strip's
@@ -109,23 +106,24 @@ applied to (rows, w * modes) views, and the orders are summed and scaled
 one column at a time.  GEMM cost here follows the size of the output, not
 the number of calls.
 
-CELLS_PER_STRIP was set by `ex8-dg2d` rounds on two workers, as above,
-alternated three times: strips of 5,120 cells took 6.32-6.60 s with 62-63k
-switches and a peak RSS of 90.7-91.0 MB, of 10,240 cells 5.94-6.16 s with
-16-18k and 94.3-95.0 MB, and of 15,360 cells 6.29-6.60 s with 9.5-10k and
-98.1-99.0 MB, the same bytes; the kernel before took 94.4-94.7 MB.  On one
-worker (`taskset -c 0`) a round took 9.99 and 10.02 s against 10.71 and
-11.04 s before.
+CELLS_PER_STRIP was set by `ex8-dg2d` rounds (320^2, 60 steps, BLAS on
+one thread, 2-vCPU Xeon, in-process `getrusage`) on two workers,
+alternated three times (CHANGES.md, PR 25): strips of 5,120 cells took
+6.32-6.60 s with 62-63k switches and a peak RSS of 90.7-91.0 MB, of
+10,240 cells 5.94-6.16 s with 16-18k and 94.3-95.0 MB, and of 15,360
+cells 6.29-6.60 s with 9.5-10k and 98.1-99.0 MB, the same bytes.
 """
 from __future__ import annotations
 
-from concurrent.futures import Executor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import derivative_matrix, gauss_rule, mass_diagonal, vandermonde
-from .field import gradient_gram, n_modes, row_blocks, run_tasks, total_degree_modes
+from .field import (gradient_gram, n_modes, row_blocks, run_tasks, total_degree_modes,
+                    worker_count)
 from .mesh import Mesh2D
 from .scheme1d import FluxParams, SolverConfig, damping_factors, damping_sums, numerical_fluxes
 
@@ -411,6 +409,19 @@ def rhs_arrays_2d(ucoef: np.ndarray, vcoef: np.ndarray, mesh: Mesh2D, config: So
 
     run_tasks(pool, run, row_blocks(ucoef.shape[0], ucoef.shape[1], CELLS_PER_STRIP))
     return du, dv
+
+
+@contextmanager
+def stepping(mesh: Mesh2D, config: SolverConfig):
+    """The right-hand side of a state (u, v), each call writing over the previous call's
+    output pair; the strip executor, of one worker per usable CPU and strip, is made only
+    for more than one worker, and ends with the block."""
+    out = (np.empty((mesh.nx, mesh.ny, n_modes(config.p))),
+           np.empty((mesh.nx, mesh.ny, n_modes(config.q))))
+    workers = worker_count(len(row_blocks(mesh.nx, mesh.ny, CELLS_PER_STRIP)))
+    pool = ThreadPoolExecutor(workers, "wavedg-strip") if workers > 1 else None
+    with pool or nullcontext():
+        yield lambda state: rhs_arrays_2d(state[0], state[1], mesh, config, out=out, pool=pool)
 
 
 def _strip_rhs(ucoef, vcoef, rows: slice, mesh: Mesh2D, config: SolverConfig, t: dict, k: dict,

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics, field
-from .discretization import DISCRETIZATIONS
+from . import diagnostics, field, scheme1d, scheme2d
 from .field import write_columns_csv
 # rhs_arrays_1d stays importable from here: perfbench/test_perfbench.py reads it
 from .scheme1d import SolverConfig, rhs_arrays_1d  # noqa: F401
@@ -196,10 +195,11 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
     dt defaults to the degree-based rule evaluated at the global mesh size.
     The energy is sampled every `sample_every` steps (and always at the two
     endpoints); for runs with a source term the source-augmented energy is
-    recorded alongside the quadratic one.
+    recorded alongside the quadratic one.  The right-hand side is that of the
+    `stepping` of the mesh's kernel, `scheme1d` or `scheme2d`.
     """
     mesh = u.mesh
-    disc = DISCRETIZATIONS[mesh.dim](mesh)
+    kernel = {1: scheme1d, 2: scheme2d}[mesh.dim]
     state = (u.coeffs.copy(), v.coeffs.copy())
     plan = make_time_plan(t_final, dt if dt is not None else dt_rule(config.p, mesh.h))
     registers = rk3_registers(state)
@@ -208,7 +208,7 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
     trace = EnergyTrace(times=[0.0], energies=[], nonlinear=[] if with_source else None)
 
     def record(st):
-        uf, vf = disc.field(mesh, config.p, st[0]), disc.field(mesh, config.q, st[1])
+        uf, vf = type(u)(mesh, config.p, st[0]), type(v)(mesh, config.q, st[1])
         quad = diagnostics.energy(uf, vf)
         trace.energies.append(quad)
         if with_source:
@@ -217,7 +217,7 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
     record(state)
     t = 0.0
     # the right-hand side's worker threads, started by its first call, end with the block
-    with disc.stepping(config) as rhs:
+    with kernel.stepping(mesh, config) as rhs:
         for n in range(plan.steps):
             step_dt = plan.dt if n < plan.steps - 1 else plan.last_dt
             ssp_rk3_step(state, rhs, step_dt, out=state, work=registers)
@@ -226,4 +226,4 @@ def integrate(u, v, config: SolverConfig, t_final: float, dt: float | None = Non
             if (n + 1) % sample_every == 0 or n == plan.steps - 1:
                 trace.times.append(t)
                 record(state)
-    return disc.field(mesh, config.p, state[0]), disc.field(mesh, config.q, state[1]), trace
+    return type(u)(mesh, config.p, state[0]), type(v)(mesh, config.q, state[1]), trace

@@ -287,7 +287,7 @@ def test_cli_bad_input_exits_2_before_any_compute(tmp_path, capsys, monkeypatch,
     (["energy", "--problem", "ex1", "--ns", "4", "--dt", "1e-310"], "'dt'"),
     (["energy", "--problem", "ex1", "--ns", "4", "--t-final", "1e300", "--dt", "1e-10"], "'dt'"),
     (["converge", "--problem", "ex1", "--ns", "4,8", "--dt", "1e-310"], "'dt'"),
-    # the comparator's own step, fixed by its grid, cannot reach the final time
+    # neither the DG plan's step nor the comparator's moves the clock from this final time
     (["compare-ctcs", "--problem", "ex4", "--ns", "4", "--t-final", "1e306"], "'t_final'"),
     # the degree rule's step underflows to 0.0 on a tiny domain
     (["energy", "--problem", "custom", "--dim", "1", "--domain", "0,1e-300", "--ns", "4",
@@ -304,6 +304,17 @@ def test_time_plans_that_cannot_be_stepped_exit_2_before_any_step(tmp_path, caps
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and key in err
+
+
+def test_comparator_step_that_cannot_land_on_t_final_names_t_final_not_dt(tmp_path, capsys,
+                                                                          monkeypatch):
+    # the DG plan's 1.6e15 steps of dt = 0.0125 pass its check; the leapfrog's own step of
+    # 0.0005, set by its grid and not by the key 'dt', does not move the clock from 2e13
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("integration ran"))
+    argv = ["compare-ctcs", "--problem", "ex4", "--ns", "4", "--t-final", "2e13"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "'t_final'" in err and "'dt'" not in err
 
 
 @pytest.mark.parametrize("argv", [

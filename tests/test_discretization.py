@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from wavedg import scheme1d, scheme2d
 from wavedg.discretization import DISCRETIZATIONS, Discretization1D, Discretization2D
 from wavedg.field import DGField1D, DGField2D
 from wavedg.mesh import Mesh1D, Mesh2D
@@ -27,12 +28,12 @@ def test_build_makes_the_mesh_only():
     square = Discretization2D.build(EXAMPLES["ex8"], 5)
     assert (square.mesh.nx, square.mesh.ny) == (5, 5)
     for disc in (flat, moved, square):
-        assert not {"rhs", "close", "config", "out", "pool"} & set(dir(disc))
-    # stepping yields the right-hand side of a state, a pair of the state's shapes
+        assert not {"rhs", "close", "config", "out", "pool", "stepping", "workers"} & set(dir(disc))
+    # the kernel's stepping yields the right-hand side of a state, a pair of the state's shapes
     cfg = SolverConfig(p=2, q=1, chi=0)
-    for disc, state in ((flat, (np.ones((12, 3)), np.ones((12, 2)))),
-                        (square, (np.ones((5, 5, 6)), np.ones((5, 5, 3))))):
-        with disc.stepping(cfg) as rhs:
+    for kernel, disc, state in ((scheme1d, flat, (np.ones((12, 3)), np.ones((12, 2)))),
+                                (scheme2d, square, (np.ones((5, 5, 6)), np.ones((5, 5, 3))))):
+        with kernel.stepping(disc.mesh, cfg) as rhs:
             assert [a.shape for a in rhs(state)] == [a.shape for a in state]
 
 

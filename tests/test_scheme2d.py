@@ -15,9 +15,21 @@ from wavedg.field import DGField2D, gradient_gram, n_modes, row_blocks, total_de
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
 from wavedg.scheme1d import SOURCES, FluxParams, SolverConfig, SourceTerm, numerical_fluxes
-from wavedg import discretization, scheme2d
+from wavedg import scheme1d, scheme2d
 from wavedg.discretization import Discretization2D
 from wavedg.scheme2d import _dxy_matrices, damping_coeffs_2d, rhs_arrays_2d
+
+
+def _recording_executors(monkeypatch) -> list:
+    """The max_workers of each executor that scheme2d.stepping makes from here on."""
+    made = []
+
+    def recording(max_workers, *args, **kwargs):
+        made.append(max_workers)
+        return ThreadPoolExecutor(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(scheme2d, "ThreadPoolExecutor", recording)
+    return made
 
 
 def _random_state_2d(rng, nx, ny, p, q, scale=1.0):
@@ -669,6 +681,7 @@ def test_rhs_writes_into_supplied_arrays(monkeypatch):
 def test_strip_workers_give_the_serial_bytes(monkeypatch, fluxname, penalty, source):
     # 23 rows in 4 strips of at most 96 // 16 = 6 rows; 8 CPUs still make 4 workers
     monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    made = _recording_executors(monkeypatch)
     rng = np.random.default_rng(61)
     mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.5, 23, 16)
     cfg = SolverConfig(p=2, q=1, chi=0, flux=FLUX_CASES[fluxname], penalty=penalty,
@@ -678,9 +691,9 @@ def test_strip_workers_give_the_serial_bytes(monkeypatch, fluxname, penalty, sou
         du, dv = rhs_arrays_2d(u, v, mesh, cfg)
         for cpus, workers in ((1, 1), (2, 2), (3, 3), (8, 4)):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-            disc = Discretization2D(mesh)
-            assert disc.workers == workers
-            with disc.stepping(cfg) as rhs:
+            made.clear()
+            with scheme2d.stepping(mesh, cfg) as rhs:
+                assert made == ([workers] if workers > 1 else [])
                 got = rhs((u, v))
                 assert np.array_equal(got[0], du) and np.array_equal(got[1], dv)
         # more workers than strips: the idle ones get no strip
@@ -696,33 +709,46 @@ def test_one_strip_or_one_cpu_starts_no_thread(monkeypatch, cpus, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     mesh = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.0, n, 16)
     u, v = _random_state_2d(np.random.default_rng(73), n, 16, 2, 1)
+    made = _recording_executors(monkeypatch)
     before = threading.active_count()
-    disc = Discretization2D(mesh)
-    assert disc.workers == 1
-    with disc.stepping(SolverConfig(p=2, q=1, chi=0)) as rhs:
+    with scheme2d.stepping(mesh, SolverConfig(p=2, q=1, chi=0)) as rhs:
         rhs((u, v))
-        assert threading.active_count() == before
+        assert made == [] and threading.active_count() == before
 
 
 def test_build_starts_no_executor_and_stepping_one_for_its_block(monkeypatch):
     # 23 x 23 cells are six strips of at most 4 rows; two CPUs make two workers
     monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    made = []
-
-    def counted(*args, **kwargs):
-        made.append(ThreadPoolExecutor(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(discretization, "ThreadPoolExecutor", counted)
+    made = _recording_executors(monkeypatch)
     before = threading.active_count()
     disc = Discretization2D.build(EXAMPLES["ex8"], 23)
-    assert disc.workers == 2 and made == []
+    assert made == []
     u, v = _random_state_2d(np.random.default_rng(79), 23, 23, 2, 1)
-    with disc.stepping(SolverConfig(p=2, q=1, chi=0)) as rhs:
+    with scheme2d.stepping(disc.mesh, SolverConfig(p=2, q=1, chi=0)) as rhs:
         rhs((u, v))
-        assert len(made) == 1 and threading.active_count() == before + 2
-    assert len(made) == 1 and threading.active_count() == before
+        assert made == [2] and threading.active_count() == before + 2
+    assert made == [2] and threading.active_count() == before
+
+
+def test_each_kernels_stepping_gives_its_rhs_bytes(monkeypatch):
+    # 23 x 16 cells are four strips, run on two workers
+    monkeypatch.setattr(scheme2d, "CELLS_PER_STRIP", 96)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = np.random.default_rng(83)
+    cfg = SolverConfig(p=2, q=1, chi=0, source=SOURCES["cubic_4"])
+    mesh1 = uniform_mesh_1d(0.0, 1.0, 16)
+    mesh2 = cartesian_mesh_2d(0.0, 1.0, 0.0, 1.5, 23, 16)
+    for kernel, mesh, rhs_arrays, state in (
+            (scheme1d, mesh1, scheme1d.rhs_arrays_1d,
+             (rng.standard_normal((16, 3)), rng.standard_normal((16, 2)))),
+            (scheme2d, mesh2, rhs_arrays_2d, _random_state_2d(rng, 23, 16, 2, 1))):
+        with kernel.stepping(mesh, cfg) as rhs:
+            for _ in range(2):  # each call writes the same bytes, over the last one's in 2D
+                du, dv = rhs_arrays(*state, mesh, cfg)
+                got = rhs(state)
+                assert np.array_equal(got[0], du) and np.array_equal(got[1], dv)
+                state = (state[0] + 0.25, state[1] - 0.5)
 
 
 def test_a_failing_strip_is_raised_after_every_worker_is_done(monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import ssp_rk3_out_of_place
-from wavedg import diagnostics, discretization, field, scheme1d, scheme2d
+from wavedg import diagnostics, field, scheme1d, scheme2d
 from wavedg.field import DGField1D, DGField2D
 from wavedg.mesh import cartesian_mesh_2d, uniform_mesh_1d
 from wavedg.problems import EXAMPLES
@@ -358,12 +358,12 @@ def test_integrate_ends_its_worker_threads(monkeypatch, aborts):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     seen = []
 
-    def counted(*args, _rhs=discretization.rhs_arrays_2d, **kwargs):
+    def counted(*args, _rhs=scheme2d.rhs_arrays_2d, **kwargs):
         out = _rhs(*args, **kwargs)
         seen.append(threading.active_count())
         return out
 
-    monkeypatch.setattr(discretization, "rhs_arrays_2d", counted)
+    monkeypatch.setattr(scheme2d, "rhs_arrays_2d", counted)
     u0, v0, cfg, t_final, dt = _ex8_run(24, 3)
     if aborts:
         u0.coeffs[:] = 2.0 * BLOWUP_LIMIT
